@@ -12,6 +12,8 @@ Keys are additive (key of a product is the sum of keys), so multiplying by a
 monomial is a constant shift and never re-sorts.  The kernels below implement
 the two inner loops that dominate every Groebner-basis run: merge-subtract of
 sorted term arrays and full normal-form reduction against a basis.
+`RowSpan` is the GF(p) linear algebra on graded pieces (ranks, minimal
+generators).
 
 Backend selection: numba @njit kernels are used when importable unless the
 environment variable LIAISON_NUMBA is set to "0" (pure numpy fallbacks with
@@ -61,6 +63,39 @@ def canonicalize(keys, exps, coeffs, p):
     keep = c != 0
     # np.unique sorts rows ascending lexicographically; we store descending
     return uk[keep][::-1].copy(), ue[keep][::-1].copy(), c[keep][::-1].copy()
+
+
+class RowSpan:
+    """Incremental GF(p) row space with lazy row-by-row reduction; rows are
+    kept pivot-normalized but not fully inter-reduced, which is faster when
+    most candidates reduce to zero quickly."""
+
+    def __init__(self, dim, p):
+        self.p = p
+        self.dim = dim
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec):
+        """Reduce vec; if independent, insert and return True."""
+        v = np.asarray(vec, dtype=_I64) % self.p
+        for r, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                v = (v - c * r) % self.p
+        nz = np.nonzero(v)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        inv = pow(int(v[piv]), self.p - 2, self.p)
+        v = (v * inv) % self.p
+        self.rows.append(v)
+        self.pivots.append(piv)
+        return True
+
+    @property
+    def rank(self):
+        return len(self.rows)
 
 
 def _py_modinv(a, p):

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import (
     DuplicatePoint,
     NotACI,
@@ -18,7 +19,7 @@ from .errors import (
 )
 from .groebner import normal_form
 from .ideals import Ideal
-from .resolution import _Span, classify
+from .resolution import classify
 
 _I64 = np.int64
 
@@ -136,10 +137,8 @@ class PointSet:
 
     # -- Hilbert functions by evaluation rank --------------------------
     def _eval_matrix(self, t, subset=None):
-        from .resolution import _degree_monomials
-
         idx = subset if subset is not None else range(len(self.coords))
-        monos = _degree_monomials(self.ring.nvars, t)
+        monos = self.ring.monomials(t)
         p = self.ring.p
         rows = []
         for i in idx:
@@ -153,7 +152,7 @@ class PointSet:
         if t < 0:
             return 0
         m = self._eval_matrix(t, subset)
-        span = _Span(m.shape[1], self.ring.p)
+        span = K.RowSpan(m.shape[1], self.ring.p)
         for row in m:
             span.add(row)
         return span.rank
@@ -260,14 +259,12 @@ def wlp_check(I, rng=None, tries=3):
         raise NotArtinian("WLP needs an Artinian quotient")
     data = I.hilbert()
     hv = [data.hf(j) for j in range(0, len(data.h_vector) + 1)]
-    from .resolution import _degree_monomials
-
     lt = I.lt_exps()
     std = {}
     for t in range(len(hv) + 1):
         std[t] = [
             m
-            for m in _degree_monomials(ring.nvars, t)
+            for m in ring.monomials(t)
             if not any(all(g[i] <= m[i] for i in range(ring.nvars)) for g in lt)
         ]
     rng = rng or np.random.default_rng(0)
@@ -286,7 +283,7 @@ def wlp_check(I, rng=None, tries=3):
             if h0 == 0 or h1 == 0:
                 continue
             index = {m: i for i, m in enumerate(std[t + 1])}
-            span = _Span(len(std[t + 1]), ring.p)
+            span = K.RowSpan(len(std[t + 1]), ring.p)
             rank = 0
             for m in std[t]:
                 prod = normal_form(L.mono_mul(m), I.gb)

@@ -6,9 +6,10 @@ deterministic for a fixed input ideal regardless of generator order.
 
 Syzygies come in two flavours:
   * syzygy_module(G)      Schreyer syzygies of a Groebner basis,
-  * syzygies_of(gens)     syzygies of an arbitrary generating set, via a
-                          Groebner basis of {(g_i, e_i)} in F + R^m with the
-                          F-part dominant.
+  * syzygies_of(gens)     syzygies of an arbitrary generating set (zero
+                          entries allowed), via a Groebner basis of
+                          {(g_i, e_i)} in F + R^m with the F-part dominant.
+lift_coordinates reads coordinates off the same augmented basis.
 """
 
 import heapq
@@ -286,30 +287,34 @@ def syzygy_module(G):
     return out
 
 
-def syzygies_of(gens):
-    """Generators of the syzygy module of an arbitrary generating tuple."""
-    gens = list(gens)
+def _augmented_basis(gens):
+    """Reduced Groebner basis of the witnesses (g_i, e_{r+i}) in F + R^m,
+    the F-part dominant (F of rank r, the tag part twisted by deg g_i).
+    Its elements led by a tag position are syzygies, and normal forms
+    against it read off coordinates."""
     module = gens[0].module
-    ring = module.ring
     r = module.rank
-    m = len(gens)
-    big = FreeModule(ring, module.twists + tuple(g.degree for g in gens), kind="pot")
-    wits = []
-    for i, g in enumerate(gens):
-        rows = {(int(pos), e): c for pos, e, c in g.terms()}
-        rows[(r + i, (0,) * ring.nvars)] = 1
-        wits.append(big.element(rows))
-    gb = buchberger(wits)
-    target = FreeModule(ring, tuple(g.degree for g in gens), kind="pot")
-    out = []
-    for v in gb:
-        if int(v.exps[0, 0]) >= r:  # leading term in the tag part => pure syzygy
-            rows = {}
-            for pos, e, c in v.terms():
-                if pos < r:
-                    raise AssertionError("mixed element escaped elimination")
-                rows[(pos - r, e)] = c
-            out.append(target.element(rows))
+    big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens), kind="pot")
+    return r, buchberger([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)])
+
+
+def syzygies_of(gens, source=None):
+    """Generators of the kernel of source -> F, e_i -> gens[i].
+
+    source defaults to the POT module twisted by the degrees of gens; it
+    must be given when some gens[i] is zero, and then e_i is a generator.
+    """
+    gens = list(gens)
+    if source is None:
+        source = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
+    live = [i for i, g in enumerate(gens) if not g.is_zero]
+    out = [source.gen(i) for i, g in enumerate(gens) if g.is_zero]
+    if live:
+        r, gb = _augmented_basis([gens[i] for i in live])
+        # tag position r + j is generator live[j]; the F positions stay unused
+        positions = np.concatenate([np.arange(-r, 0), live])
+        # a leading term in the tag part makes the whole element a syzygy
+        out += [source.rehome(v, positions) for v in gb if int(v.exps[0, 0]) >= r]
     return out
 
 
@@ -320,36 +325,16 @@ def lift_coordinates(gens, targets):
     Returns coordinate vectors as elements of the rank-len(gens) free
     module with twists deg(gens).  Raises if a target is not a member.
     """
-    module = gens[0].module
-    ring = module.ring
-    r = module.rank
-    big = FreeModule(ring, module.twists + tuple(g.degree for g in gens), kind="pot")
-    wits = []
-    for i, g in enumerate(gens):
-        rows = {(int(pos), e): c for pos, e, c in g.terms()}
-        rows[(r + i, (0,) * ring.nvars)] = 1
-        wits.append(big.element(rows))
-    gb = buchberger(wits)
-    coord = FreeModule(ring, tuple(g.degree for g in gens), kind="pot")
+    r, gb = _augmented_basis(gens)
+    coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
+    positions = np.arange(gb.module.rank) - r  # tag position r + i is coordinate i
     out = []
     for w in targets:
-        rows = {(int(pos), e): c for pos, e, c in w.terms()}
-        lifted = normal_form(big.element(rows), gb)
-        if any(int(pos) < r for pos, _, _ in lifted.terms()):
+        lifted = normal_form(gb.module.rehome(w), gb)
+        if (lifted.exps[:, 0] < r).any():
             raise ValueError("target is not in the span of the generators")
-        out.append(
-            coord.element(
-                {(pos - r, e): (-c) % ring.p for pos, e, c in lifted.terms()}
-            )
-        )
+        out.append(coord.rehome(lifted, positions).scale(-1))
     return out
-
-
-def module_of(polys, ring=None):
-    """View ring polynomials as elements of a rank-1 POT module (degree 0)."""
-    ring = ring or polys[0].ring
-    mod = FreeModule(ring, (0,), kind="pot")
-    return [mod.inject(f, 0) for f in polys]
 
 
 def is_member(f, G):

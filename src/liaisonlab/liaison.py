@@ -10,16 +10,17 @@ from .errors import (
     NotUnmixed,
     PreconditionFailed,
 )
+from .groebner import syzygies_of
 from .hilbert import free_numerator
 from .ideals import Ideal
 from .resolution import (
-    FreeModule,
-    _submodule_numerator,
     classify,
     deficiency_table,
+    dual_kernel,
     minimal_free_resolution,
-    syzygies_of_with_zeros,
+    submodule_numerator,
 )
+from .ring import FreeModule
 
 
 class LinkRecord:
@@ -287,23 +288,6 @@ def _ideal_numerator(ideal):
     return {k: v for k, v in out.items() if v}
 
 
-def _dual_submodule(res, k):
-    """E* for E = coker(d_{k+1}: F_{k+1} -> F_k): generators of
-    ker(d_{k+1}^T) in F_k^*, plus that dual free module."""
-    ring = res.F0.ring
-    Fk = res.free_module(k)
-    dual = FreeModule(ring, tuple(-a for a in Fk.twists), kind="pot")
-    if res.length <= k:
-        return dual, [dual.gen(i) for i in range(dual.rank)]
-    cols = []
-    from .resolution import _transpose_image
-
-    for c in range(Fk.rank):
-        cols.append(_transpose_image(res, k + 1, c))
-    gens = syzygies_of_with_zeros(cols, dual.twists, ring)
-    return dual, gens
-
-
 def mapping_cone_shapes(rec):
     """Predicted N-type and E-type resolution shapes of J from the link
     (c, I, J), per the interchange of E- and N-type resolutions under
@@ -322,8 +306,8 @@ def mapping_cone_shapes(rec):
         return tuple(s - a for a in tws)
 
     # N-type of J: 0 -> F1*(-s) -> D_{c-1} + F2*(-s) -> ... -> D_1 + E*(-s) -> J
-    dualE, Egens = _dual_submodule(FI, cod)
-    e_numer = _shift_numer(_submodule_numerator(dualE, Egens), s)
+    dualE, Egens = dual_kernel(FI, cod)
+    e_numer = _shift_numer(submodule_numerator(dualE, Egens), s)
     stages = [
         {
             "twists": dtw.get(1, ()),
@@ -347,7 +331,7 @@ def mapping_cone_shapes(rec):
     # is D_m + D_{c-m+1}*(-s) + F^J_m; the tail is D_1*(-s) + E_J**.
     FJ = minimal_free_resolution(J)
     gtw = {k: FJ.twists(k) for k in range(1, FJ.length + 1)}
-    dualEJ, EJgens = _dual_submodule(FJ, cod)
+    _, EJgens = dual_kernel(FJ, cod)
     estages = [
         {"twists": tuple(dtw.get(1, ())) + tuple(gtw.get(1, ())), "module": None, "numerator": {}}
     ]
@@ -365,7 +349,7 @@ def mapping_cone_shapes(rec):
         {
             "twists": dual_shift(dtw.get(1, ())),
             "module": "N*(-s)",
-            "numerator": _hom_dual_numerator(EJgens, dualEJ),
+            "numerator": _hom_dual_numerator(EJgens),
         }
     )
     etype = ResolutionShape(estages, "E")
@@ -382,34 +366,20 @@ def _shift_numer(numer, s):
     return {k + s: v for k, v in numer.items()}
 
 
-def _hom_dual_numerator(gens, ambient):
+def _hom_dual_numerator(gens):
     """Numerator of Hom(S, R) for the submodule S (of a free module) with
     the given generators: present S by the syzygies of its generators and
     take the kernel of the transposed presentation."""
-    import numpy as np
-
-    from .groebner import syzygies_of
-
-    ring = ambient.ring
     if not gens:
         return {}
-    rel = syzygies_of(gens)
-    dual_gen_twists = tuple(-g.degree for g in gens)
+    P = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
+    dualP = P.dual()
+    rel = syzygies_of(gens, P)
     if not rel:
         # S is free on its generators; Hom(S, R) is free on the duals
-        return free_numerator(dual_gen_twists)
-    target = FreeModule(ring, tuple(-r.degree for r in rel), kind="pot")
-    cols = []
-    for c in range(len(gens)):
-        rows = {}
-        for col, v in enumerate(rel):
-            mask = v.exps[:, 0] == c
-            for idx in np.nonzero(mask)[0]:
-                rows[(col, tuple(int(x) for x in v.exps[idx, 1:]))] = int(v.coeffs[idx])
-        cols.append(target.element(rows))
-    ker = syzygies_of_with_zeros(cols, dual_gen_twists, ring)
-    dualP = FreeModule(ring, dual_gen_twists, kind="pot")
-    return _submodule_numerator(dualP, ker)
+        return free_numerator(dualP.twists)
+    Q = FreeModule(P.ring, tuple(r.degree for r in rel), kind="pot")
+    return submodule_numerator(dualP, syzygies_of(Q.transpose(rel)[1], dualP))
 
 
 # -- chains -----------------------------------------------------------------

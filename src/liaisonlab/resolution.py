@@ -7,71 +7,30 @@ minimal generator selection by graded Nakayama (linear algebra on graded
 pieces), then syzygies of the minimal generators.  Every differential
 therefore has entries in the maximal ideal and the Betti numbers are
 read off directly.
-"""
 
-from functools import reduce
-from itertools import combinations_with_replacement
+Everything dual goes through two steps: the transpose of a differential
+(`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
+kernel of a transposed differential (`dual_kernel`).  Ext modules, their
+Hilbert numerators, canonical modules and the mapping-cone shapes of
+`liaison` are all assembled from these.
+"""
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import NotCM, UnitIdeal, WrongCodim
-from .groebner import buchberger, syzygies_of
+from .groebner import buchberger, lift_coordinates, syzygies_of
 from .hilbert import HilbertData, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
 
 _I64 = np.int64
 
 
-def _degree_monomials(nv, d):
-    if d < 0:
-        return []
-    out = []
-    for combo in combinations_with_replacement(range(nv), d):
-        e = [0] * nv
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
-
-
-class _Span:
-    """Incremental GF(p) row space with lazy row-by-row reduction; rows are
-    kept pivot-normalized but not fully inter-reduced, which is faster when
-    most candidates reduce to zero quickly."""
-
-    def __init__(self, dim, p):
-        self.p = p
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec):
-        """Reduce vec; if independent, insert and return True."""
-        v = np.asarray(vec, dtype=_I64) % self.p
-        for r, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                v = (v - c * r) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def _graded_basis(module, d):
     """Monomials of degree d in the free module: [(pos, exps)], with index."""
     out = []
     for pos, a in enumerate(module.twists):
-        for e in _degree_monomials(module.ring.nvars, d - a):
+        for e in module.ring.monomials(d - a):
             out.append((pos, e))
     return out, {m: i for i, m in enumerate(out)}
 
@@ -103,12 +62,12 @@ def minimal_generators(gens, module):
     degrees = sorted({g.degree for g in elems})
     for d in degrees:
         basis, index = _graded_basis(module, d)
-        span = _Span(len(basis), p)
+        span = K.RowSpan(len(basis), p)
         for g in elems:
             dd = d - g.degree
             if dd < 1:
                 continue
-            for u in _degree_monomials(ring.nvars, dd):
+            for u in ring.monomials(dd):
                 span.add(_vector_of(g.mono_mul(u), index, p))
         for g in elems:
             if g.degree != d:
@@ -155,24 +114,7 @@ class Resolution:
         Returns (module F_k^*, columns indexed by the generators of
         F_{k-1}^*).
         """
-        Fk = self.free_module(k)
-        Fk1 = self.free_module(k - 1)
-        ring = self.F0.ring
-        dual = FreeModule(ring, tuple(-a for a in Fk.twists), kind="pot")
-        cols = []
-        for r in range(Fk1.rank):
-            acc = dual.zero()
-            for c, v in enumerate(self.columns(k)):
-                mask = v.exps[:, 0] == r
-                if not mask.any():
-                    continue
-                rows = {
-                    (c, tuple(int(x) for x in v.exps[i, 1:])): int(v.coeffs[i])
-                    for i in np.nonzero(mask)[0]
-                }
-                acc = acc + dual.element(rows)
-            cols.append(acc)
-        return dual, cols
+        return self.free_module(k).transpose(self.columns(k))
 
 
 def resolve(F0, relation_gens, max_stages=None):
@@ -234,12 +176,6 @@ class PresentedModule:
 
     def hilbert(self):
         return HilbertData(self.numerator, self.ring.nvars)
-
-    def twist(self, s):
-        """M(s): degrees shift by -s (generator twists decrease by s)."""
-        F = FreeModule(self.ring, tuple(a - s for a in self.F0.twists), kind="pot")
-        rels = [F.element({(pos, e): c for pos, e, c in r.terms()}) for r in self.relations]
-        return PresentedModule(F, rels)
 
 
 def quotient_module(ideal):
@@ -391,85 +327,38 @@ def self_duality_check(ideal_or_betti, ideal=None):
 # -- Ext modules and deficiency tables ------------------------------------
 
 
+def dual_kernel(res, k):
+    """Generators of ker(d_{k+1}^T) inside F_k^*: the dual E^* of
+    E = coker(d_{k+1}), all of F_k^* at the last stage.  Returns
+    (F_k^*, generators)."""
+    dual = res.free_module(k).dual()
+    if k >= res.length:
+        return dual, [dual.gen(c) for c in range(dual.rank)]
+    return dual, syzygies_of(res.dual_columns(k + 1)[1], dual)
+
+
+def _numerator_difference(a, b):
+    return {k: v for k, v in ((k, a.get(k, 0) - b.get(k, 0)) for k in set(a) | set(b)) if v}
+
+
 def ext_numerator(module, i):
-    """Series numerator of Ext^i(M, R) for a presented module M."""
+    """Series numerator of Ext^i(M, R) = ker d_{i+1}^T / im d_i^T."""
     res = module.resolution
-    ring = module.ring
-    if i < 0:
+    if i < 0 or i > res.length:
         return {}
-    if i > res.length:
-        return {}
-    Fi = res.free_module(i)
-    dual_tw = tuple(-a for a in Fi.twists)
-    dual = FreeModule(ring, dual_tw, kind="pot")
-    # image of d_i^T (zero when i = 0)
-    im_cols = []
-    if i >= 1:
-        _, im_cols = res.dual_columns(i)
-        im_cols = [v for v in im_cols if not v.is_zero]
-    # kernel of d_{i+1}^T
-    if i == res.length:
-        ker_numer = free_numerator(dual_tw)
-    else:
-        _, next_cols = res.dual_columns(i + 1)
-        # kernel of the map F_i^* -> F_{i+1}^* sending e_c to next-map image
-        send = []
-        for c in range(Fi.rank):
-            send.append(_transpose_image(res, i + 1, c))
-        ker = [s for s in syzygies_of_with_zeros(send, dual_tw, ring) if not s.is_zero]
-        ker_numer = _submodule_numerator(dual, ker)
-    im_numer = _submodule_numerator(dual, im_cols)
-    return {
-        k: v
-        for k, v in (
-            (kk, ker_numer.get(kk, 0) - im_numer.get(kk, 0))
-            for kk in set(ker_numer) | set(im_numer)
-        )
-        if v
-    }
+    dual, ker = dual_kernel(res, i)
+    im = res.dual_columns(i)[1] if i >= 1 else []
+    return _numerator_difference(submodule_numerator(dual, ker), submodule_numerator(dual, im))
 
 
-def _transpose_image(res, k, c):
-    """Image of e_c^* of F_{k-1}^* under d_k^T, as element of F_k^*."""
-    Fk = res.free_module(k)
-    ring = res.F0.ring
-    dual = FreeModule(ring, tuple(-a for a in Fk.twists), kind="pot")
-    rows = {}
-    for col, v in enumerate(res.columns(k)):
-        mask = v.exps[:, 0] == c
-        for idx in np.nonzero(mask)[0]:
-            rows[(col, tuple(int(x) for x in v.exps[idx, 1:]))] = int(v.coeffs[idx])
-    return dual.element(rows)
-
-
-def syzygies_of_with_zeros(vectors, source_twists, ring):
-    """Kernel generators of the map sending e_c to vectors[c]; tolerates
-    zero columns (their basis vectors are pure kernel elements)."""
-    src = FreeModule(ring, tuple(source_twists), kind="pot")
-    nonzero = [(c, v) for c, v in enumerate(vectors) if not v.is_zero]
-    out = [src.gen(c) for c, v in enumerate(vectors) if v.is_zero]
-    if nonzero:
-        syz = syzygies_of([v for _, v in nonzero])
-        lift = {i: c for i, (c, _) in enumerate(nonzero)}
-        for s in syz:
-            rows = {(lift[pos], e): cf for pos, e, cf in s.terms()}
-            out.append(src.element(rows))
-    return out
-
-
-def _submodule_numerator(module, gens):
+def submodule_numerator(module, gens):
     """Numerator of HS(S) for the submodule S generated by gens."""
-    free = free_numerator(module.twists)
     if not gens:
         return {}
     gb = buchberger(gens)
     lts = [(int(g.exps[0, 0]), tuple(int(x) for x in g.exps[0, 1:])) for g in gb]
     quot = quotient_numerator(module.twists, lts, module.ring.nvars)
-    return {
-        k: v
-        for k, v in ((kk, free.get(kk, 0) - quot.get(kk, 0)) for kk in set(free) | set(quot))
-        if v
-    }
+    return _numerator_difference(free_numerator(module.twists), quot)
 
 
 def ext_hf(module, i, degrees):
@@ -485,37 +374,20 @@ def ext_module(module_or_ideal, i):
     Generators: the kernel of d_{i+1}^T inside F_i^*; relations: the image
     of d_i^T expressed in kernel coordinates, plus the kernel syzygies.
     """
-    from .groebner import lift_coordinates, syzygies_of as _syz
-
     M = (
         module_or_ideal
         if isinstance(module_or_ideal, PresentedModule)
         else quotient_module(module_or_ideal)
     )
     res = M.resolution
-    ring = M.ring
-    if i < 0 or i > res.length:
-        return PresentedModule(FreeModule(ring, (), kind="pot"), [])
-    Fi = res.free_module(i)
-    dual_tw = tuple(-a for a in Fi.twists)
-    dual = FreeModule(ring, dual_tw, kind="pot")
-    if i == res.length:
-        ker = [dual.gen(c) for c in range(dual.rank)]
-    else:
-        send = [_transpose_image(res, i + 1, c) for c in range(Fi.rank)]
-        ker = [s for s in syzygies_of_with_zeros(send, dual_tw, ring) if not s.is_zero]
+    ker = dual_kernel(res, i)[1] if 0 <= i <= res.length else []
     if not ker:
-        return PresentedModule(FreeModule(ring, (), kind="pot"), [])
-    im_cols = []
+        return PresentedModule(FreeModule(M.ring, (), kind="pot"), [])
+    Q = FreeModule(M.ring, tuple(g.degree for g in ker), kind="pot")
+    rels = syzygies_of(ker, Q)
     if i >= 1:
-        _, im_cols = res.dual_columns(i)
-        im_cols = [v for v in im_cols if not v.is_zero]
-    Q = FreeModule(ring, tuple(g.degree for g in ker), kind="pot")
-    rels = [s for s in _syz(ker) if not s.is_zero]
-    if im_cols:
-        rels += [w for w in lift_coordinates(ker, im_cols) if not w.is_zero]
-    out = PresentedModule(Q, rels)
-    return out
+        rels += lift_coordinates(ker, res.dual_columns(i)[1])
+    return PresentedModule(Q, rels)
 
 
 def deficiency_hf(ideal_or_module, i, window):
@@ -568,16 +440,8 @@ def e_type_resolution(ideal, check=False, window=None):
     res = minimal_free_resolution(ideal)
     # resolution of the ideal: G_k = F_{k+1} of R/I
     shape = [res.twists(k) for k in range(1, c)]
-    Gc = res.free_module(c)  # free module on the E generators
-    F = FreeModule(ideal.ring, Gc.twists, kind="pot")
-    if res.length >= c + 1:
-        rels = [
-            F.element({(pos, e): cf for pos, e, cf in v.terms()})
-            for v in res.columns(c + 1)
-        ]
-    else:
-        rels = []
-    E = PresentedModule(F, rels)
+    # E is generated by F_c, whose relations d_{c+1} live in a copy of F_c
+    E = PresentedModule(res.free_module(c), res.columns(c + 1) if res.length > c else [])
     if check:
         n1 = ideal.ring.nvars
         win = list(window) if window is not None else list(default_window(ideal))
@@ -600,10 +464,7 @@ def canonical_module(ideal):
     dual, cols = res.dual_columns(c)
     n1 = ideal.ring.nvars
     F = FreeModule(ideal.ring, tuple(a + n1 for a in dual.twists), kind="pot")
-    rels = [
-        F.element({(pos, e): cf for pos, e, cf in v.terms()}) for v in cols if not v.is_zero
-    ]
-    return PresentedModule(F, rels)
+    return PresentedModule(F, [F.rehome(v) for v in cols])
 
 
 def tensor_presentation(M, N):
@@ -614,36 +475,16 @@ def tensor_presentation(M, N):
         M.F0.twists[i] + N.F0.twists[j] for i in range(rm) for j in range(rn)
     )
     F = FreeModule(ring, twists, kind="pot")
-
-    def idx(i, j):
-        return i * rn + j
-
-    rels = []
-    for a in M.relations:
-        for j in range(rn):
-            rows = {}
-            for pos, e, cf in a.terms():
-                rows[(idx(pos, j), e)] = cf
-            rels.append(F.element(rows))
-    for i in range(rm):
-        for b in N.relations:
-            rows = {}
-            for pos, e, cf in b.terms():
-                rows[(idx(i, pos), e)] = cf
-            rels.append(F.element(rows))
+    # generator e_i (x) f_j sits at position i * rn + j
+    rels = [F.rehome(a, np.arange(rm) * rn + j) for a in M.relations for j in range(rn)]
+    rels += [F.rehome(b, i * rn + np.arange(rn)) for i in range(rm) for b in N.relations]
     return PresentedModule(F, rels)
 
 
 def ideal_module(ideal):
     """The ideal I as a presented module (generators F_1, relations d_2)."""
     res = minimal_free_resolution(ideal)
-    F = FreeModule(ideal.ring, res.twists(1), kind="pot")
-    rels = (
-        [F.element({(pos, e): cf for pos, e, cf in v.terms()}) for v in res.columns(2)]
-        if res.length >= 2
-        else []
-    )
-    return PresentedModule(F, rels)
+    return PresentedModule(res.free_module(1), res.columns(2) if res.length >= 2 else [])
 
 
 def ci_invariant_hf(ideal, window=None):

@@ -6,12 +6,17 @@ arrays (see _kernels); monomial-order keys are additive, so multiplying by a
 monomial is a key shift that preserves sortedness.
 """
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from . import _kernels as K
 from .errors import DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
 
 _I64 = np.int64
+
+# Coefficient products of two residues must fit in int64.
+MAX_PRIME = 2**31
 
 
 def is_prime(p):
@@ -26,11 +31,13 @@ def is_prime(p):
 
 
 class PrimeField:
-    """GF(p) for a machine-word prime p; elements are ints in [0, p)."""
+    """GF(p) for a prime p < 2^31; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p):
+        if p >= MAX_PRIME:
+            raise PrimeCheckFailed(f"{p} is not below 2^31: int64 coefficient products would overflow")
         if not is_prime(p):
             raise PrimeCheckFailed(f"{p} is not prime")
         self.p = int(p)
@@ -199,27 +206,26 @@ class Ring:
         ext = self.extended(k)
         return ext.poly({(0,) * k + e: c for _, e, c in f.terms()})
 
+    def monomials(self, d):
+        """Exponent tuples of the degree-d monomials (none when d < 0)."""
+        if d < 0:
+            return []
+        out = []
+        for combo in combinations_with_replacement(range(self.nvars), d):
+            e = [0] * self.nvars
+            for i in combo:
+                e[i] += 1
+            out.append(tuple(e))
+        return out
+
     def random_poly(self, degree, rng, homogeneous=True):
         """Dense-ish random homogeneous polynomial of the given degree."""
-        from itertools import combinations_with_replacement
-
-        monos = [
-            _exp_from_combo(self.nvars, combo)
-            for combo in combinations_with_replacement(range(self.nvars), degree)
-        ]
         terms = {}
-        for m in monos:
+        for m in self.monomials(degree):
             c = int(rng.integers(0, self.p))
             if c:
                 terms[m] = c
         return self.poly(terms)
-
-
-def _exp_from_combo(nv, combo):
-    e = [0] * nv
-    for i in combo:
-        e[i] += 1
-    return tuple(e)
 
 
 class FreeModule:
@@ -304,12 +310,8 @@ class FreeModule:
         return self.element({(i, (0,) * self.ring.nvars): 1})
 
     def inject(self, f, pos):
-        """Place ring polynomial f at position pos of this module."""
-        exps = f.exps.copy()
-        exps[:, 0] = pos
-        keys = self.key_rows(exps)
-        order = np.lexsort(keys.T[::-1])[::-1]
-        return Element(self, (keys[order], exps[order], f.coeffs[order].copy()))
+        """Place ring polynomial f at position pos of this POT module."""
+        return self.rehome(f, (pos,))
 
     def component(self, v, pos):
         """Ring polynomial sitting at position pos of v."""
@@ -321,8 +323,57 @@ class FreeModule:
         order = np.lexsort(keys.T[::-1])[::-1]
         return Polynomial(rm, (keys[order], exps[order], v.coeffs[mask][order].copy()))
 
-    def dual_twists(self):
-        return tuple(-t for t in self.twists)
+    def dual(self):
+        """F^* = Hom(F, R): the POT module with negated twists."""
+        return FreeModule(self.ring, tuple(-t for t in self.twists), kind="pot")
+
+    def rehome(self, v, positions=None):
+        """The element v of a POT module (or a ring polynomial), moved into
+        this POT module.
+
+        Source position j goes to positions[j] (to j when positions is
+        None).  A POT key is the ring key with -position in front and
+        twists do not enter it, so a strictly increasing map keeps the term
+        order: only the positions change and nothing is re-sorted.
+        """
+        if self.kind != "pot" or v.module.kind == "schreyer" or v.ring != self.ring:
+            raise RingMismatch("rehome needs a ring or POT element and a POT target")
+        exps = v.exps.copy()
+        if positions is not None:
+            positions = np.asarray(positions, dtype=_I64)
+            if len(positions) != v.module.rank or (np.diff(positions) <= 0).any():
+                raise ValueError("positions must map every source position, strictly increasing")
+            exps[:, 0] = positions[v.exps[:, 0]]
+        if len(exps) and (exps[-1, 0] >= self.rank or exps[0, 0] < 0):
+            raise ValueError("rehome: a term lands outside the target module")
+        keys = np.concatenate([-exps[:, :1], v.keys[:, v.module.ring_cols]], axis=1)
+        return Element(self, (keys, exps, v.coeffs.copy()))
+
+    def transpose(self, columns):
+        """Transpose of d : F -> G (F this module) given by the columns
+        d(e_c) in a POT module G.  Returns (F^*, columns of d^T : G^* -> F^*),
+        one column per generator of G.
+
+        Row r of d, read in column order, is already in POT order in F^*:
+        the column index becomes the position and each column holds its
+        row-r terms in ring order.
+        """
+        G = columns[0].module
+        if G.kind != "pot" or len(columns) != self.rank:
+            raise ValueError("transpose needs one column per generator, in a POT module")
+        dual = self.dual()
+        col = np.concatenate([np.full(len(v), c, dtype=_I64) for c, v in enumerate(columns)])
+        keys = np.concatenate([v.keys for v in columns])
+        exps = np.concatenate([v.exps for v in columns])
+        coeffs = np.concatenate([v.coeffs for v in columns])
+        out = []
+        for r in range(G.rank):
+            mask = exps[:, 0] == r
+            k, e = keys[mask], exps[mask]
+            k[:, 0] = -col[mask]
+            e[:, 0] = col[mask]
+            out.append(Element(dual, (k, e, coeffs[mask])))
+        return dual, out
 
     def __eq__(self, other):
         if self is other:

@@ -111,6 +111,14 @@ def test_parse_errors(R4):
         parse_session("ideal A = x0")  # ring must come first
 
 
+def test_prime_above_int64_bound_exits_2(tmp_path):
+    session = tmp_path / "big.txt"
+    session.write_text("ring p=4294967311 vars=x0..x2\nideal I = x0, x1\n")
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(session), "gb", "I"]) == 2
+    assert json.loads(out.read_bytes())["error"] == "prime-check-failed"
+
+
 def test_round_trip(R4):
     x0, x1, x2, x3 = R4.gens()
     I = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])

@@ -217,3 +217,22 @@ def test_gb_invariant_under_unit_scaling(R4, rng):
     gens = [g for g in gens if not g.is_zero]
     scaled = [g.scale(int(rng.integers(1, R4.p))) for g in gens]
     assert buchberger(gens) == buchberger(scaled)
+
+
+def test_syzygies_of_zero_entries_are_unit_vectors(R4):
+    from liaisonlab.ring import FreeModule
+
+    x0, x1, x2, x3 = R4.gens()
+    F = FreeModule(R4, (0,), kind="pot")
+    src = FreeModule(R4, (1, 4, 1), kind="pot")
+    gens = [F.inject(x0, 0), F.zero(), F.inject(x1, 0)]
+    syz = syzygies_of(gens, src)
+    assert syz[0] == src.gen(1)
+    assert len(syz) == 2 and all(s.module is src for s in syz)
+    applied = F.zero()
+    for pos, e, c in syz[1].terms():
+        applied = applied + gens[pos].mono_mul(e, c)
+    assert applied.is_zero
+    # the zero map: every basis vector is a syzygy
+    two = FreeModule(R4, (2, 3), kind="pot")
+    assert syzygies_of([F.zero(), F.zero()], two) == [two.gen(0), two.gen(1)]

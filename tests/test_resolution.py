@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from liaisonlab.errors import NotCM, WrongCodim
@@ -224,6 +225,29 @@ def test_wrongcodim_guards(R4):
     x0, x1, x2, x3 = R4.gens()
     with pytest.raises(WrongCodim):
         ci_invariant_hf(Ideal(R4, [x0, x1, x2]))  # n = 3 < 4
+
+
+def test_transpose_is_an_involution(R4, R5):
+    """On every differential of the twisted cubic and rational quartic
+    resolutions: d^T has entry (r, c) = d(c, r), and (d^T)^T = d."""
+    x0, x1, x2, x3 = R4.gens()
+    z = R5.gens()
+    cases = [
+        Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2]),
+        PolyMatrix(R5, [[z[0], z[1], z[2], z[3]], [z[1], z[2], z[3], z[4]]]).maximal_minors(),
+    ]
+    for I in cases:
+        res = minimal_free_resolution(I)
+        for k in range(1, res.length + 1):
+            cols = list(res.columns(k))
+            G = cols[0].module
+            dual, tcols = res.dual_columns(k)
+            for r, t in enumerate(tcols):
+                for c, v in enumerate(cols):
+                    assert dual.component(t, c) == G.component(v, r)
+            _, back = G.dual().transpose(tcols)
+            assert back == cols
+            assert all(np.array_equal(a.keys, b.keys) for a, b in zip(back, cols))
 
 
 def test_ext_module_presentation(R4):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import DivisionByZero, RingMismatch, ZeroPolynomial
-from liaisonlab.ring import LEX, Order, PrimeField, Ring
+from liaisonlab.errors import DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
+from liaisonlab.ring import LEX, FreeModule, Order, PrimeField, Ring
 
 
 def test_field_ops():
@@ -127,6 +127,42 @@ def test_module_elements():
     assert v.poly_mul(R.var(1)).degree == 3
     # POT: position 0 dominates
     assert v.lt()[0] == 0
+
+
+def test_prime_bound_at_the_int64_edge():
+    """Coefficient products are int64: p must stay below 2^31."""
+    R = Ring(2, 2**31 - 1)
+    x0, x1 = R.gens()
+    assert (-(x0 + x1)) ** 2 == x0 ** 2 + 2 * x0 * x1 + x1 ** 2
+    with pytest.raises(PrimeCheckFailed):
+        Ring(2, 4294967311)
+
+
+def _random_element(F, rng):
+    v = F.zero()
+    for pos, a in enumerate(F.twists):
+        v = v + F.inject(F.ring.random_poly(3 - a, rng), pos)
+    return v
+
+
+def test_rehome_matches_the_term_rebuild():
+    R = Ring(4, 32003)
+    rng = np.random.default_rng(3)
+    src = FreeModule(R, (1, 0, 2), kind="pot")
+    for target, positions in (
+        (FreeModule(R, (1, 0, 2), kind="pot"), None),
+        (FreeModule(R, (4, 3, 5), kind="pot"), None),
+        (FreeModule(R, (0, 1, 9, 0, 0, 2, 7), kind="pot"), (1, 4, 6)),
+    ):
+        for _ in range(5):
+            v = _random_element(src, rng)
+            move = positions or range(src.rank)
+            rebuilt = target.element({(move[pos], e): c for pos, e, c in v.terms()})
+            moved = target.rehome(v, positions)
+            assert moved.module is target
+            assert moved == rebuilt and np.array_equal(moved.keys, rebuilt.keys)
+    with pytest.raises(ValueError):
+        FreeModule(R, (0,) * 4, kind="pot").rehome(_random_element(src, rng), (2, 1, 3))
 
 
 @given(
