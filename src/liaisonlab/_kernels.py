@@ -12,12 +12,14 @@ Keys are additive (key of a product is the sum of keys), so multiplying by a
 monomial is a constant shift and never re-sorts.  The kernels below implement
 the two inner loops that dominate every Groebner-basis run: merge-subtract of
 sorted term arrays and full normal-form reduction against a basis.
-`RowSpan` is the GF(p) linear algebra on graded pieces (ranks, minimal
-generators).
+`pivot_rows` is the GF(p) linear algebra on graded pieces: the ranks behind
+minimal generators, point Hilbert functions and Weak Lefschetz checks.
 
 Backend selection: numba @njit kernels are used when importable unless the
 environment variable LIAISON_NUMBA is set to "0" (pure numpy fallbacks with
-identical semantics).  `benchmarks/bench_reduction.py` compares the two.
+identical semantics).  `tests/test_kernels.py` checks that the two agree.
+The speed-up of the numba kernels is unverified: the benchmark in
+`perfbench/` runs the numpy backend only.
 """
 
 import os
@@ -65,37 +67,30 @@ def canonicalize(keys, exps, coeffs, p):
     return uk[keep][::-1].copy(), ue[keep][::-1].copy(), c[keep][::-1].copy()
 
 
-class RowSpan:
-    """Incremental GF(p) row space with lazy row-by-row reduction; rows are
-    kept pivot-normalized but not fully inter-reduced, which is faster when
-    most candidates reduce to zero quickly."""
+def pivot_rows(rows, p):
+    """Indices of the rows that are independent of all earlier rows, over
+    GF(p); their count is the rank.
 
-    def __init__(self, dim, p):
-        self.p = p
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec):
-        """Reduce vec; if independent, insert and return True."""
-        v = np.asarray(vec, dtype=_I64) % self.p
-        for r, piv in zip(self.rows, self.pivots):
+    rows is any iterable of int64 vectors of one length, read one at a time
+    and never held as a matrix.  Each independent row is stored
+    pivot-normalized but not inter-reduced, which is fastest when most rows
+    reduce to zero after a few steps; a stored row is skipped when the
+    vector is zero at its pivot.
+    """
+    stored = []
+    out = []
+    for i, vec in enumerate(rows):
+        v = np.asarray(vec, dtype=_I64) % p
+        for piv, r in stored:
             c = v[piv]
             if c:
-                v = (v - c * r) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        inv = pow(int(v[piv]), self.p - 2, self.p)
-        v = (v * inv) % self.p
-        self.rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    @property
-    def rank(self):
-        return len(self.rows)
+                v = (v - c * r) % p
+        nz = v.nonzero()[0]
+        if nz.size:
+            piv = int(nz[0])
+            stored.append((piv, (v * pow(int(v[piv]), p - 2, p)) % p))
+            out.append(i)
+    return out
 
 
 def _py_modinv(a, p):

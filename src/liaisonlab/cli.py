@@ -21,7 +21,9 @@ import numpy as np
 
 from . import __version__
 from .errors import (
+    DegenerateMatrix,
     LiaisonError,
+    NotHomogeneous,
     PrimeCheckFailed,
     SessionSyntaxError,
     VariableOutOfRange,
@@ -40,7 +42,7 @@ from .hilbert import macaulay_growth_check, si_sequence_check
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link, liaison_addition
 from .resolution import ci_invariant_hf, classify, deficiency_table
-from .ring import Ring, is_prime
+from .ring import Order, Ring
 
 SCHEMA = "liaison-lab/1"
 
@@ -249,9 +251,10 @@ def _parse_ring_decl(rest, line_no):
     fields = dict(part.split("=", 1) for part in rest.split() if "=" in part)
     if "p" not in fields or "vars" not in fields:
         raise SessionSyntaxError("ring needs p=... vars=...", line_no, 1)
-    p = int(fields["p"])
-    if not is_prime(p):
-        raise PrimeCheckFailed(f"{p} is not prime")
+    try:
+        p = int(fields["p"])
+    except ValueError:
+        raise SessionSyntaxError(f"p={fields['p']} is not an integer", line_no, 1) from None
     spec = fields["vars"]
     if ".." not in spec:
         raise SessionSyntaxError("vars must look like x0..xN", line_no, 1)
@@ -264,8 +267,6 @@ def _parse_ring_decl(rest, line_no):
     order = fields.get("order", "degrevlex")
     if order not in ("degrevlex", "lex"):
         raise SessionSyntaxError(f"unknown order {order!r}", line_no, 1)
-    from .ring import Order
-
     return Ring(n + 1, p, Order(order))
 
 
@@ -318,11 +319,20 @@ def _parse_matrix(ring, body, line_no):
 def _read_points(ring, path):
     pts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+        for line_no, raw in enumerate(fh, start=1):
+            toks = raw.split("#", 1)[0].split()
+            if not toks:
                 continue
-            pts.append(tuple(int(tok) for tok in line.split()))
+            try:
+                pts.append(tuple(int(tok) for tok in toks))
+            except ValueError:
+                raise SessionSyntaxError(
+                    f"{path}: point coordinates must be integers", line_no, 1
+                ) from None
+            if len(toks) != ring.nvars:
+                raise SessionSyntaxError(
+                    f"{path}: a point needs {ring.nvars} coordinates", line_no, 1
+                )
     return PointSet(ring, pts)
 
 
@@ -574,7 +584,13 @@ def main(argv=None):
             print("error: this command needs --session", file=sys.stderr)
             return 2
         payload = run(session, args.command, args, seed, args.window)
-    except (SessionSyntaxError, PrimeCheckFailed, VariableOutOfRange) as exc:
+    except (
+        SessionSyntaxError,
+        PrimeCheckFailed,
+        VariableOutOfRange,
+        NotHomogeneous,
+        DegenerateMatrix,  # a matrix that is not graded is malformed session input
+    ) as exc:
         emit_report({"error": exc.code, "message": str(exc)}, seed, args.out)
         return 2
     except LiaisonError as exc:

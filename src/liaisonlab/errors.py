@@ -23,6 +23,10 @@ class PrimeCheckFailed(LiaisonError):
     code = "prime-check-failed"
 
 
+class NotHomogeneous(LiaisonError):
+    code = "not-homogeneous"
+
+
 class DegenerateMatrix(LiaisonError):
     code = "degenerate-matrix"
 

@@ -22,12 +22,12 @@ from .errors import (
     CharacteristicTooSmall,
     GenericityFailure,
     LayerChainBroken,
+    NotCM,
     NotMonomial,
     NotStable,
     StepIdentityFailed,
     WrongCodim,
 )
-from .gorenstein import complete_intersection
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link
 from .resolution import classify
@@ -266,12 +266,12 @@ def _gaeta_attempt(A):
     }
 
 
-def gaeta_step(A, rng=None, max_retries=25):
-    """Gaeta descent step with bounded seeded retries for genericity."""
+def gaeta_step(A, rng=None):
+    """Gaeta descent step with up to 25 seeded retries for genericity."""
     rng = rng or np.random.default_rng(0)
     last = None
     cur = A
-    for attempt in range(max_retries):
+    for attempt in range(25):
         try:
             return _gaeta_attempt(cur)
         except GenericityFailure as exc:
@@ -280,7 +280,7 @@ def gaeta_step(A, rng=None, max_retries=25):
             for _ in range(1 + attempt // 3):
                 cur = _row_op(cur, rng)
                 cur = _col_op(cur, rng)
-    raise GenericityFailure(f"no generic basis found after {max_retries} retries: {last}")
+    raise GenericityFailure(f"no generic basis found after 25 retries: {last}")
 
 
 def gaeta_run(A, rng=None):
@@ -383,8 +383,6 @@ def stable_decompose(J, require_cm=True):
     if not stable_check(J, first=level):
         raise NotStable("ideal is not stable relative to its level")
     if require_cm and not classify(J)["cm"]:
-        from .errors import NotCM
-
         raise NotCM("descent needs a Cohen-Macaulay ideal")
     if not rest:
         raise LayerChainBroken("nothing to decompose: the ideal is linear")
@@ -429,16 +427,12 @@ def stable_decompose(J, require_cm=True):
     if not layers[0].is_zero:
         base = Ideal(ring, lin_polys + [ring.monomial(e) for e in layers[0].lt_exps()])
         if require_cm and not classify(base)["cm"]:
-            from .errors import NotCM
-
             raise NotCM("I_0 R is not Cohen-Macaulay")
         if base.codimension() != J.codimension() - 1:
             raise LayerChainBroken("I_0 R has unexpected codimension")
         if not residual.contains_ideal(base):
             raise LayerChainBroken("I_0 R is not inside the residual")
     if require_cm and not classify(residual)["cm"]:
-        from .errors import NotCM
-
         raise NotCM("the residual is not Cohen-Macaulay")
     if residual.codimension() != J.codimension():
         raise LayerChainBroken("residual has unexpected codimension")

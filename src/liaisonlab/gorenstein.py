@@ -4,6 +4,7 @@ almost-complete-intersection link, point configurations with
 Cayley-Bacharach / uniform position checks, and Weak Lefschetz tests.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -151,11 +152,7 @@ class PointSet:
         """Hilbert function of the subset's coordinate ring at degree t."""
         if t < 0:
             return 0
-        m = self._eval_matrix(t, subset)
-        span = K.RowSpan(m.shape[1], self.ring.p)
-        for row in m:
-            span.add(row)
-        return span.rank
+        return len(K.pivot_rows(self._eval_matrix(t, subset), self.ring.p))
 
     def h_vector(self):
         out = []
@@ -200,13 +197,10 @@ def _point_ideal(ring, pt):
     return Ideal(ring, gens)
 
 
-def points_ideal(points):
-    return points.ideal()
-
-
-def cayley_bacharach_check(points, rng=None, samples=200, exhaustive_limit=5000):
-    """CB by exhaustive size-(|Z|-1) checks; UPP sampled (or exhaustive when
-    the subset count is small).  Returns a dict report."""
+def cayley_bacharach_check(points, rng=None, samples=200):
+    """CB by exhaustive size-(|Z|-1) checks; UPP exhaustive for each subset
+    size with at most 5000 subsets, sampled otherwise.  Returns a dict
+    report."""
     Z = points
     N = len(Z)
     s = Z.socle_degree()
@@ -217,8 +211,7 @@ def cayley_bacharach_check(points, rng=None, samples=200, exhaustive_limit=5000)
     upp_exhaustive = True
     rng = rng or np.random.default_rng(0)
     for m in range(1, N):
-        combos_count = _ncr(N, m)
-        if combos_count <= exhaustive_limit:
+        if math.comb(N, m) <= 5000:
             pool = combinations(range(N), m)
         else:
             upp_exhaustive = False
@@ -237,12 +230,6 @@ def cayley_bacharach_check(points, rng=None, samples=200, exhaustive_limit=5000)
     return {"cb": cb, "upp": upp, "upp_exhaustive": upp_exhaustive, "socle_degree": s}
 
 
-def _ncr(n, r):
-    import math
-
-    return math.comb(n, r)
-
-
 def dgo_verify(points, cb_report=None):
     """Arithmetically Gorenstein test for reduced points: symmetric h-vector
     plus the Cayley-Bacharach property."""
@@ -251,9 +238,10 @@ def dgo_verify(points, cb_report=None):
     return tuple(hv) == tuple(reversed(hv)) and rep["cb"]
 
 
-def wlp_check(I, rng=None, tries=3):
-    """Weak Lefschetz property of an Artinian quotient, for seeded random
-    linear forms; True when some seed gives maximal rank in every degree."""
+def wlp_check(I, rng=None):
+    """Weak Lefschetz property of an Artinian quotient, for up to three
+    seeded random linear forms; True when one of them gives maximal rank
+    in every degree."""
     ring = I.ring
     if I.ring.nvars - I.codimension() != 0:
         raise NotArtinian("WLP needs an Artinian quotient")
@@ -268,7 +256,7 @@ def wlp_check(I, rng=None, tries=3):
             if not any(all(g[i] <= m[i] for i in range(ring.nvars)) for g in lt)
         ]
     rng = rng or np.random.default_rng(0)
-    for _ in range(tries):
+    for _ in range(3):
         L = ring.poly(
             {
                 tuple(1 if i == k else 0 for i in range(ring.nvars)): int(
@@ -282,17 +270,9 @@ def wlp_check(I, rng=None, tries=3):
             h0, h1 = hv[t], hv[t + 1] if t + 1 < len(hv) else 0
             if h0 == 0 or h1 == 0:
                 continue
-            index = {m: i for i, m in enumerate(std[t + 1])}
-            span = K.RowSpan(len(std[t + 1]), ring.p)
-            rank = 0
-            for m in std[t]:
-                prod = normal_form(L.mono_mul(m), I.gb)
-                vec = np.zeros(len(std[t + 1]), dtype=_I64)
-                for _, e, cf in prod.terms():
-                    vec[index[e]] = cf
-                if span.add(vec):
-                    rank += 1
-            if rank != min(h0, h1):
+            index = {(0, m): i for i, m in enumerate(std[t + 1])}
+            images = (normal_form(L.mono_mul(m), I.gb).coordinates(index) for m in std[t])
+            if len(K.pivot_rows(images, ring.p)) != min(h0, h1):
                 ok = False
                 break
         if ok:

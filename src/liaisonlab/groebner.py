@@ -25,14 +25,14 @@ _I64 = np.int64
 
 
 class GroebnerBasis:
-    """Container: elements share one module; optionally reduced/canonical."""
+    """A reduced Groebner basis as `buchberger` returns it; the elements
+    share one module."""
 
-    __slots__ = ("module", "elements", "reduced", "_cat")
+    __slots__ = ("module", "elements", "_cat")
 
-    def __init__(self, module, elements, reduced):
+    def __init__(self, module, elements):
         self.module = module
         self.elements = tuple(elements)
-        self.reduced = reduced
         self._cat = None
 
     def __len__(self):
@@ -109,7 +109,7 @@ def _pair_key(module, pos, lcm):
     return (int(lcm.sum()), tuple(int(x) for x in key))
 
 
-def buchberger(gens, reduced=True):
+def buchberger(gens):
     """Reduced Groebner basis of the submodule generated by gens."""
     gens = list(gens)
     if not gens:
@@ -126,7 +126,7 @@ def buchberger(gens, reduced=True):
         if not any(h == g for h in basis):
             basis.append(g)
     if not basis:
-        return GroebnerBasis(module, [], True)
+        return GroebnerBasis(module, [])
 
     is_ring = module.kind == "ring"
     pending = set()
@@ -178,9 +178,7 @@ def buchberger(gens, reduced=True):
             for t in range(len(basis) - 1):
                 push_pair(t, len(basis) - 1)
 
-    if reduced:
-        basis = interreduce(basis)
-    return GroebnerBasis(module, basis, reduced)
+    return GroebnerBasis(module, interreduce(basis))
 
 
 def interreduce(elems):
@@ -335,17 +333,3 @@ def lift_coordinates(gens, targets):
             raise ValueError("target is not in the span of the generators")
         out.append(coord.rehome(lifted, positions).scale(-1))
     return out
-
-
-def is_member(f, G):
-    return normal_form(f, G).is_zero
-
-
-def spolynomial(f, g):
-    """S-polynomial of two nonzero elements with equal leading positions."""
-    if f.exps[0, 0] != g.exps[0, 0]:
-        raise ValueError("leading terms in different positions")
-    lcm = _lcm_exps(f.exps[0, 1:], g.exps[0, 1:])
-    fi = f.ring.field.inv(int(f.coeffs[0]))
-    gi = f.ring.field.inv(int(g.coeffs[0]))
-    return f.mono_mul(lcm - f.exps[0, 1:], fi) - g.mono_mul(lcm - g.exps[0, 1:], gi)

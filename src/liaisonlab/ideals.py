@@ -9,18 +9,15 @@ colon until the reduced Groebner basis stabilizes.
 from functools import reduce
 from itertools import combinations
 
-import numpy as np
-
 from .errors import (
     DegenerateMatrix,
     DivisionByZero,
+    NotHomogeneous,
     RingMismatch,
     UnitIdeal,
 )
 from .groebner import GroebnerBasis, buchberger, normal_form
-from .ring import Polynomial, Ring
-
-_I64 = np.int64
+from .ring import Order, Polynomial, Ring
 
 
 class Ideal:
@@ -39,7 +36,7 @@ class Ideal:
             if g.ring != ring:
                 raise RingMismatch("generator from another ring")
             if not g.is_homogeneous:
-                raise ValueError(f"generator {g} is not homogeneous")
+                raise NotHomogeneous(f"generator {g} is not homogeneous")
         self.gens = gens
         self._gb = _gb
         self._codim = None
@@ -52,7 +49,7 @@ class Ideal:
     def gb(self):
         if self._gb is None:
             if not self.gens:
-                self._gb = GroebnerBasis(self.ring.as_module, [], True)
+                self._gb = GroebnerBasis(self.ring.as_module, [])
             else:
                 self._gb = buchberger(self.gens)
         return self._gb
@@ -80,9 +77,6 @@ class Ideal:
     def lt_exps(self):
         """Leading-term monomial exponents of the reduced basis."""
         return [tuple(int(x) for x in g.exps[0, 1:]) for g in self.gb]
-
-    def min_degree(self):
-        return min(g.degree for g in self.gb)
 
     def __eq__(self, other):
         return (
@@ -176,8 +170,6 @@ class Ideal:
         n = self.ring.nvars
         keep = [i for i in range(n) if i not in kill]
         perm = kill + keep  # position j of new ring = old variable perm[j]
-        from .ring import Order
-
         tmp = Ring(n, self.ring.p, Order("block", len(kill)))
         inv = [0] * n
         for newpos, old in enumerate(perm):
@@ -349,12 +341,3 @@ def _det(ring, rows):
         term = f * _det(ring, minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
-
-
-def maximal_minors(matrix, t=None):
-    """Ideal of t x t minors of a PolyMatrix (t defaults to min dimension)."""
-    if t is None:
-        t = min(matrix.nrows, matrix.ncols)
-    if t != min(matrix.nrows, matrix.ncols):
-        return Ideal(matrix.ring, [m for m in matrix.minors(t) if not m.is_zero])
-    return matrix.maximal_minors()

@@ -53,7 +53,7 @@ class LinkRecord:
         }
 
 
-def direct_link(c, I, require_gorenstein=True, verify=True):
+def direct_link(c, I, require_gorenstein=True):
     """Link I through the Gorenstein ideal c: J = c : I.
 
     The double colon c : J = I is verified; failure raises NotUnmixed (the
@@ -80,8 +80,7 @@ def direct_link(c, I, require_gorenstein=True, verify=True):
         raise NotUnmixed("double colon c : (c : I) differs from I")
     s = c.hilbert().reg_index - 1
     rec = LinkRecord(c, I, J, s, {})
-    if verify:
-        rec.verification = verify_link_invariants(rec)
+    rec.verification = verify_link_invariants(rec)
     return rec
 
 
@@ -442,16 +441,16 @@ class LinkChain:
         }
 
 
-def random_ci_inside(I, degrees, rng, max_tries=25):
+def random_ci_inside(I, degrees, rng):
     """Complete intersection inside I with prescribed generator degrees:
-    random combinations of Groebner basis elements, retried (seeded) until
-    the codimension is right."""
+    random combinations of Groebner basis elements, retried (seeded, at
+    most 25 times) until the codimension is right."""
     ring = I.ring
     cod = I.codimension()
     if len(degrees) != cod:
         raise CodimMismatch("need codim-many degrees")
     gb = list(I.gb)
-    for _ in range(max_tries):
+    for _ in range(25):
         forms = []
         for d in degrees:
             acc = ring.zero()

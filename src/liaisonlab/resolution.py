@@ -3,10 +3,10 @@ classification, E-type truncations, Ext modules and deficiency-module
 Hilbert functions via local duality.
 
 Resolutions are built stage by stage: reduced module Groebner basis,
-minimal generator selection by graded Nakayama (linear algebra on graded
-pieces), then syzygies of the minimal generators.  Every differential
-therefore has entries in the maximal ideal and the Betti numbers are
-read off directly.
+minimal generator selection by graded Nakayama (ranks of graded pieces
+over GF(p), through `_kernels.pivot_rows`), then syzygies of the minimal
+generators.  Every differential therefore has entries in the maximal
+ideal and the Betti numbers are read off directly.
 
 Everything dual goes through two steps: the transpose of a differential
 (`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
@@ -14,6 +14,8 @@ kernel of a transposed differential (`dual_kernel`).  Ext modules, their
 Hilbert numerators, canonical modules and the mapping-cone shapes of
 `liaison` are all assembled from these.
 """
+
+from itertools import chain
 
 import numpy as np
 
@@ -23,24 +25,6 @@ from .groebner import buchberger, lift_coordinates, syzygies_of
 from .hilbert import HilbertData, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
 
-_I64 = np.int64
-
-
-def _graded_basis(module, d):
-    """Monomials of degree d in the free module: [(pos, exps)], with index."""
-    out = []
-    for pos, a in enumerate(module.twists):
-        for e in module.ring.monomials(d - a):
-            out.append((pos, e))
-    return out, {m: i for i, m in enumerate(out)}
-
-
-def _vector_of(elem, index, p):
-    v = np.zeros(len(index), dtype=_I64)
-    for pos, e, c in elem.terms():
-        v[index[(pos, e)]] = c
-    return v % p
-
 
 def minimal_generators(gens, module):
     """Minimal generating subset of <gens>, by graded Nakayama.
@@ -48,32 +32,25 @@ def minimal_generators(gens, module):
     Any generating set spans the module linearly in each degree, so the
     graded pieces of m*<gens> come from monomial multiples of the input
     generators and candidate degrees are the input degrees themselves;
-    no Groebner basis is needed here.
+    no Groebner basis is needed here.  In degree d, `pivot_rows` reads the
+    multiples of the lower-degree generators first and then the degree-d
+    generators; a generator is kept when its row is a pivot.
     """
     elems = sorted(
         (g for g in gens if not g.is_zero),
         key=lambda g: (g.degree, tuple(int(x) for x in g.keys[0])),
     )
-    if not elems:
-        return []
     ring = module.ring
-    p = ring.p
     kept = []
-    degrees = sorted({g.degree for g in elems})
-    for d in degrees:
-        basis, index = _graded_basis(module, d)
-        span = K.RowSpan(len(basis), p)
-        for g in elems:
-            dd = d - g.degree
-            if dd < 1:
-                continue
-            for u in ring.monomials(dd):
-                span.add(_vector_of(g.mono_mul(u), index, p))
-        for g in elems:
-            if g.degree != d:
-                continue
-            if span.add(_vector_of(g, index, p)):
-                kept.append(g)
+    for d in sorted({g.degree for g in elems}):
+        index = {m: i for i, m in enumerate(module.monomials(d))}
+        lower = [g for g in elems if g.degree < d]
+        cands = [g for g in elems if g.degree == d]
+        monos = {dd: ring.monomials(dd) for dd in {d - g.degree for g in lower}}
+        n_multiples = sum(len(monos[d - g.degree]) for g in lower)
+        rows = chain((g.mono_mul(u) for g in lower for u in monos[d - g.degree]), cands)
+        pivots = K.pivot_rows((h.coordinates(index) for h in rows), ring.p)
+        kept += [cands[i - n_multiples] for i in pivots if i >= n_multiples]
     return kept
 
 
@@ -117,14 +94,15 @@ class Resolution:
         return self.free_module(k).transpose(self.columns(k))
 
 
-def resolve(F0, relation_gens, max_stages=None):
-    """Minimal free resolution of  F0 / <relation_gens>."""
+def resolve(F0, relation_gens):
+    """Minimal free resolution of  F0 / <relation_gens>.  Hilbert's syzygy
+    theorem bounds its length by nvars; a resolution still open after
+    nvars + 2 stages raises."""
     ring = F0.ring
-    limit = max_stages or (ring.nvars + 2)
     stages = []
     cur_mod = F0
     cur = [g for g in relation_gens if not g.is_zero]
-    for _ in range(limit):
+    for _ in range(ring.nvars + 2):
         if not cur:
             break
         mins = minimal_generators(cur, cur_mod)

@@ -195,10 +195,10 @@ class Ring:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def extended(self, k=1, prefix="t"):
-        """New ring with k auxiliary variables in front and a block order
-        eliminating them; used by intersection/elimination."""
-        names = tuple(f"{prefix}{i}" for i in range(k)) + self.names
+    def extended(self, k=1):
+        """New ring with k auxiliary variables t0.. in front and a block
+        order eliminating them; used by intersection/elimination."""
+        names = tuple(f"t{i}" for i in range(k)) + self.names
         return Ring(self.nvars + k, self.p, Order("block", k), names)
 
     def embed(self, f, k=1):
@@ -218,7 +218,7 @@ class Ring:
             out.append(tuple(e))
         return out
 
-    def random_poly(self, degree, rng, homogeneous=True):
+    def random_poly(self, degree, rng):
         """Dense-ish random homogeneous polynomial of the given degree."""
         terms = {}
         for m in self.monomials(degree):
@@ -267,6 +267,11 @@ class FreeModule:
     @property
     def rank(self):
         return len(self.twists)
+
+    def monomials(self, d):
+        """The (pos, exps) basis of the degree-d piece, position-major, each
+        position in `Ring.monomials` order."""
+        return [(pos, e) for pos, a in enumerate(self.twists) for e in self.ring.monomials(d - a)]
 
     def key_rows(self, exps):
         """exps int64[m, 1+nv] (column 0 = position) -> key matrix."""
@@ -430,8 +435,13 @@ class Element:
                 int(self.coeffs[i]),
             )
 
-    def to_dict(self):
-        return {(pos, e): c for pos, e, c in self.terms()}
+    def coordinates(self, index):
+        """Dense int64 coefficient vector in the columns of index, a
+        {(pos, exps): column} map such as one built from
+        `FreeModule.monomials`; ring elements sit at pos 0."""
+        v = np.zeros(len(index), dtype=_I64)
+        v[[index[pos, e] for pos, e, _ in self.terms()]] = self.coeffs
+        return v
 
     def lt(self):
         if self.is_zero:
@@ -593,7 +603,6 @@ class Polynomial(Element):
         if g.is_zero:
             raise DivisionByZero("division by zero polynomial")
         p = self.ring.p
-        _, ge, gc = g.exps[0, 1:], g.exps[0], g.coeffs[0]
         cur = self
         out = {}
         ginv = self.ring.field.inv(int(g.coeffs[0]))

@@ -119,6 +119,32 @@ def test_prime_above_int64_bound_exits_2(tmp_path):
     assert json.loads(out.read_bytes())["error"] == "prime-check-failed"
 
 
+@pytest.mark.parametrize(
+    "session,points,error",
+    [
+        # above 2^31: rejected before any primality test could run for long
+        ("ring p=2305843009213693951 vars=x0..x2\nideal I = x0\n", None, "prime-check-failed"),
+        ("ring p=abc vars=x0..x2\nideal I = x0\n", None, "syntax-error"),
+        ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n1 2 a\n", "syntax-error"),
+        ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n1 2\n", "syntax-error"),
+        ("ring p=32003 vars=x0..x2\nideal I = x0+x1^2\n", None, "not-homogeneous"),
+        ("ring p=32003 vars=x0..x2\nmatrix I = [[x0, x1^2+x0]]\n", None, "degenerate-matrix"),
+    ],
+    ids=["huge-prime", "p-not-integer", "points-not-integer", "point-too-short",
+         "not-homogeneous", "matrix-not-homogeneous"],
+)
+def test_malformed_input_exits_2(session, points, error, tmp_path):
+    (tmp_path / "s.txt").write_text(session)
+    if points is not None:
+        (tmp_path / "pts.txt").write_text(points)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "s.txt"), "gb", "I"]) == 2
+    doc = json.loads(out.read_bytes())
+    assert doc["error"] == error
+    if error == "syntax-error":
+        assert doc["message"].startswith("line 2," if points else "line 1,")
+
+
 def test_round_trip(R4):
     x0, x1, x2, x3 = R4.gens()
     I = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])

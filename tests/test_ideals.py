@@ -1,9 +1,13 @@
 from itertools import combinations_with_replacement
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaisonlab.errors import DegenerateMatrix, UnitIdeal
 from liaisonlab.ideals import Ideal, PolyMatrix
+from liaisonlab.ring import Ring
 
 
 def _monomials_upto(R, d):
@@ -180,3 +184,83 @@ def test_double_colon_on_unmixed(R4):
     ):
         J = c.colon(I)
         assert c.colon(J) == I
+
+
+# -- sympy oracle: intersection, colon and saturation ----------------------
+
+P = 32003
+RING = Ring(3, P)
+T, *X = sympy.symbols("t x0 x1 x2")
+DEGREE_MONOMIALS = {d: RING.monomials(d) for d in (1, 2)}
+
+
+@st.composite
+def small_forms(draw):
+    """A nonzero form of degree 1 or 2 in 3 variables, as {exps: coeff}."""
+    d = draw(st.sampled_from([1, 2]))
+    terms = st.tuples(st.sampled_from(DEGREE_MONOMIALS[d]), st.integers(1, P - 1))
+    return dict(draw(st.lists(terms, min_size=1, max_size=3)))
+
+
+small_ideals = st.lists(small_forms(), min_size=1, max_size=3)
+
+
+def _sympy_expr(terms):
+    return sum(c * sympy.Mul(*(x ** a for x, a in zip(X, e))) for e, c in terms.items())
+
+
+def _t_free(gens, *extra_vars):
+    """Generators of the ideal of gens intersected with K[x0, x1, x2], by a
+    lex basis with the extra variables first."""
+    G = sympy.groebner(gens, *extra_vars, *X, order="lex", modulus=P)
+    return [g for g in G.exprs if not g.has(*extra_vars)]
+
+
+def _sympy_intersect(A, B):
+    return _t_free([T * a for a in A] + [(1 - T) * b for b in B], T)
+
+
+def _grevlex(exprs):
+    G = sympy.groebner(exprs, *X, order="grevlex", modulus=P)
+    return {
+        frozenset((m, int(c) % P) for m, c in g.as_poly(*X, modulus=P, symmetric=False).terms())
+        for g in G.exprs
+    }
+
+
+def _ours(ideal):
+    return {frozenset((e, c) for _, e, c in g.terms()) for g in ideal.gb}
+
+
+def _both(gens):
+    return Ideal(RING, [RING.poly(f) for f in gens]), [_sympy_expr(f) for f in gens]
+
+
+@given(small_ideals, small_ideals)
+@settings(max_examples=25, deadline=None)
+def test_intersect_against_sympy(a, b):
+    (I, sI), (J, sJ) = _both(a), _both(b)
+    assert _ours(I.intersect(J)) == _grevlex(_sympy_intersect(sI, sJ))
+
+
+@given(small_ideals, small_forms())
+@settings(max_examples=20, deadline=None)
+def test_colon_poly_against_sympy(a, f):
+    (I, sI), sf = _both(a), _sympy_expr(f)
+    quotients = []
+    for g in _sympy_intersect(sI, [sf]):
+        q, r = sympy.div(g, sf, *X, modulus=P)
+        assert r == 0
+        quotients.append(q)
+    assert _ours(I.colon_poly(RING.poly(f))) == _grevlex(quotients)
+
+
+@given(small_ideals)
+@settings(max_examples=15, deadline=None)
+def test_saturate_against_sympy(a):
+    """I : m^inf is the intersection of the I : x_i^inf, and each of those
+    is (I + (1 - t x_i)) intersected with K[x0, x1, x2]."""
+    I, sI = _both(a)
+    parts = [_t_free(sI + [1 - T * x], T) for x in X]
+    expect = _sympy_intersect(_sympy_intersect(parts[0], parts[1]), parts[2])
+    assert _ours(I.saturate()) == _grevlex(expect)

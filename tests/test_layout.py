@@ -19,3 +19,34 @@ def test_no_private_name_imported_from_a_sibling_module():
                     if alias.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_every_public_function_has_a_caller():
+    """A module-level public function must be named somewhere in src, tests
+    or perfbench outside its own body; one that nothing calls is dead code."""
+    root = PKG.parents[1]
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for folder in ("src", "tests", "perfbench")
+        for path in sorted((root / folder).rglob("*.py"))
+    }
+    uses = {}  # name -> [(path, line)]
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            uses.setdefault(name, []).append((path, getattr(node, "lineno", 0)))
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                own = range(node.lineno, node.end_lineno + 1)
+                if not any(p != path or line not in own for p, line in uses.get(node.name, [])):
+                    unused.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert unused == []

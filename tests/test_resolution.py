@@ -253,7 +253,7 @@ def test_transpose_is_an_involution(R4, R5):
 def test_ext_module_presentation(R4):
     """ext_module's presented subquotient matches ext_numerator degreewise,
     and detects cyclicity of canonical modules."""
-    from liaisonlab.resolution import ext_module, minimal_generators
+    from liaisonlab.resolution import ext_hf, ext_module, minimal_generators
     from liaisonlab.hilbert import series_hf
 
     x0, x1, x2, x3 = R4.gens()
@@ -269,6 +269,7 @@ def test_ext_module_presentation(R4):
             E = ext_module(M, i)
             for j in range(-8, 9):
                 assert E.hf(j) == series_hf(numer, R4.nvars, j)
+            assert ext_hf(M, i, range(-8, 9)) == [E.hf(j) for j in range(-8, 9)]
     # Ext^c(R/CI, R) is cyclic; for the twisted cubic it needs 2 generators
     ci = cases[0]
     Eci = ext_module(quotient_module(ci), 2)
