@@ -476,7 +476,7 @@ def run(session, command, args, seed, window):
         mono = session.poly(args.monomial)
         return {"command": "lift", "result": str(lift_map(mono, level=args.level))}
     if command == "macaulay":
-        seq = [int(v) for v in args.values]
+        seq = args.values
         growth = macaulay_growth_check(seq)
         return {
             "command": "macaulay",
@@ -556,7 +556,7 @@ def _build_parser():
     c.add_argument("monomial")
     c.add_argument("--level", type=int, default=0)
     c = sub.add_parser("macaulay")
-    c.add_argument("values", nargs="+")
+    c.add_argument("values", nargs="+", type=int)
     name_cmd("deficiency")
     name_cmd("ci-invariant")
     return ap
@@ -566,6 +566,8 @@ def main(argv=None):
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.window and args.window[0] > args.window[1]:
+            ap.error("--window needs LO <= HI")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     seed = args.seed

@@ -26,6 +26,7 @@ from .errors import (
     NotMonomial,
     NotStable,
     StepIdentityFailed,
+    VariableOutOfRange,
     WrongCodim,
 )
 from .ideals import Ideal, PolyMatrix
@@ -376,13 +377,13 @@ def _layer_data(J):
     return level, linear, rest
 
 
-def stable_decompose(J, require_cm=True):
+def stable_decompose(J):
     """Split a CM stable monomial ideal along its lifting variable."""
     level, linear, rest = _layer_data(J)
     ring = J.ring
     if not stable_check(J, first=level):
         raise NotStable("ideal is not stable relative to its level")
-    if require_cm and not classify(J)["cm"]:
+    if not classify(J)["cm"]:
         raise NotCM("descent needs a Cohen-Macaulay ideal")
     if not rest:
         raise LayerChainBroken("nothing to decompose: the ideal is linear")
@@ -426,13 +427,13 @@ def stable_decompose(J, require_cm=True):
     # properties of the split
     if not layers[0].is_zero:
         base = Ideal(ring, lin_polys + [ring.monomial(e) for e in layers[0].lt_exps()])
-        if require_cm and not classify(base)["cm"]:
+        if not classify(base)["cm"]:
             raise NotCM("I_0 R is not Cohen-Macaulay")
         if base.codimension() != J.codimension() - 1:
             raise LayerChainBroken("I_0 R has unexpected codimension")
         if not residual.contains_ideal(base):
             raise LayerChainBroken("I_0 R is not inside the residual")
-    if require_cm and not classify(residual)["cm"]:
+    if not classify(residual)["cm"]:
         raise NotCM("the residual is not Cohen-Macaulay")
     if residual.codimension() != J.codimension():
         raise LayerChainBroken("residual has unexpected codimension")
@@ -443,6 +444,8 @@ def lift_map(mono, level=0):
     """Send a monomial in the tail variables to a product of linear forms:
     each x_j^a becomes x_j (x_j + x_l) ... (x_j + (a-1) x_l)."""
     ring = mono.ring
+    if not 0 <= level < ring.nvars:
+        raise VariableOutOfRange(f"lifting variable {level} outside the ring")
     if len(mono) != 1:
         raise NotMonomial("lifting map takes a single monomial")
     exps = mono.exps_tuple()
@@ -462,7 +465,7 @@ def lift_map(mono, level=0):
     return out
 
 
-def glicci_descent(J, check_cohomology=False):
+def glicci_descent(J):
     """Certificate of basic double links from a CM stable monomial ideal
     down to a complete intersection."""
     if not stable_check(J, first=_layer_data(J)[0]):
@@ -491,9 +494,7 @@ def glicci_descent(J, check_cohomology=False):
         rebuilt = j_cm + Ideal(ring, [xl * g for g in dec.residual.gens_or_gb()])
         if rebuilt != cur:
             raise StepIdentityFailed("J = lambda(I_0) R + x_l I' failed")
-        tilde, report = basic_double_link(
-            j_cm, dec.residual, xl, check_cohomology=check_cohomology
-        )
+        tilde, report = basic_double_link(j_cm, dec.residual, xl, check_cohomology=False)
         if tilde != cur or not report["all"]:
             raise StepIdentityFailed("basic double link reconstruction failed")
         steps.append({"kind": "bdl", "from": cur, "to": dec.residual, "j_cm": j_cm, "f": xl})

@@ -1,19 +1,24 @@
 """Buchberger engine for ideals and submodules of graded free modules.
 
 Normal strategy (minimal lcm degree first), Buchberger's product criterion
-(ring case) and the chain criterion.  Output is the canonical reduced basis,
-deterministic for a fixed input ideal regardless of generator order.
+(ring case) and the chain criterion.  `buchberger` returns the canonical
+reduced basis, deterministic for a fixed input ideal regardless of
+generator order.
 
-Syzygies come in two flavours:
-  * syzygy_module(G)      Schreyer syzygies of a Groebner basis,
-  * syzygies_of(gens)     syzygies of an arbitrary generating set (zero
-                          entries allowed), via a Groebner basis of
-                          {(g_i, e_i)} in F + R^m with the F-part dominant.
-lift_coordinates reads coordinates off the same augmented basis.
+Syzygies come out of the same pair loop, run once on the tracked
+generators (g_i, e_{r+i}) in F + R^m, F of rank r dominant
+(`_augmented_basis`).  The rule: an S-pair remainder led by a tag
+position (>= r) has no F part, so its tag part is a syzygy; it is
+recorded, never added to the basis and never paired.  By Schreyer's
+theorem (Eisenbud, Commutative Algebra, Thm 15.10) and the chain
+criterion (Gebauer-Moeller), the recorded syzygies generate the syzygy
+module; for a Groebner basis G they are its Schreyer S-pair syzygies.
+The F-led elements are a Groebner basis of <g> that carries coordinates
+in its tag part: `lift_coordinates` reduces against it.  Neither part is
+interreduced.
 """
 
 import heapq
-from collections import defaultdict
 
 import numpy as np
 
@@ -25,8 +30,8 @@ _I64 = np.int64
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis as `buchberger` returns it; the elements
-    share one module."""
+    """A Groebner basis (`buchberger` returns the reduced one); the elements
+    share one module and their concatenated arrays are cached."""
 
     __slots__ = ("module", "elements", "_cat")
 
@@ -118,6 +123,21 @@ def buchberger(gens):
     for g in gens:
         if g.module != module:
             raise RingMismatch("generators from different modules")
+    # no position reaches the rank, so no remainder is set aside
+    basis, _ = _pair_loop(gens, module.rank)
+    return GroebnerBasis(module, interreduce(basis))
+
+
+def _pair_loop(gens, boundary):
+    """Buchberger's pair loop over gens, elements of one module.
+
+    Returns (basis, syzygies).  A nonzero S-pair remainder whose leading
+    term sits at a position >= boundary goes to syzygies: it is never
+    added to the basis and never paired.  Every other one joins the basis,
+    which is returned as it stands (not interreduced): each of its S-pairs
+    reduces to zero or to a recorded syzygy.
+    """
+    module = gens[0].module
     basis = []
     for g in sorted(
         (g.monic() for g in gens if not g.is_zero),
@@ -125,9 +145,7 @@ def buchberger(gens):
     ):
         if not any(h == g for h in basis):
             basis.append(g)
-    if not basis:
-        return GroebnerBasis(module, [])
-
+    syzygies = []
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
@@ -139,8 +157,10 @@ def buchberger(gens):
         if pi != pj:
             return
         lcm = _lcm_exps(ei, ej)
+        # product criterion; ring modules only: a tracked run is POT, where
+        # it would drop Koszul syzygies
         if is_ring and (np.minimum(ei, ej) == 0).all():
-            return  # product criterion
+            return
         deg, key = _pair_key(module, int(pi), lcm)
         heapq.heappush(heap, (deg, key, i, j))
         pending.add((i, j))
@@ -173,12 +193,16 @@ def buchberger(gens):
             continue
         s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
         h = normal_form(s, basis)
-        if not h.is_zero:
-            basis.append(h.monic())
-            for t in range(len(basis) - 1):
-                push_pair(t, len(basis) - 1)
+        if h.is_zero:
+            continue
+        if int(h.exps[0, 0]) >= boundary:
+            syzygies.append(h)
+            continue
+        basis.append(h.monic())
+        for t in range(len(basis) - 1):
+            push_pair(t, len(basis) - 1)
 
-    return GroebnerBasis(module, interreduce(basis))
+    return basis, syzygies
 
 
 def interreduce(elems):
@@ -217,83 +241,16 @@ def interreduce(elems):
     return keep
 
 
-def reduce_tracked(f, basis):
-    """Divide f by basis with quotient tracking.
-
-    Returns (remainder, quotients) with f = sum quotients[i]*basis[i] + r.
-    """
-    ring = f.ring
-    quots = defaultdict(dict)
-    rem = {}
-    cur = f
-    lts = [(int(b.exps[0, 0]), b.exps[0, 1:], int(b.coeffs[0])) for b in basis]
-    while not cur.is_zero:
-        pos, e, c = int(cur.exps[0, 0]), cur.exps[0, 1:], int(cur.coeffs[0])
-        hit = -1
-        for j, (bp, be, _) in enumerate(lts):
-            if bp == pos and (be <= e).all():
-                hit = j
-                break
-        if hit < 0:
-            rem[(pos, tuple(int(x) for x in e))] = c
-            cur = cur._wrap((cur.keys[1:], cur.exps[1:], cur.coeffs[1:]))
-            continue
-        u = tuple(int(x) for x in (e - lts[hit][1]))
-        q = (c * ring.field.inv(lts[hit][2])) % ring.p
-        quots[hit][u] = (quots[hit].get(u, 0) + q) % ring.p
-        cur = cur - basis[hit].mono_mul(u, q)
-    qpolys = {i: ring.poly(d) for i, d in quots.items()}
-    return f.module.element(rem), qpolys
-
-
-def syzygy_module(G):
-    """Schreyer syzygies of a Groebner basis.
-
-    Returns a list of elements of the Schreyer free module on G; they
-    generate the kernel of (a_1..a_t) -> sum a_i G_i and form a Groebner
-    basis for the Schreyer order.
-    """
-    if isinstance(G, GroebnerBasis):
-        elems = list(G.elements)
-        module = G.module
-    else:
-        elems = list(G)
-        module = elems[0].module
-    elems = [g.monic() for g in elems]
-    syzmod = module.schreyer_above([g.lm() for g in elems])
-    out = []
-    for j in range(len(elems)):
-        for i in range(j):
-            gi, gj = elems[i], elems[j]
-            if gi.exps[0, 0] != gj.exps[0, 0]:
-                continue
-            lcm = _lcm_exps(gi.exps[0, 1:], gj.exps[0, 1:])
-            ui = lcm - gi.exps[0, 1:]
-            uj = lcm - gj.exps[0, 1:]
-            s = gi.mono_mul(ui) - gj.mono_mul(uj)
-            r, quots = reduce_tracked(s, elems)
-            if not r.is_zero:
-                raise ValueError("input is not a Groebner basis")
-            rows = {(i, tuple(int(x) for x in ui)): 1, (j, tuple(int(x) for x in uj)): -1}
-            for k, q in quots.items():
-                for _, e, c in q.terms():
-                    key = (k, e)
-                    rows[key] = (rows.get(key, 0) - c) % module.ring.p
-            v = syzmod.element(rows)
-            if not v.is_zero:
-                out.append(v)
-    return out
-
-
 def _augmented_basis(gens):
-    """Reduced Groebner basis of the witnesses (g_i, e_{r+i}) in F + R^m,
-    the F-part dominant (F of rank r, the tag part twisted by deg g_i).
-    Its elements led by a tag position are syzygies, and normal forms
-    against it read off coordinates."""
+    """The pair loop on the witnesses (g_i, e_{r+i}) in F + R^m, F of rank
+    r dominant, the tag part twisted by deg g_i.  Returns (r, basis,
+    syzygies): the F-led elements as a GroebnerBasis, whose tag parts are
+    coordinates, and the tag-led remainders, which generate the syzygies."""
     module = gens[0].module
     r = module.rank
     big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens), kind="pot")
-    return r, buchberger([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)])
+    basis, syzygies = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r)
+    return r, GroebnerBasis(big, basis), syzygies
 
 
 def syzygies_of(gens, source=None):
@@ -301,6 +258,8 @@ def syzygies_of(gens, source=None):
 
     source defaults to the POT module twisted by the degrees of gens; it
     must be given when some gens[i] is zero, and then e_i is a generator.
+    The generators are the recorded syzygies of one pair loop, not a
+    Groebner basis.
     """
     gens = list(gens)
     if source is None:
@@ -308,11 +267,10 @@ def syzygies_of(gens, source=None):
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     out = [source.gen(i) for i, g in enumerate(gens) if g.is_zero]
     if live:
-        r, gb = _augmented_basis([gens[i] for i in live])
+        r, _, syzygies = _augmented_basis([gens[i] for i in live])
         # tag position r + j is generator live[j]; the F positions stay unused
         positions = np.concatenate([np.arange(-r, 0), live])
-        # a leading term in the tag part makes the whole element a syzygy
-        out += [source.rehome(v, positions) for v in gb if int(v.exps[0, 0]) >= r]
+        out += [source.rehome(v, positions) for v in syzygies]
     return out
 
 
@@ -321,9 +279,10 @@ def lift_coordinates(gens, targets):
 
     gens, targets: elements of one free module, targets in <gens>.
     Returns coordinate vectors as elements of the rank-len(gens) free
-    module with twists deg(gens).  Raises if a target is not a member.
+    module with twists deg(gens), not reduced modulo the syzygies.
+    Raises if a target is not a member.
     """
-    r, gb = _augmented_basis(gens)
+    r, gb, _ = _augmented_basis(gens)
     coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
     positions = np.arange(gb.module.rank) - r  # tag position r + i is coordinate i
     out = []

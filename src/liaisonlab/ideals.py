@@ -29,7 +29,7 @@ class Ideal:
 
     __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_resolution_cache", "ci_degrees")
 
-    def __init__(self, ring, gens, _gb=None):
+    def __init__(self, ring, gens):
         self.ring = ring
         gens = tuple(g for g in gens if not g.is_zero)
         for g in gens:
@@ -38,7 +38,7 @@ class Ideal:
             if not g.is_homogeneous:
                 raise NotHomogeneous(f"generator {g} is not homogeneous")
         self.gens = gens
-        self._gb = _gb
+        self._gb = None
         self._codim = None
         self._hilbert = None
         self._resolution_cache = None
@@ -123,12 +123,20 @@ class Ideal:
             return self
         if other.is_zero or self.is_unit:
             return other
-        ext = self.ring.extended(1)
+        ext = self.ring.extended()
         t = ext.var(0)
         one = ext.one()
         gens = [t * self.ring.embed(f) for f in self.gens_or_gb()]
         gens += [(one - t) * self.ring.embed(g) for g in other.gens_or_gb()]
-        return _eliminate_front(self.ring, ext, gens, 1)
+        # the basis elements free of t0 generate the intersection
+        return Ideal(
+            self.ring,
+            [
+                self.ring.poly({e[1:]: c for _, e, c in g.terms()})
+                for g in buchberger(gens)
+                if (g.exps[:, 1] == 0).all()
+            ],
+        )
 
     def colon_poly(self, f):
         """(self : f) for a single polynomial f."""
@@ -224,19 +232,6 @@ class Ideal:
 
     def is_monomial(self):
         return all(len(g) == 1 for g in self.gb)
-
-
-def _eliminate_front(ring, ext, gens, k):
-    """Groebner basis in ext (block order, k front vars), keep t-free part."""
-    gb = buchberger(gens)
-    out = []
-    for g in gb:
-        e = g.exps[:, 1 : 1 + k]
-        if (e == 0).all():
-            out.append(
-                ring.poly({tuple(int(x) for x in g.exps[i, 1 + k :]): int(g.coeffs[i]) for i in range(len(g))})
-            )
-    return Ideal(ring, out)
 
 
 class PolyMatrix:

@@ -14,6 +14,7 @@ from .groebner import syzygies_of
 from .hilbert import free_numerator
 from .ideals import Ideal
 from .resolution import (
+    Resolution,
     classify,
     deficiency_table,
     dual_kernel,
@@ -330,7 +331,12 @@ def mapping_cone_shapes(rec):
     # is D_m + D_{c-m+1}*(-s) + F^J_m; the tail is D_1*(-s) + E_J**.
     FJ = minimal_free_resolution(J)
     gtw = {k: FJ.twists(k) for k in range(1, FJ.length + 1)}
+    # Hom(E_J^*, R): present E_J^* by the syzygies of its generators, then
+    # take the dual kernel of that presentation
     _, EJgens = dual_kernel(FJ, cod)
+    P = FreeModule(ring, tuple(g.degree for g in EJgens), kind="pot")
+    rel = syzygies_of(EJgens, P)
+    pres = [(FreeModule(ring, tuple(r.degree for r in rel), kind="pot"), rel)] if rel else []
     estages = [
         {"twists": tuple(dtw.get(1, ())) + tuple(gtw.get(1, ())), "module": None, "numerator": {}}
     ]
@@ -348,7 +354,7 @@ def mapping_cone_shapes(rec):
         {
             "twists": dual_shift(dtw.get(1, ())),
             "module": "N*(-s)",
-            "numerator": _hom_dual_numerator(EJgens),
+            "numerator": submodule_numerator(*dual_kernel(Resolution(P, pres), 0)),
         }
     )
     etype = ResolutionShape(estages, "E")
@@ -363,22 +369,6 @@ def mapping_cone_shapes(rec):
 
 def _shift_numer(numer, s):
     return {k + s: v for k, v in numer.items()}
-
-
-def _hom_dual_numerator(gens):
-    """Numerator of Hom(S, R) for the submodule S (of a free module) with
-    the given generators: present S by the syzygies of its generators and
-    take the kernel of the transposed presentation."""
-    if not gens:
-        return {}
-    P = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
-    dualP = P.dual()
-    rel = syzygies_of(gens, P)
-    if not rel:
-        # S is free on its generators; Hom(S, R) is free on the duals
-        return free_numerator(dualP.twists)
-    Q = FreeModule(P.ring, tuple(r.degree for r in rel), kind="pot")
-    return submodule_numerator(dualP, syzygies_of(Q.transpose(rel)[1], dualP))
 
 
 # -- chains -----------------------------------------------------------------

@@ -2,11 +2,14 @@
 classification, E-type truncations, Ext modules and deficiency-module
 Hilbert functions via local duality.
 
-Resolutions are built stage by stage: reduced module Groebner basis,
-minimal generator selection by graded Nakayama (ranks of graded pieces
-over GF(p), through `_kernels.pivot_rows`), then syzygies of the minimal
-generators.  Every differential therefore has entries in the maximal
-ideal and the Betti numbers are read off directly.
+Resolutions are built stage by stage: minimal generator selection by
+graded Nakayama (ranks of graded pieces over GF(p), through
+`_kernels.pivot_rows`), then the syzygies of the minimal generators.
+There is one syzygy path, `groebner.syzygies_of`: the tag-led S-pair
+remainders of one tracked Buchberger run, a generating set and not a
+Groebner basis, which the next stage minimises.  Every differential
+therefore has entries in the maximal ideal and the Betti numbers are read
+off directly.
 
 Everything dual goes through two steps: the transpose of a differential
 (`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
@@ -282,7 +285,7 @@ def classify(ideal):
     return out
 
 
-def self_duality_check(ideal_or_betti, ideal=None):
+def self_duality_check(ideal_or_betti):
     """Betti symmetry beta_{i,j}(R/I) = beta_{c-i, a-j}(R/I) for CM ideals."""
     B = ideal_or_betti if isinstance(ideal_or_betti, BettiTable) else BettiTable.of_ideal(ideal_or_betti)
     if not B.is_cm:

@@ -195,16 +195,14 @@ class Ring:
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
 
-    def extended(self, k=1):
-        """New ring with k auxiliary variables t0.. in front and a block
-        order eliminating them; used by intersection/elimination."""
-        names = tuple(f"t{i}" for i in range(k)) + self.names
-        return Ring(self.nvars + k, self.p, Order("block", k), names)
+    def extended(self):
+        """New ring with one auxiliary variable t0 in front and a block
+        order eliminating it; used by intersection."""
+        return Ring(self.nvars + 1, self.p, Order("block", 1), ("t0",) + self.names)
 
-    def embed(self, f, k=1):
-        """Map a polynomial of this ring into self.extended(k)."""
-        ext = self.extended(k)
-        return ext.poly({(0,) * k + e: c for _, e, c in f.terms()})
+    def embed(self, f):
+        """Map a polynomial of this ring into self.extended()."""
+        return self.extended().poly({(0,) + e: c for _, e, c in f.terms()})
 
     def monomials(self, d):
         """Exponent tuples of the degree-d monomials (none when d < 0)."""
@@ -231,16 +229,16 @@ class Ring:
 class FreeModule:
     """Graded free module over a Ring: direct sum of R(-a_i).
 
-    Carries the *module order* as per-position additive key offsets; the ring
-    key part embeds into columns `ring_cols` of the full key.  kinds:
+    The module order is an additive key whose ring part sits in columns
+    `ring_cols`.  kinds:
       ring      rank 1, plain ring order
-      pot       position-over-term (e_0 > e_1 > ...), ring order inside
-      schreyer  offsets given by leading terms of a previous-stage basis
+      pot       position-over-term (e_0 > e_1 > ...), ring order inside:
+                the key is -position followed by the ring key
     """
 
-    __slots__ = ("ring", "twists", "kind", "keylen", "ring_cols", "offsets")
+    __slots__ = ("ring", "twists", "kind", "keylen", "ring_cols")
 
-    def __init__(self, ring, twists, kind="pot", offsets=None, ring_cols=None):
+    def __init__(self, ring, twists, kind="pot"):
         self.ring = ring
         self.twists = tuple(int(t) for t in twists)
         self.kind = kind
@@ -248,21 +246,12 @@ class FreeModule:
         if kind == "ring":
             if len(self.twists) != 1:
                 raise ValueError("ring module has rank 1")
-            self.keylen = rk
             self.ring_cols = slice(0, rk)
-            self.offsets = np.zeros((1, rk), dtype=_I64)
         elif kind == "pot":
-            self.keylen = rk + 1
             self.ring_cols = slice(1, rk + 1)
-            off = np.zeros((len(self.twists), rk + 1), dtype=_I64)
-            off[:, 0] = -np.arange(len(self.twists))
-            self.offsets = off
-        elif kind == "schreyer":
-            self.keylen = offsets.shape[1]
-            self.ring_cols = ring_cols
-            self.offsets = np.asarray(offsets, dtype=_I64)
         else:
             raise ValueError(kind)
+        self.keylen = self.ring_cols.stop
 
     @property
     def rank(self):
@@ -278,27 +267,9 @@ class FreeModule:
         exps = np.asarray(exps, dtype=_I64)
         keys = np.zeros((len(exps), self.keylen), dtype=_I64)
         keys[:, self.ring_cols] = self.ring.order.keys(exps[:, 1:])
-        keys += self.offsets[exps[:, 0]]
+        if self.kind == "pot":
+            keys[:, 0] = -exps[:, 0]
         return keys
-
-    def schreyer_above(self, leads):
-        """Schreyer module on generators with the given leading terms.
-
-        leads: list of (pos, exps tuple) in *this* module.  Returns the free
-        module of the syzygy stage, with twists = degrees of the leads.
-        """
-        rows = np.array(
-            [(pos,) + tuple(e) for pos, e in leads], dtype=_I64
-        ).reshape(len(leads), 1 + self.ring.nvars)
-        base = self.key_rows(rows)
-        off = np.concatenate(
-            [base, -np.arange(len(leads), dtype=_I64)[:, None]], axis=1
-        )
-        tw = tuple(
-            int(rows[i, 1:].sum()) + self.twists[rows[i, 0]] for i in range(len(leads))
-        )
-        rc = slice(self.ring_cols.start, self.ring_cols.stop)
-        return FreeModule(self.ring, tw, kind="schreyer", offsets=off, ring_cols=rc)
 
     def element(self, terms):
         """terms: {(pos, exps tuple): coeff} or iterable of ((pos,)+exps, c)."""
@@ -341,8 +312,8 @@ class FreeModule:
         twists do not enter it, so a strictly increasing map keeps the term
         order: only the positions change and nothing is re-sorted.
         """
-        if self.kind != "pot" or v.module.kind == "schreyer" or v.ring != self.ring:
-            raise RingMismatch("rehome needs a ring or POT element and a POT target")
+        if self.kind != "pot" or v.ring != self.ring:
+            raise RingMismatch("rehome needs a POT target over the same ring")
         exps = v.exps.copy()
         if positions is not None:
             positions = np.asarray(positions, dtype=_I64)
@@ -388,8 +359,6 @@ class FreeModule:
             and other.ring == self.ring
             and other.twists == self.twists
             and other.kind == self.kind
-            and other.keylen == self.keylen
-            and np.array_equal(other.offsets, self.offsets)
         )
 
     def __repr__(self):
@@ -451,10 +420,6 @@ class Element:
             tuple(int(x) for x in self.exps[0, 1:]),
             int(self.coeffs[0]),
         )
-
-    def lm(self):
-        pos, e, _ = self.lt()
-        return pos, e
 
     def lc(self):
         return self.lt()[2]

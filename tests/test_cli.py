@@ -145,6 +145,27 @@ def test_malformed_input_exits_2(session, points, error, tmp_path):
         assert doc["message"].startswith("line 2," if points else "line 1,")
 
 
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["macaulay", "1", "a", "3"], None),
+        (["--session", "p3.txt", "lift", "x1^2", "--level", "-1"], "variable-out-of-range"),
+        (["--session", "p3.txt", "lift", "1", "--level", "9"], "variable-out-of-range"),
+        (["--session", "p3.txt", "lift", "x1^2", "--level", "9"], "variable-out-of-range"),
+        (["--session", "p3.txt", "--window", "5", "1", "deficiency", "QUARTIC"], None),
+    ],
+    ids=["macaulay-not-integer", "level-negative", "level-too-high-constant",
+         "level-too-high", "window-reversed"],
+)
+def test_malformed_arguments_exit_2(argv, error, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out)] + _sessionize(argv)) == 2
+    if error is None:  # rejected while parsing the arguments, before any report
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_bytes())["error"] == error
+
+
 def test_round_trip(R4):
     x0, x1, x2, x3 = R4.gens()
     I = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])

@@ -1,16 +1,20 @@
 import numpy as np
+import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import groebner as sympy_groebner
 from sympy import symbols
 
 from liaisonlab.groebner import (
     buchberger,
+    lift_coordinates,
     normal_form,
-    reduce_tracked,
     syzygies_of,
-    syzygy_module,
 )
-from liaisonlab.ring import LEX, Ring
+from liaisonlab.hilbert import free_numerator
+from liaisonlab.resolution import minimal_generators, submodule_numerator
+from liaisonlab.ring import LEX, FreeModule, Ring
 
 
 def test_ci_groebner_basis(R4):
@@ -23,9 +27,12 @@ def test_ci_groebner_basis(R4):
     assert "x1*x2+32002*x0*x3" in strs
     assert "x1^2+32002*x0*x2" in strs
     assert "x0*x2^2+32002*x0*x1*x3" in strs
-    # every S-pair reduces to zero (Groebner property, exhaustively):
-    # syzygy_module raises on an S-pair with a nonzero remainder
-    assert len(syzygy_module(G)) == 3
+    # every S-polynomial reduces to zero (Groebner property, exhaustively)
+    for i, gi in enumerate(G):
+        for gj in G.elements[i + 1 :]:
+            lcm = np.maximum(gi.exps[0, 1:], gj.exps[0, 1:])
+            s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
+            assert normal_form(s, G).is_zero
 
 
 def test_basic_cases(R4):
@@ -126,7 +133,7 @@ def test_against_sympy(R4, rng):
 def test_koszul_syzygy(R4):
     x0, x1, x2, x3 = R4.gens()
     G = buchberger([x0, x1])
-    syz = syzygy_module(G)
+    syz = syzygies_of(list(G))
     assert len(syz) == 1
     # x1*e0 - x0*e1 (up to sign/scale): apply the presentation map -> 0
     applied = _apply(syz[0], list(G))
@@ -136,24 +143,19 @@ def test_koszul_syzygy(R4):
 def test_principal_ideal_torsion_free(R4):
     x0, x1, x2, x3 = R4.gens()
     G = buchberger([x0 * x2 - x1 ** 2])
-    assert syzygy_module(G) == []
+    assert syzygies_of(list(G)) == []
 
 
 def test_twisted_cubic_syzygies(R4):
     x0, x1, x2, x3 = R4.gens()
     gens = [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2]
     G = buchberger(gens)
-    syz = syzygy_module(G)
+    syz = syzygies_of(list(G))
     for s in syz:
         assert _apply(s, list(G)).is_zero
     # Hilbert-Burch: the syzygy module of the 3 quadrics needs 2 generators
-    from liaisonlab.resolution import minimal_generators
-    from liaisonlab.ring import FreeModule
-
     mod = FreeModule(R4, tuple(g.degree for g in G), kind="pot")
-    from liaisonlab.groebner import buchberger as bb
-
-    mins = minimal_generators(list(bb(syzygies_of(list(G)))), mod)
+    mins = minimal_generators(syz, mod)
     assert len(mins) == 2
     assert all(m.degree == 3 for m in mins)
 
@@ -168,22 +170,25 @@ def _apply(syz, basis):
     return acc
 
 
-def test_reduce_tracked_identity(R4, rng):
+def test_lift_coordinates_identity(R4, rng):
+    """Random members f of <gens> (not a Groebner basis) lift to
+    coordinates c with sum c_i g_i = f; a non-member raises."""
     x0, x1, x2, x3 = R4.gens()
-    G = list(buchberger([x0 * x2 - x1 ** 2, x1 * x3 - x2 ** 2]))
+    gens = [x0 * x3 - x1 * x2, x0 * x2 - x1 ** 2]
+    members = []
     for _ in range(10):
-        f = R4.random_poly(4, rng)
-        r, quots = reduce_tracked(f, G)
-        acc = r._wrap((r.keys, r.exps, r.coeffs))
-        for i, q in quots.items():
-            acc = acc + G[i].poly_mul(q)
-        assert acc == f
+        f = R4.zero()
+        for g in gens:
+            f = f + g * R4.random_poly(2, rng)
+        members.append(f)
+    coords = lift_coordinates(gens, members)
+    assert all(_apply(c, gens) == f for c, f in zip(coords, members))
+    with pytest.raises(ValueError):
+        lift_coordinates(gens, [x0 ** 4])
 
 
 def test_module_buchberger_and_syzygies(R4):
     x0, x1, x2, x3 = R4.gens()
-    from liaisonlab.ring import FreeModule
-
     F = FreeModule(R4, (0, 0), kind="pot")
     v1 = F.inject(x0, 0) + F.inject(x1, 1)
     v2 = F.inject(x1, 0) + F.inject(x2, 1)
@@ -216,8 +221,6 @@ def test_gb_invariant_under_unit_scaling(R4, rng):
 
 
 def test_syzygies_of_zero_entries_are_unit_vectors(R4):
-    from liaisonlab.ring import FreeModule
-
     x0, x1, x2, x3 = R4.gens()
     F = FreeModule(R4, (0,), kind="pot")
     src = FreeModule(R4, (1, 4, 1), kind="pot")
@@ -232,3 +235,55 @@ def test_syzygies_of_zero_entries_are_unit_vectors(R4):
     # the zero map: every basis vector is a syzygy
     two = FreeModule(R4, (2, 3), kind="pot")
     assert syzygies_of([F.zero(), F.zero()], two) == [two.gen(0), two.gen(1)]
+
+
+# -- exactness oracle for syzygies_of ----------------------------------------
+
+
+@st.composite
+def small_maps(draw, ring):
+    """(F, source, gens): up to 4 generators of degree 1 or 2 in a free
+    module F of rank 1-2 with twists 0 or 1, so every entry has degree
+    <= 2; zero generators and scaled duplicates included."""
+    F = FreeModule(ring, draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2)))
+    degrees, gens = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["form", "form", "zero", "duplicate"]))
+        if kind == "duplicate" and gens:
+            i = draw(st.integers(0, len(gens) - 1))
+            degrees.append(degrees[i])
+            gens.append(gens[i].scale(draw(st.integers(1, ring.p - 1))))
+            continue
+        d = draw(st.sampled_from([1, 2]))
+        terms = {}
+        if kind != "zero":
+            for pos, e in draw(st.lists(st.sampled_from(F.monomials(d)), max_size=4)):
+                terms[pos, e] = draw(st.integers(1, ring.p - 1))
+        degrees.append(d)
+        gens.append(F.element(terms))
+    return F, FreeModule(ring, degrees), gens
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_syzygies_of_is_exact(order):
+    """0 -> <syz> -> source -> F is exact at source: every syzygy maps to 0,
+    and HS(<syz>) + HS(<gens>) = HS(source), so no syzygy is missing."""
+    ring = Ring(3, 32003, order=LEX if order == "lex" else None)
+
+    @given(small_maps(ring))
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        F, source, gens = case
+        syz = syzygies_of(gens, source)
+        for s in syz:
+            assert s.module is source
+            image = F.zero()
+            for pos, e, c in s.terms():
+                image = image + gens[pos].mono_mul(e, c)
+            assert image.is_zero
+        total = submodule_numerator(source, syz)
+        for k, v in submodule_numerator(F, gens).items():
+            total[k] = total.get(k, 0) + v
+        assert {k: v for k, v in total.items() if v} == free_numerator(source.twists)
+
+    check()

@@ -184,6 +184,22 @@ def test_e_type(R4):
         assert lhs == rhs
 
 
+def test_e_type_check_on_curves(R4):
+    """The cohomology interchange H^i_m(E) = H^{i-c}_m(R/I), which
+    check=True verifies on the default window (raising on a mismatch),
+    holds on three curves: the ACM twisted cubic has a free E, the skew
+    lines and the rational quartic do not."""
+    x0, x1, x2, x3 = R4.gens()
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    sk = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
+    quartic = Ideal(
+        R4, [x1 * x2 - x0 * x3, x1 ** 3 - x0 ** 2 * x2, x0 * x2 ** 2 - x1 ** 2 * x3, x2 ** 3 - x1 * x3 ** 2]
+    )
+    for I, free in ((TC, True), (sk, False), (quartic, False)):
+        _, E = e_type_resolution(I, check=True)
+        assert (not E.relations) == free
+
+
 def test_canonical_module(R4):
     x0, x1, x2, x3 = R4.gens()
     TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
