@@ -8,7 +8,7 @@ Session files:
     points P = file(points.txt)
 
 Reports are canonical JSON (sorted keys, fixed separators, seed and schema
-embedded): identical (input, seed) pairs produce identical bytes.
+included): identical (input, seed) pairs produce identical bytes.
 Exit codes: 0 success, 1 mathematical failure, 2 usage error.
 """
 

@@ -91,7 +91,7 @@ def aci_gorenstein(c, I):
 class PointSet:
     """Reduced points in P^n over GF(p), pairwise distinct up to scalar."""
 
-    __slots__ = ("ring", "coords", "_ideal")
+    __slots__ = ("ring", "coords", "_ideal", "_values")
 
     def __init__(self, ring, coords):
         self.ring = ring
@@ -107,6 +107,7 @@ class PointSet:
             seen.add(key)
             self.coords.append(key)
         self._ideal = None
+        self._values = {}
 
     def __len__(self):
         return len(self.coords)
@@ -137,22 +138,31 @@ class PointSet:
         return self._ideal
 
     # -- Hilbert functions by evaluation rank --------------------------
-    def _eval_matrix(self, t, subset=None):
-        idx = subset if subset is not None else range(len(self.coords))
-        monos = self.ring.monomials(t)
-        p = self.ring.p
-        rows = []
-        for i in idx:
-            pt = self.coords[i]
-            row = [_eval_mono(pt, m, p) for m in monos]
-            rows.append(row)
-        return np.array(rows, dtype=_I64) % p
+    def _eval_matrix(self, t):
+        """Values mod p of the degree-t monomials (columns, in
+        `Ring.monomials` order) at the points (rows), built once per t."""
+        if t not in self._values:
+            p = self.ring.p
+            pts = np.array(self.coords, dtype=_I64)
+            # powers[i, v, e] = (coordinate v of point i)^e mod p, e = 0..t
+            powers = np.ones(pts.shape + (t + 1,), dtype=_I64)
+            for e in range(1, t + 1):
+                powers[:, :, e] = powers[:, :, e - 1] * pts % p
+            monos = np.array(self.ring.monomials(t), dtype=_I64)
+            values = np.ones((len(pts), len(monos)), dtype=_I64)
+            for v in range(self.ring.nvars):
+                values = values * powers[:, v, monos[:, v]] % p
+            self._values[t] = values
+        return self._values[t]
 
     def hf(self, t, subset=None):
         """Hilbert function of the subset's coordinate ring at degree t."""
         if t < 0:
             return 0
-        return len(K.pivot_rows(self._eval_matrix(t, subset), self.ring.p))
+        values = self._eval_matrix(t)
+        if subset is not None:
+            values = values[list(subset)]
+        return len(K.pivot_rows(values, self.ring.p))
 
     def h_vector(self):
         out = []
@@ -177,14 +187,6 @@ def _normalize_point(pt, p):
             inv = pow(a, p - 2, p)
             return tuple((x * inv) % p for x in pt)
     raise DuplicatePoint("zero point")
-
-
-def _eval_mono(pt, exps, p):
-    v = 1
-    for a, e in zip(pt, exps):
-        if e:
-            v = (v * pow(a, e, p)) % p
-    return v
 
 
 def _point_ideal(ring, pt):

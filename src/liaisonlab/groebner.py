@@ -16,6 +16,12 @@ module; for a Groebner basis G they are its Schreyer S-pair syzygies.
 The F-led elements are a Groebner basis of <g> that carries coordinates
 in its tag part: `lift_coordinates` reduces against it.  Neither part is
 interreduced.
+
+`annihilator` is the third user of the pair loop: it tracks one element v
+and leaves the relations untagged, so the recorded tag parts are the ring
+elements a with a*v in the span of the relations (colon ideals and
+intersections, Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, Sec. 2.8).
 """
 
 import heapq
@@ -292,3 +298,23 @@ def lift_coordinates(gens, targets):
             raise ValueError("target is not in the span of the generators")
         out.append(coord.rehome(lifted, positions).scale(-1))
     return out
+
+
+def annihilator(v, relations):
+    """Generators of {a in R : a*v in <relations>}, v nonzero, v and the
+    relations in one free module F of rank r (or the ring itself).
+
+    One pair loop on the tracked v + e_r and the untagged relations in
+    F + R(-deg v), with the boundary at r: the tag parts of the recorded
+    remainders generate the annihilator.  They are not a Groebner basis.
+    """
+    if v.is_zero:
+        raise ValueError("annihilator of the zero element")
+    relations = list(relations)
+    if any(g.module != v.module for g in relations):
+        raise RingMismatch("relations from another module")
+    r = v.module.rank
+    big = FreeModule(v.ring, v.module.twists + (v.degree,), kind="pot")
+    gens = [big.rehome(v) + big.gen(r)] + [big.rehome(g) for g in relations]
+    _, syzygies = _pair_loop(gens, r)
+    return [big.component(h, r) for h in syzygies]

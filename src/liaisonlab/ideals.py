@@ -1,9 +1,11 @@
 """Ideal-level algebra: sums, products, intersections, colon ideals,
 saturation, elimination, ideals of maximal minors, codimension.
 
-Intersections go through elimination of an auxiliary scalar variable;
-colon ideals reuse intersection plus exact division; saturation iterates
-colon until the reduced Groebner basis stabilizes.
+Intersections and colon ideals are annihilators (`groebner.annihilator`):
+I cap J is the annihilator of (1, 1) modulo I e_0 + J e_1, and I : f the
+annihilator of f modulo I.  The colon by an ideal intersects the colons by
+its generators; saturation iterates the colon until the reduced Groebner
+basis stabilizes.  Only `Ideal.eliminate` works in an elimination order.
 """
 
 from functools import reduce
@@ -16,8 +18,8 @@ from .errors import (
     RingMismatch,
     UnitIdeal,
 )
-from .groebner import GroebnerBasis, buchberger, normal_form
-from .ring import Order, Polynomial, Ring
+from .groebner import GroebnerBasis, annihilator, buchberger, normal_form
+from .ring import FreeModule, Order, Polynomial, Ring
 
 
 class Ideal:
@@ -119,52 +121,32 @@ class Ideal:
 
     def intersect(self, other):
         self._chk(other)
-        if self.is_zero or other.is_unit:
-            return self
-        if other.is_zero or self.is_unit:
-            return other
-        ext = self.ring.extended()
-        t = ext.var(0)
-        one = ext.one()
-        gens = [t * self.ring.embed(f) for f in self.gens_or_gb()]
-        gens += [(one - t) * self.ring.embed(g) for g in other.gens_or_gb()]
-        # the basis elements free of t0 generate the intersection
-        return Ideal(
-            self.ring,
-            [
-                self.ring.poly({e[1:]: c for _, e, c in g.terms()})
-                for g in buchberger(gens)
-                if (g.exps[:, 1] == 0).all()
-            ],
-        )
+        return _colon_of_parts(self.ring, [(self, self.ring.one()), (other, self.ring.one())])
 
     def colon_poly(self, f):
         """(self : f) for a single polynomial f."""
         if f.is_zero:
             raise DivisionByZero("colon by zero")
-        inter = self.intersect(Ideal(self.ring, [f]))
-        return Ideal(self.ring, [g.exact_div(f) for g in inter.gb])
+        return _colon_of_parts(self.ring, [(self, f)])
 
     def colon(self, other):
         """(self : other) = intersection of (self : g) over generators g."""
         if isinstance(other, Polynomial):
             return self.colon_poly(other)
         self._chk(other)
-        parts = [self.colon_poly(g) for g in other.gens_or_gb()]
+        if not other.gens:
+            raise DivisionByZero("colon by the zero ideal")
+        parts = [self.colon_poly(g) for g in other.gens]
         return reduce(lambda a, b: a.intersect(b), parts)
 
     def saturate(self, by=None):
         """Saturation self : by^infinity (by=None means the irrelevant ideal)."""
+        if by is None:
+            by = Ideal(self.ring, self.ring.gens())
         cur = self
-        while True:
-            if by is None:
-                parts = [cur.colon_poly(self.ring.var(i)) for i in range(self.ring.nvars)]
-                nxt = reduce(lambda a, b: a.intersect(b), parts)
-            else:
-                nxt = cur.colon_poly(by)
-            if nxt.gb == cur.gb:
-                return cur
+        while (nxt := cur.colon(by)).gb != cur.gb:
             cur = nxt
+        return cur
 
     @property
     def is_saturated(self):
@@ -232,6 +214,16 @@ class Ideal:
 
     def is_monomial(self):
         return all(len(g) == 1 for g in self.gb)
+
+
+def _colon_of_parts(ring, parts):
+    """The intersection of the colon ideals I_k : f_k over (I_k, f_k) in
+    parts: the annihilator of v = sum f_k e_k modulo the relations g e_k,
+    g in I_k, with e_k twisted by -deg f_k so that v has degree 0."""
+    F = FreeModule(ring, tuple(-f.degree for _, f in parts), kind="pot")
+    v = sum((F.inject(f, k) for k, (_, f) in enumerate(parts)), F.zero())
+    relations = [F.inject(g, k) for k, (I, _) in enumerate(parts) for g in I.gens_or_gb()]
+    return Ideal(ring, annihilator(v, relations))
 
 
 class PolyMatrix:

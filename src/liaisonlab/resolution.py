@@ -264,7 +264,6 @@ def classify(ideal):
         )
     else:
         B = BettiTable.of_ideal(ideal)
-    reg = max(j - i for (i, j) in B.entries)
     out = {
         "codim": B.codim,
         "pd": B.pd,
@@ -272,7 +271,7 @@ def classify(ideal):
         "cm": B.is_cm,
         "cm_type": B.cm_type,
         "gorenstein": B.is_gorenstein,
-        "reg": reg,
+        "reg": B.regularity,
         "betti": B,
     }
     if out["gorenstein"]:

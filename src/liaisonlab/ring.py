@@ -42,18 +42,6 @@ class PrimeField:
             raise PrimeCheckFailed(f"{p} is not prime")
         self.p = int(p)
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -194,15 +182,6 @@ class Ring:
 
     def gens(self):
         return [self.var(i) for i in range(self.nvars)]
-
-    def extended(self):
-        """New ring with one auxiliary variable t0 in front and a block
-        order eliminating it; used by intersection."""
-        return Ring(self.nvars + 1, self.p, Order("block", 1), ("t0",) + self.names)
-
-    def embed(self, f):
-        """Map a polynomial of this ring into self.extended()."""
-        return self.extended().poly({(0,) + e: c for _, e, c in f.terms()})
 
     def monomials(self, d):
         """Exponent tuples of the degree-d monomials (none when d < 0)."""
@@ -562,24 +541,6 @@ class Polynomial(Element):
         if not self.is_monomial:
             raise ValueError("not a monomial")
         return tuple(int(x) for x in self.exps[0, 1:])
-
-    def exact_div(self, g):
-        """self / g, raising if the division is not exact."""
-        if g.is_zero:
-            raise DivisionByZero("division by zero polynomial")
-        p = self.ring.p
-        cur = self
-        out = {}
-        ginv = self.ring.field.inv(int(g.coeffs[0]))
-        while not cur.is_zero:
-            e = cur.exps[0]
-            if (g.exps[0, 1:] > e[1:]).any():
-                raise DivisionByZero("inexact polynomial division")
-            u = tuple(int(x) for x in (e[1:] - g.exps[0, 1:]))
-            c = (int(cur.coeffs[0]) * ginv) % p
-            out[u] = c
-            cur = cur - g.mono_mul(u, c)
-        return self.ring.poly(out)
 
     def __repr__(self):
         if self.is_zero:

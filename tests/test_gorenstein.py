@@ -1,5 +1,10 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liaisonlab._kernels import pivot_rows
 from liaisonlab.errors import (
     DuplicatePoint,
     NotACI,
@@ -18,6 +23,7 @@ from liaisonlab.gorenstein import (
 )
 from liaisonlab.ideals import Ideal
 from liaisonlab.resolution import classify, self_duality_check
+from liaisonlab.ring import MAX_PRIME, Ring
 
 
 def test_complete_intersection(R4):
@@ -149,6 +155,51 @@ def test_points_hf_matches_ideal_hf(R3, rng):
     d = I.hilbert()
     for t in range(0, 6):
         assert P.hf(t) == d.hf(t)
+
+
+BIG = Ring(4, MAX_PRIME - 1)
+SMALL = st.integers(0, 2)
+LARGE = st.integers(0, BIG.p - 1)
+
+
+@given(
+    st.lists(st.tuples(SMALL, SMALL, SMALL), min_size=1, max_size=8, unique=True),
+    st.tuples(*[LARGE] * 6),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_points_hf_of_subsets_matches_ideal_hf(grid, shear, data):
+    """hf by evaluation rank, on a subset of the points, equals the Hilbert
+    function of the subset's ideal.  Points of the 3x3x3 grid are often
+    collinear or coplanar; a unipotent change of coordinates keeps that and
+    makes the coordinates large, so products come near p^2."""
+    l10, l20, l21, l30, l31, l32 = shear
+    P = PointSet(BIG, [
+        (1, a + l10, b + l20 + l21 * a, c + l30 + l31 * a + l32 * b) for a, b, c in grid
+    ])
+    subset = data.draw(st.lists(st.sampled_from(range(len(P))), min_size=1, unique=True))
+    d = PointSet(BIG, [P.coords[i] for i in subset]).ideal().hilbert()
+    for t in range(5):
+        assert P.hf(t, subset) == d.hf(t)
+
+
+def test_points_hf_with_large_coordinates():
+    """Six collinear points and two more, with coordinates near p = 2^31 - 1
+    in every variable, so that each entry of the evaluation matrix at
+    t >= 3 is a product of three residues reduced mod p."""
+    big = [BIG.p - 1 - k for k in range(6)]
+    line = [(1, a + big[0], big[1] + big[2] * a, big[3] + big[4] * a) for a in range(6)]
+    P = PointSet(BIG, line + [(1, big[5], big[0], 7), (1, 3, big[1], big[2])])
+    d = P.ideal().hilbert()
+    p = BIG.p
+    for t in range(7):
+        # reference: evaluate every monomial with Python integers
+        rows = [
+            [math.prod(pow(a, e, p) for a, e in zip(pt, m)) % p for m in BIG.monomials(t)]
+            for pt in P.coords
+        ]
+        assert P.hf(t) == len(pivot_rows(rows, p)) == d.hf(t)
+    assert [P.hf(t, range(6)) for t in range(7)] == [1, 2, 3, 4, 5, 6, 6]
 
 
 def test_wlp(Rxy):

@@ -7,6 +7,7 @@ from sympy import groebner as sympy_groebner
 from sympy import symbols
 
 from liaisonlab.groebner import (
+    annihilator,
     buchberger,
     lift_coordinates,
     normal_form,
@@ -287,3 +288,67 @@ def test_syzygies_of_is_exact(order):
         assert {k: v for k, v in total.items() if v} == free_numerator(source.twists)
 
     check()
+
+
+# -- exactness oracle for annihilator -----------------------------------------
+
+
+@st.composite
+def small_annihilator_cases(draw, ring, twists):
+    """(F, v, relations): a nonzero homogeneous v in F, whose component at
+    position k has degree d - twists[k], and 1-4 relations of degree 1-2
+    in F, now and then a zero one."""
+    F = FreeModule(ring, twists)
+
+    def element(degree):
+        terms = draw(st.lists(st.sampled_from(F.monomials(degree)), min_size=1, max_size=4))
+        return F.element({t: draw(st.integers(1, ring.p - 1)) for t in terms})
+
+    relations = [
+        element(draw(st.sampled_from([1, 2]))) if draw(st.integers(0, 5)) else F.zero()
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return F, element(draw(st.sampled_from([2, 3]))), relations
+
+
+def _numerator_sum(*parts):
+    """Sum of c * t^shift * numerator over the (c, shift, numerator) parts."""
+    total = {}
+    for c, shift, numerator in parts:
+        for k, n in numerator.items():
+            total[k + shift] = total.get(k + shift, 0) + c * n
+    return {k: n for k, n in total.items() if n}
+
+
+@pytest.mark.parametrize("twists", [(0,), (0, 1)])
+def test_annihilator_is_exact(twists):
+    """ann(v) = {a : a*v in <relations>}: every returned a has a*v in the
+    span, and 0 -> R/ann(-deg v) -> F/<rel> -> F/<rel, v> -> 0 is exact, so
+    HS(<rel, v>) - HS(<rel>) = HS(R/ann) shifted by deg v."""
+    ring = Ring(3, 32003)
+
+    @given(small_annihilator_cases(ring, twists))
+    @settings(max_examples=60, deadline=None)
+    def check(case):
+        F, v, relations = case
+        ann = annihilator(v, relations)
+        live = [g for g in relations if not g.is_zero]
+        gb = buchberger(live) if live else []
+        for a in ann:
+            assert a.module == ring.as_module and a.is_homogeneous
+            assert normal_form(v.poly_mul(a), gb).is_zero
+        image = _numerator_sum(
+            (1, 0, submodule_numerator(F, relations + [v])),
+            (-1, 0, submodule_numerator(F, relations)),
+        )
+        assert image == _numerator_sum(
+            (1, v.degree, {0: 1}),
+            (-1, v.degree, submodule_numerator(ring.as_module, ann)),
+        )
+
+    check()
+
+
+def test_annihilator_of_zero_raises(R4):
+    with pytest.raises(ValueError):
+        annihilator(R4.zero(), [R4.var(0)])

