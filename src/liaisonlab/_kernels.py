@@ -12,27 +12,12 @@ Keys are additive (key of a product is the sum of keys), so multiplying by a
 monomial is a constant shift and never re-sorts.  The kernels below implement
 the two inner loops that dominate every Groebner-basis run: merge-subtract of
 sorted term arrays and full normal-form reduction against a basis.
-`pivot_rows` is the GF(p) linear algebra on graded pieces: the ranks behind
-minimal generators, point Hilbert functions and Weak Lefschetz checks.
-
-Backend selection: numba @njit kernels are used when importable unless the
-environment variable LIAISON_NUMBA is set to "0" (pure numpy fallbacks with
-identical semantics).  `tests/test_kernels.py` checks that the two agree.
-The speed-up of the numba kernels is unverified: the benchmark in
-`perfbench/` runs the numpy backend only.
+`pivot_rows` is the GF(p) rank of a sequence of dense rows; it serves point
+Hilbert functions and Weak Lefschetz checks only (minimal generators come
+from the pair loop in `groebner`).
 """
 
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("LIAISON_NUMBA", "1") != "0"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 _I64 = np.int64
 
@@ -93,11 +78,7 @@ def pivot_rows(rows, p):
     return out
 
 
-def _py_modinv(a, p):
-    return pow(int(a), p - 2, p)
-
-
-def _py_merge_sub(k1, e1, c1, k2, e2, c2, p):
+def merge_sub(k1, e1, c1, k2, e2, c2, p):
     """f - g for term arrays already sorted descending; result canonical."""
     m1, m2 = len(c1), len(c2)
     K = k1.shape[1] if m1 else k2.shape[1]
@@ -133,7 +114,7 @@ def _row_cmp(a, b):
     return 0
 
 
-def _py_normal_form(fk, fe, fc, bk, be, bc, boff, p):
+def normal_form_arrays(fk, fe, fc, bk, be, bc, boff, p):
     """Full normal form of f against the basis blocks in (bk, be, bc, boff).
 
     Block j occupies rows boff[j]:boff[j+1]; its leading term is the first
@@ -159,11 +140,11 @@ def _py_normal_form(fk, fe, fc, bk, be, bc, boff, p):
         shift_e = head_e - lt_e[j]
         shift_e[0] = 0
         shift_k = ck[0] - bk[s]
-        q = (int(cc[0]) * _py_modinv(lt_c[j], p)) % p
+        q = (int(cc[0]) * pow(int(lt_c[j]), p - 2, p)) % p
         gk = bk[s + 1 : t] + shift_k
         ge = be[s + 1 : t] + shift_e
         gc = (bc[s + 1 : t] * q) % p
-        ck, ce, cc = _py_merge_sub(ck[1:], ce[1:], cc[1:], gk, ge, gc, p)
+        ck, ce, cc = merge_sub(ck[1:], ce[1:], cc[1:], gk, ge, gc, p)
     K = fk.shape[1]
     E = fe.shape[1]
     if not out_c:
@@ -175,154 +156,6 @@ def _py_normal_form(fk, fe, fc, bk, be, bc, boff, p):
     )
 
 
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_modinv(a, p):  # pragma: no cover - exercised via dispatch
-        r = np.int64(1)
-        b = a % p
-        e = p - 2
-        while e > 0:
-            if e & 1:
-                r = (r * b) % p
-            b = (b * b) % p
-            e >>= 1
-        return r
-
-    @njit(cache=True)
-    def _nb_merge_sub(k1, e1, c1, k2, e2, c2, p):  # pragma: no cover
-        m1 = c1.shape[0]
-        m2 = c2.shape[0]
-        K = k1.shape[1]
-        E = e1.shape[1]
-        ok = np.empty((m1 + m2, K), dtype=np.int64)
-        oe = np.empty((m1 + m2, E), dtype=np.int64)
-        oc = np.empty(m1 + m2, dtype=np.int64)
-        i = 0
-        j = 0
-        t = 0
-        while i < m1 and j < m2:
-            cmp = 0
-            for s in range(K):
-                if k1[i, s] > k2[j, s]:
-                    cmp = 1
-                    break
-                if k1[i, s] < k2[j, s]:
-                    cmp = -1
-                    break
-            if cmp > 0:
-                for s in range(K):
-                    ok[t, s] = k1[i, s]
-                for s in range(E):
-                    oe[t, s] = e1[i, s]
-                oc[t] = c1[i]
-                i += 1
-                t += 1
-            elif cmp < 0:
-                for s in range(K):
-                    ok[t, s] = k2[j, s]
-                for s in range(E):
-                    oe[t, s] = e2[j, s]
-                oc[t] = (p - c2[j]) % p
-                j += 1
-                t += 1
-            else:
-                c = (c1[i] - c2[j]) % p
-                if c != 0:
-                    for s in range(K):
-                        ok[t, s] = k1[i, s]
-                    for s in range(E):
-                        oe[t, s] = e1[i, s]
-                    oc[t] = c
-                    t += 1
-                i += 1
-                j += 1
-        while i < m1:
-            for s in range(K):
-                ok[t, s] = k1[i, s]
-            for s in range(E):
-                oe[t, s] = e1[i, s]
-            oc[t] = c1[i]
-            i += 1
-            t += 1
-        while j < m2:
-            for s in range(K):
-                ok[t, s] = k2[j, s]
-            for s in range(E):
-                oe[t, s] = e2[j, s]
-            oc[t] = (p - c2[j]) % p
-            j += 1
-            t += 1
-        return ok[:t].copy(), oe[:t].copy(), oc[:t].copy()
-
-    @njit(cache=True)
-    def _nb_normal_form(fk, fe, fc, bk, be, bc, boff, p):  # pragma: no cover
-        nb = boff.shape[0] - 1
-        K = fk.shape[1]
-        E = fe.shape[1]
-        cap = fc.shape[0] + 16
-        out_k = np.empty((cap, K), dtype=np.int64)
-        out_e = np.empty((cap, E), dtype=np.int64)
-        out_c = np.empty(cap, dtype=np.int64)
-        n_out = 0
-        ck, ce, cc = fk, fe, fc
-        while cc.shape[0] > 0:
-            j = -1
-            for b in range(nb):
-                r = boff[b]
-                if be[r, 0] != ce[0, 0]:
-                    continue
-                ok_div = True
-                for s in range(1, E):
-                    if be[r, s] > ce[0, s]:
-                        ok_div = False
-                        break
-                if ok_div:
-                    j = b
-                    break
-            if j < 0:
-                if n_out == cap:
-                    cap *= 2
-                    nk = np.empty((cap, K), dtype=np.int64)
-                    ne = np.empty((cap, E), dtype=np.int64)
-                    nc = np.empty(cap, dtype=np.int64)
-                    nk[:n_out] = out_k[:n_out]
-                    ne[:n_out] = out_e[:n_out]
-                    nc[:n_out] = out_c[:n_out]
-                    out_k, out_e, out_c = nk, ne, nc
-                for s in range(K):
-                    out_k[n_out, s] = ck[0, s]
-                for s in range(E):
-                    out_e[n_out, s] = ce[0, s]
-                out_c[n_out] = cc[0]
-                n_out += 1
-                ck, ce, cc = ck[1:], ce[1:], cc[1:]
-                continue
-            s0 = boff[j]
-            t0 = boff[j + 1]
-            m2 = t0 - s0 - 1
-            gk = np.empty((m2, K), dtype=np.int64)
-            ge = np.empty((m2, E), dtype=np.int64)
-            gc = np.empty(m2, dtype=np.int64)
-            q = (cc[0] * _nb_modinv(bc[s0], p)) % p
-            for r in range(m2):
-                for s in range(K):
-                    gk[r, s] = bk[s0 + 1 + r, s] + ck[0, s] - bk[s0, s]
-                ge[r, 0] = be[s0 + 1 + r, 0]
-                for s in range(1, E):
-                    ge[r, s] = be[s0 + 1 + r, s] + ce[0, s] - be[s0, s]
-                gc[r] = (bc[s0 + 1 + r] * q) % p
-            ck, ce, cc = _nb_merge_sub(ck[1:], ce[1:], cc[1:], gk, ge, gc, p)
-        return out_k[:n_out].copy(), out_e[:n_out].copy(), out_c[:n_out].copy()
-
-    merge_sub = _nb_merge_sub
-    normal_form_arrays = _nb_normal_form
-    modinv = _nb_modinv
-else:
-    merge_sub = _py_merge_sub
-    normal_form_arrays = _py_normal_form
-    modinv = _py_modinv
-
-
 def backend_name():
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark results."""
+    return "numpy"

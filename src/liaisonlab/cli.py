@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import (
     DegenerateMatrix,
+    DegreeOverflow,
     LiaisonError,
     NotHomogeneous,
     PrimeCheckFailed,
@@ -592,6 +593,7 @@ def main(argv=None):
         VariableOutOfRange,
         NotHomogeneous,
         DegenerateMatrix,  # a matrix that is not graded is malformed session input
+        DegreeOverflow,
     ) as exc:
         emit_report({"error": exc.code, "message": str(exc)}, seed, args.out)
         return 2

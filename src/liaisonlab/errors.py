@@ -23,6 +23,13 @@ class PrimeCheckFailed(LiaisonError):
     code = "prime-check-failed"
 
 
+class DegreeOverflow(LiaisonError):
+    """A negative exponent, or a total degree above ring.MAX_DEGREE, where
+    the int64 term arrays would wrap."""
+
+    code = "degree-overflow"
+
+
 class NotHomogeneous(LiaisonError):
     code = "not-homogeneous"
 

@@ -1,30 +1,37 @@
 """Buchberger engine for ideals and submodules of graded free modules.
 
-Normal strategy (minimal lcm degree first), Buchberger's product criterion
-(ring case) and the chain criterion.  `buchberger` returns the canonical
-reduced basis, deterministic for a fixed input ideal regardless of
-generator order.
+One pair loop (`_pair_loop`) does all the work.  It is the homogeneous
+Buchberger algorithm run degree by degree (Kreuzer-Robbiano,
+Computational Commutative Algebra 2, Ch. 4): the inputs are admitted in
+(degree, leading key) order, and before an input of degree d comes in,
+every pending S-pair of degree <= d is done.  The input is reduced against
+that truncated basis, and one whose normal form is zero is reported as
+redundant.  Pairs are taken by true degree (twists included), smallest
+lcm first, and pruned by Buchberger's product criterion (ring case) and
+the chain criterion.  `buchberger` returns the canonical reduced basis,
+deterministic for a fixed input ideal regardless of generator order.
+
+`minimal_generators` is one run of the loop: the generators it does not
+report redundant are a minimal generating set (graded Nakayama).
 
 Syzygies come out of the same pair loop, run once on the tracked
 generators (g_i, e_{r+i}) in F + R^m, F of rank r dominant
-(`_augmented_basis`).  The rule: an S-pair remainder led by a tag
-position (>= r) has no F part, so its tag part is a syzygy; it is
-recorded, never added to the basis and never paired.  By Schreyer's
-theorem (Eisenbud, Commutative Algebra, Thm 15.10) and the chain
-criterion (Gebauer-Moeller), the recorded syzygies generate the syzygy
-module; for a Groebner basis G they are its Schreyer S-pair syzygies.
-The F-led elements are a Groebner basis of <g> that carries coordinates
-in its tag part: `lift_coordinates` reduces against it.  Neither part is
-interreduced.
+(`_augmented_basis`).  The rule: a remainder led by a tag position (>= r)
+has no F part, so its tag part is a syzygy; it is recorded, never added
+to the basis and never paired.  By Schreyer's theorem (Eisenbud,
+Commutative Algebra, Thm 15.10) and the chain criterion (Gebauer-Moeller),
+the recorded syzygies generate the syzygy module.  The F-led elements are
+a Groebner basis of <g> that carries coordinates in its tag part:
+`lift_coordinates` reduces against it.  Neither part is interreduced.
 
-`annihilator` is the third user of the pair loop: it tracks one element v
-and leaves the relations untagged, so the recorded tag parts are the ring
-elements a with a*v in the span of the relations (colon ideals and
-intersections, Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, Sec. 2.8).
+`annihilator` tracks one element v and leaves the relations untagged, so
+the recorded tag parts are the ring elements a with a*v in the span of the
+relations (colon ideals and intersections, Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, Sec. 2.8).
 """
 
 import heapq
+import math
 
 import numpy as np
 
@@ -113,11 +120,18 @@ def _lcm_exps(ea, eb):
 
 
 def _pair_key(module, pos, lcm):
+    """Heap key of an S-pair: its true degree (the lcm's degree plus the
+    twist of its position), then the module key of the lcm."""
     row = np.empty((1, 1 + module.ring.nvars), dtype=_I64)
     row[0, 0] = pos
     row[0, 1:] = lcm
     key = module.key_rows(row)[0]
-    return (int(lcm.sum()), tuple(int(x) for x in key))
+    return (int(lcm.sum()) + module.twists[pos], tuple(int(x) for x in key))
+
+
+def _admission_key(g):
+    """(degree, leading key): the order in which the pair loop takes inputs."""
+    return g.degree, tuple(int(x) for x in g.keys[0])
 
 
 def buchberger(gens):
@@ -130,28 +144,31 @@ def buchberger(gens):
         if g.module != module:
             raise RingMismatch("generators from different modules")
     # no position reaches the rank, so no remainder is set aside
-    basis, _ = _pair_loop(gens, module.rank)
+    basis, _, _ = _pair_loop(gens, module.rank)
     return GroebnerBasis(module, interreduce(basis))
 
 
 def _pair_loop(gens, boundary):
-    """Buchberger's pair loop over gens, elements of one module.
+    """Buchberger's pair loop over gens, elements of one module, run degree
+    by degree.
 
-    Returns (basis, syzygies).  A nonzero S-pair remainder whose leading
-    term sits at a position >= boundary goes to syzygies: it is never
-    added to the basis and never paired.  Every other one joins the basis,
-    which is returned as it stands (not interreduced): each of its S-pairs
-    reduces to zero or to a recorded syzygy.
+    The nonzero inputs are admitted in (degree, leading key) order; zero
+    ones are skipped.  Before an input of degree d is admitted, every
+    pending pair of degree <= d is done, so the basis is a Groebner basis,
+    up to degree d, of the inputs admitted so far; the input is then
+    reduced against it.  A zero remainder means the input lies in the span
+    of the inputs before it.
+
+    Returns (basis, syzygies, redundant): redundant holds the indices of
+    the inputs whose remainder was zero.  A nonzero remainder, of an input
+    or of an S-pair, whose leading term sits at a position >= boundary goes
+    to syzygies: it is never added to the basis and never paired.  Every
+    other one joins the basis, which is returned as it stands (not
+    interreduced): each of its S-pairs reduces to zero or to a recorded
+    syzygy.
     """
     module = gens[0].module
-    basis = []
-    for g in sorted(
-        (g.monic() for g in gens if not g.is_zero),
-        key=lambda h: tuple(int(x) for x in h.keys[0]),
-    ):
-        if not any(h == g for h in basis):
-            basis.append(g)
-    syzygies = []
+    basis, syzygies, redundant = [], [], []
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
@@ -171,44 +188,69 @@ def _pair_loop(gens, boundary):
         heapq.heappush(heap, (deg, key, i, j))
         pending.add((i, j))
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push_pair(i, j)
-
-    while heap:
-        _, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
-        pending.discard((i, j))
-        gi, gj = basis[i], basis[j]
-        lcm = _lcm_exps(gi.exps[0, 1:], gj.exps[0, 1:])
-        # chain criterion
-        skip = False
-        for k, gk in enumerate(basis):
-            if k in (i, j):
-                continue
-            if gk.exps[0, 0] != gi.exps[0, 0]:
-                continue
-            if (gk.exps[0, 1:] <= lcm).all():
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
-        h = normal_form(s, basis)
-        if h.is_zero:
-            continue
+    def admit(h):
         if int(h.exps[0, 0]) >= boundary:
             syzygies.append(h)
-            continue
+            return
         basis.append(h.monic())
         for t in range(len(basis) - 1):
             push_pair(t, len(basis) - 1)
 
-    return basis, syzygies
+    def pop_pairs(degree):
+        while heap and heap[0][0] <= degree:
+            _, _, i, j = heapq.heappop(heap)
+            if (i, j) not in pending:
+                continue
+            pending.discard((i, j))
+            gi, gj = basis[i], basis[j]
+            lcm = _lcm_exps(gi.exps[0, 1:], gj.exps[0, 1:])
+            # chain criterion
+            skip = False
+            for k, gk in enumerate(basis):
+                if k in (i, j):
+                    continue
+                if gk.exps[0, 0] != gi.exps[0, 0]:
+                    continue
+                if (gk.exps[0, 1:] <= lcm).all():
+                    pik = (min(i, k), max(i, k))
+                    pjk = (min(j, k), max(j, k))
+                    if pik not in pending and pjk not in pending:
+                        skip = True
+                        break
+            if skip:
+                continue
+            s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
+            h = normal_form(s, basis)
+            if not h.is_zero:
+                admit(h)
+
+    live = [i for i, g in enumerate(gens) if not g.is_zero]
+    for i in sorted(live, key=lambda i: _admission_key(gens[i])):
+        pop_pairs(gens[i].degree)
+        h = normal_form(gens[i], basis)
+        if h.is_zero:
+            redundant.append(i)
+        else:
+            admit(h)
+    pop_pairs(math.inf)
+    return basis, syzygies, redundant
+
+
+def minimal_generators(gens):
+    """Minimal generating subset of <gens> (graded Nakayama), in (degree,
+    leading key) order.
+
+    One degree-ordered pair loop: a generator of degree d is dropped
+    exactly when its normal form against the Groebner basis, truncated at
+    degree d, of the generators before it is zero, i.e. when it lies in
+    their span.
+    """
+    gens = sorted((g for g in gens if not g.is_zero), key=_admission_key)
+    if not gens:
+        return []
+    _, _, redundant = _pair_loop(gens, gens[0].module.rank)
+    redundant = set(redundant)
+    return [g for i, g in enumerate(gens) if i not in redundant]
 
 
 def interreduce(elems):
@@ -255,7 +297,7 @@ def _augmented_basis(gens):
     module = gens[0].module
     r = module.rank
     big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens), kind="pot")
-    basis, syzygies = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r)
+    basis, syzygies, _ = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r)
     return r, GroebnerBasis(big, basis), syzygies
 
 
@@ -316,5 +358,5 @@ def annihilator(v, relations):
     r = v.module.rank
     big = FreeModule(v.ring, v.module.twists + (v.degree,), kind="pot")
     gens = [big.rehome(v) + big.gen(r)] + [big.rehome(g) for g in relations]
-    _, syzygies = _pair_loop(gens, r)
+    _, syzygies, _ = _pair_loop(gens, r)
     return [big.component(h, r) for h in syzygies]

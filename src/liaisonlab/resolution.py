@@ -3,11 +3,12 @@ classification, E-type truncations, Ext modules and deficiency-module
 Hilbert functions via local duality.
 
 Resolutions are built stage by stage: minimal generator selection by
-graded Nakayama (ranks of graded pieces over GF(p), through
-`_kernels.pivot_rows`), then the syzygies of the minimal generators.
-There is one syzygy path, `groebner.syzygies_of`: the tag-led S-pair
-remainders of one tracked Buchberger run, a generating set and not a
-Groebner basis, which the next stage minimises.  Every differential
+graded Nakayama (`groebner.minimal_generators`, one run of the Buchberger
+pair loop taking the generators degree by degree and dropping those that
+reduce to zero), then the syzygies of the minimal generators.  There is
+one syzygy path, `groebner.syzygies_of`: the tag-led S-pair remainders of
+one tracked Buchberger run, a generating set and not a Groebner basis,
+which the next stage minimises.  Every differential
 therefore has entries in the maximal ideal and the Betti numbers are read
 off directly.
 
@@ -18,43 +19,12 @@ Hilbert numerators, canonical modules and the mapping-cone shapes of
 `liaison` are all assembled from these.
 """
 
-from itertools import chain
-
 import numpy as np
 
-from . import _kernels as K
 from .errors import NotCM, UnitIdeal, WrongCodim
-from .groebner import buchberger, lift_coordinates, syzygies_of
+from .groebner import buchberger, lift_coordinates, minimal_generators, syzygies_of
 from .hilbert import HilbertData, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
-
-
-def minimal_generators(gens, module):
-    """Minimal generating subset of <gens>, by graded Nakayama.
-
-    Any generating set spans the module linearly in each degree, so the
-    graded pieces of m*<gens> come from monomial multiples of the input
-    generators and candidate degrees are the input degrees themselves;
-    no Groebner basis is needed here.  In degree d, `pivot_rows` reads the
-    multiples of the lower-degree generators first and then the degree-d
-    generators; a generator is kept when its row is a pivot.
-    """
-    elems = sorted(
-        (g for g in gens if not g.is_zero),
-        key=lambda g: (g.degree, tuple(int(x) for x in g.keys[0])),
-    )
-    ring = module.ring
-    kept = []
-    for d in sorted({g.degree for g in elems}):
-        index = {m: i for i, m in enumerate(module.monomials(d))}
-        lower = [g for g in elems if g.degree < d]
-        cands = [g for g in elems if g.degree == d]
-        monos = {dd: ring.monomials(dd) for dd in {d - g.degree for g in lower}}
-        n_multiples = sum(len(monos[d - g.degree]) for g in lower)
-        rows = chain((g.mono_mul(u) for g in lower for u in monos[d - g.degree]), cands)
-        pivots = K.pivot_rows((h.coordinates(index) for h in rows), ring.p)
-        kept += [cands[i - n_multiples] for i in pivots if i >= n_multiples]
-    return kept
 
 
 class Resolution:
@@ -103,16 +73,14 @@ def resolve(F0, relation_gens):
     nvars + 2 stages raises."""
     ring = F0.ring
     stages = []
-    cur_mod = F0
     cur = [g for g in relation_gens if not g.is_zero]
     for _ in range(ring.nvars + 2):
         if not cur:
             break
-        mins = minimal_generators(cur, cur_mod)
+        mins = minimal_generators(cur)
         Fk = FreeModule(ring, tuple(g.degree for g in mins), kind="pot")
         stages.append((Fk, mins))
         cur = [s for s in syzygies_of(mins) if not s.is_zero]
-        cur_mod = FreeModule(ring, Fk.twists, kind="pot")
     if cur:
         raise AssertionError("resolution did not terminate within the bound")
     return Resolution(F0, stages)

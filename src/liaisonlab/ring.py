@@ -11,12 +11,23 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import _kernels as K
-from .errors import DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
+from .errors import DegreeOverflow, DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
 
 _I64 = np.int64
 
 # Coefficient products of two residues must fit in int64.
 MAX_PRIME = 2**31
+
+# Exponents are >= 0 and every term has total degree <= MAX_DEGREE, so the
+# exponents, degrees and keys of a product of two terms (an S-pair lcm, a
+# reduction step) fit in int64.  A product that would pass the bound raises
+# DegreeOverflow instead of wrapping.
+MAX_DEGREE = 2**62 - 1
+
+
+def _check_degree(degree):
+    if degree > MAX_DEGREE:
+        raise DegreeOverflow(f"total degree {degree} exceeds the bound 2^62 - 1 of the int64 term arrays")
 
 
 def is_prime(p):
@@ -236,11 +247,6 @@ class FreeModule:
     def rank(self):
         return len(self.twists)
 
-    def monomials(self, d):
-        """The (pos, exps) basis of the degree-d piece, position-major, each
-        position in `Ring.monomials` order."""
-        return [(pos, e) for pos, a in enumerate(self.twists) for e in self.ring.monomials(d - a)]
-
     def key_rows(self, exps):
         """exps int64[m, 1+nv] (column 0 = position) -> key matrix."""
         exps = np.asarray(exps, dtype=_I64)
@@ -348,8 +354,12 @@ def _tuples_to_arrays(module, rows):
     nv = module.ring.nvars
     if not rows:
         return K.empty_terms(1 + nv, module.keylen)
+    for t, _ in rows:
+        if min(t[1:], default=0) < 0:
+            raise DegreeOverflow(f"negative exponent in {tuple(t[1:])}")
+        _check_degree(sum(t[1:]))
     exps = np.array([t for t, _ in rows], dtype=_I64).reshape(len(rows), 1 + nv)
-    coeffs = np.array([c for _, c in rows], dtype=_I64)
+    coeffs = np.array([c % module.ring.p for _, c in rows], dtype=_I64)
     keys = module.key_rows(exps)
     return K.canonicalize(keys, exps, coeffs, module.ring.p)
 
@@ -461,11 +471,16 @@ class Element:
             return self
         return self.scale(self.ring.field.inv(self.lc()))
 
+    def _top_degree(self):
+        """Largest total degree of a term, twists left out (0 for zero)."""
+        return int(self.exps[:, 1:].sum(axis=1).max()) if len(self.coeffs) else 0
+
     def mono_mul(self, exps, c=1):
         """Multiply by c * monomial; keys shift additively, no re-sort."""
         c = int(c) % self.ring.p
         if c == 0 or self.is_zero:
             return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
+        _check_degree(self._top_degree() + sum(int(x) for x in exps))
         e = np.zeros((1, self.exps.shape[1]), dtype=_I64)
         e[0, 1:] = exps
         dk = np.zeros((1, self.module.keylen), dtype=_I64)
@@ -480,6 +495,7 @@ class Element:
             raise RingMismatch("polynomial from another ring")
         if f.is_zero or self.is_zero:
             return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
+        _check_degree(self._top_degree() + f._top_degree())
         m, n = len(self.coeffs), len(f.coeffs)
         de = f.exps[:, 1:]
         exps = np.repeat(self.exps, n, axis=0)
@@ -523,14 +539,16 @@ class Polynomial(Element):
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        k = int(k)
+        _check_degree(self._top_degree() * k)
         r = self.ring.one()
         b = self
-        k = int(k)
         while k > 0:
             if k & 1:
                 r = r * b
-            b = b * b
             k >>= 1
+            if k:
+                b = b * b
         return r
 
     @property

@@ -28,13 +28,3 @@ def Rxy():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240810)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels(R4):
-    """Compile the jit kernels once so timed assertions measure the math."""
-    from liaisonlab.ideals import Ideal
-
-    x0, x1 = R4.var(0), R4.var(1)
-    Ideal(R4, [x0 * x1, x0 + x1]).colon(Ideal(R4, [x0, x1]))
-    yield

@@ -129,9 +129,11 @@ def test_prime_above_int64_bound_exits_2(tmp_path):
         ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n1 2\n", "syntax-error"),
         ("ring p=32003 vars=x0..x2\nideal I = x0+x1^2\n", None, "not-homogeneous"),
         ("ring p=32003 vars=x0..x2\nmatrix I = [[x0, x1^2+x0]]\n", None, "degenerate-matrix"),
+        # the exponent would wrap to -2^63 and the ideal read as the unit ideal
+        ("ring p=32003 vars=x0..x2\nideal I = x0^9223372036854775807*x0\n", None, "degree-overflow"),
     ],
     ids=["huge-prime", "p-not-integer", "points-not-integer", "point-too-short",
-         "not-homogeneous", "matrix-not-homogeneous"],
+         "not-homogeneous", "matrix-not-homogeneous", "exponent-overflow"],
 )
 def test_malformed_input_exits_2(session, points, error, tmp_path):
     (tmp_path / "s.txt").write_text(session)
@@ -143,6 +145,26 @@ def test_malformed_input_exits_2(session, points, error, tmp_path):
     assert doc["error"] == error
     if error == "syntax-error":
         assert doc["message"].startswith("line 2," if points else "line 1,")
+
+
+def _betti(tmp_path, ideal):
+    (tmp_path / "s.txt").write_text(f"ring p=32003 vars=x0..x2\nideal I = {ideal}\n")
+    out = tmp_path / "report.json"
+    code = main(["--out", str(out), "--session", str(tmp_path / "s.txt"), "betti", "I"])
+    return code, json.loads(out.read_bytes())
+
+
+def test_betti_at_a_huge_degree_lists_no_graded_piece(tmp_path):
+    """Minimal generators come from the pair loop, not from the monomials of
+    each graded piece; degree 10^6 alone would hold about 5*10^11 of them."""
+    code, doc = _betti(tmp_path, "x0^1000000*x1, x1^2")
+    assert code == 0
+    assert doc["betti"] == {"0": {"2": 1, "1000001": 1}, "1": {"1000002": 1}}
+
+
+def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
+    code, doc = _betti(tmp_path, "x0^4611686018427387904*x1, x1^2")
+    assert (code, doc["error"]) == (2, "degree-overflow")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,4 @@
-"""The GF(p) row-rank kernel against plain Gaussian elimination, and parity
-of the numba and pure-numpy reduction kernels on seeded term arrays (skipped
-where numba is not installed)."""
+"""The GF(p) row-rank kernel against plain Gaussian elimination."""
 
 import numpy as np
 import pytest
@@ -8,10 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liaisonlab import _kernels as K
-from liaisonlab.groebner import buchberger
-from liaisonlab.ring import Ring
-
-needs_numba = pytest.mark.skipif(not K.USE_NUMBA, reason="numba not installed or switched off")
 
 
 def _independent_rows(rows, p):
@@ -62,36 +56,3 @@ def test_pivot_rows_matches_elimination(p):
         assert K.pivot_rows(lazy, p) == _independent_rows(rows, p)
 
     check()
-
-
-def _arrays(f):
-    return f.keys, f.exps, f.coeffs
-
-
-def _same(a, b):
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-@needs_numba
-def test_merge_sub_parity():
-    R = Ring(4, 32003)
-    rng = np.random.default_rng(11)
-    for _ in range(30):
-        f = R.random_poly(int(rng.integers(0, 5)), rng)
-        g = R.random_poly(int(rng.integers(0, 5)), rng)
-        for a, b in ((f, g), (f, f), (g, f)):
-            args = _arrays(a) + _arrays(b) + (R.p,)
-            assert _same(K._py_merge_sub(*args), K._nb_merge_sub(*args))
-
-
-@needs_numba
-def test_normal_form_parity():
-    R = Ring(4, 32003)
-    rng = np.random.default_rng(12)
-    x0, x1, x2, x3 = R.gens()
-    G = buchberger([x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
-    basis = G.concat()
-    for _ in range(30):
-        f = R.random_poly(int(rng.integers(1, 6)), rng)
-        args = _arrays(f) + basis + (R.p,)
-        assert _same(K._py_normal_form(*args), K._nb_normal_form(*args))

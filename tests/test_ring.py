@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
-from liaisonlab.ring import LEX, FreeModule, Order, PrimeField, Ring
+from liaisonlab.errors import (
+    DegreeOverflow,
+    DivisionByZero,
+    PrimeCheckFailed,
+    RingMismatch,
+    ZeroPolynomial,
+)
+from liaisonlab.ring import LEX, MAX_DEGREE, FreeModule, Order, PrimeField, Ring
 
 
 def test_field_ops():
@@ -127,6 +133,51 @@ def test_prime_bound_at_the_int64_edge():
     assert (-(x0 + x1)) ** 2 == x0 ** 2 + 2 * x0 * x1 + x1 ** 2
     with pytest.raises(PrimeCheckFailed):
         Ring(2, 4294967311)
+
+
+def test_degree_bound_at_the_int64_edge():
+    """Exponents and degrees are int64: every term has degree at most
+    MAX_DEGREE = 2^62 - 1, so the sum of two degrees cannot wrap."""
+    R = Ring(2, 32003)
+    assert R.poly({(MAX_DEGREE, 0): 1}).degree == MAX_DEGREE
+    assert (R.poly({(2**61 - 1, 0): 1}) ** 2).degree == 2**62 - 2
+    for build in (
+        lambda: R.poly({(2**62, 0): 1}) ** 2,
+        lambda: R.poly({(2**61, 0): 1}) ** 2,
+        lambda: R.poly({(2**63 - 1, 0): 1}),
+        lambda: R.poly({(-1, 2): 1}),
+        lambda: FreeModule(R, (0, 1)).element({(1, (2**62, 0)): 1}),
+    ):
+        with pytest.raises(DegreeOverflow):
+            build()
+    # a coefficient beyond int64 is reduced mod p before it is stored
+    assert R.constant(10**30) == R.constant(10**30 % 32003)
+
+
+@given(
+    st.integers(0, MAX_DEGREE),
+    st.integers(-3, 3),
+    st.integers(0, MAX_DEGREE),
+    st.integers(0, MAX_DEGREE),
+)
+@settings(max_examples=200, deadline=None)
+def test_products_near_the_degree_bound(d, excess, s, t):
+    """A binomial of degree d times a monomial of degree near
+    MAX_DEGREE - d: past the bound the product raises, within it the
+    exponents are the exact sums."""
+    R = Ring(2, 32003)
+    d2 = min(max(MAX_DEGREE - d + excess, 0), MAX_DEGREE)
+    e = (s % (d + 1), d - s % (d + 1))
+    e2 = (t % (d2 + 1), d2 - t % (d2 + 1))
+    f, g = R.poly({e: 1, (0, d): 1}), R.monomial(e2)
+    if d + d2 <= MAX_DEGREE:
+        expect = R.poly({(e[0] + e2[0], e[1] + e2[1]): 1, (e2[0], d + e2[1]): 1})
+        assert f * g == expect and f.mono_mul(e2) == expect
+        assert (f * g).degree == d + d2
+    else:
+        for product in (lambda: f * g, lambda: f.mono_mul(e2)):
+            with pytest.raises(DegreeOverflow):
+                product()
 
 
 def _random_element(F, rng):
