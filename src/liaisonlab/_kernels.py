@@ -9,12 +9,29 @@ A (module) polynomial is held as three parallel arrays:
   coeffs int64[m]        -- values in [1, p)
 
 Keys are additive (key of a product is the sum of keys), so multiplying by a
-monomial is a constant shift and never re-sorts.  The kernels below implement
-the two inner loops that dominate every Groebner-basis run: merge-subtract of
-sorted term arrays and full normal-form reduction against a basis.
-`pivot_rows` is the GF(p) rank of a sequence of dense rows; it serves point
-Hilbert functions and Weak Lefschetz checks only (minimal generators come
-from the pair loop in `groebner`).
+monomial is a constant shift and never re-sorts.  Arrays in this form are
+canonical; the term-array kernels below return new canonical arrays.
+
+- `canonicalize` takes terms in any order, with repeated keys and any
+  integer coefficients: one `np.lexsort` of the key rows, reversed for
+  descending order, an adjacent-row inequality mask marks the first row of
+  each key, and `np.add.reduceat` sums each run mod p; zero sums are
+  dropped.
+- `merge_sub` (f - g of two canonical arrays) merges the two key lists,
+  taken with one `tolist()` each, in one Python loop with native list
+  comparison, so no key row is compared through numpy scalar indexing.
+  The loop records the output rows as indices into (f; g) with their
+  coefficients, combining equal keys mod p and dropping zero sums; keys
+  and exponents are then one fancy index each.  An empty side returns a
+  copy of the other at once.
+- `normal_form_arrays` is full reduction against a basis: one
+  `merge_sub` per reduced head term.
+
+Both sort-and-combine kernels run the same code at every size: there is no
+size cutoff and no second path.  `pivot_rows` is the GF(p) rank of a
+sequence of dense rows; it serves point Hilbert functions and Weak
+Lefschetz checks only (minimal generators come from the pair loop in
+`groebner`).
 """
 
 import numpy as np
@@ -35,21 +52,24 @@ def canonicalize(keys, exps, coeffs, p):
     coeffs = np.asarray(coeffs, dtype=_I64) % p
     keys = np.asarray(keys, dtype=_I64)
     exps = np.asarray(exps, dtype=_I64)
-    if len(coeffs) == 0:
+    n = len(coeffs)
+    if n == 0:
         return keys.reshape(0, keys.shape[-1] if keys.ndim == 2 else 0), exps.reshape(
             0, exps.shape[-1] if exps.ndim == 2 else 0
         ), coeffs
-    keys = keys.reshape(len(coeffs), -1)
-    exps = exps.reshape(len(coeffs), -1)
-    uk, inv = np.unique(keys, axis=0, return_inverse=True)
-    c = np.zeros(len(uk), dtype=_I64)
-    np.add.at(c, inv, coeffs)
-    c %= p
-    ue = np.empty((len(uk), exps.shape[1]), dtype=_I64)
-    ue[inv] = exps
-    keep = c != 0
-    # np.unique sorts rows ascending lexicographically; we store descending
-    return uk[keep][::-1].copy(), ue[keep][::-1].copy(), c[keep][::-1].copy()
+    keys = keys.reshape(n, -1)
+    exps = exps.reshape(n, -1)
+    # lexsort's last key is the primary one; its ascending order, reversed,
+    # puts the rows in descending order
+    idx = np.lexsort(keys.T[::-1])[::-1]
+    sk = keys[idx]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (sk[1:] != sk[:-1]).any(axis=1)
+    starts = first.nonzero()[0]
+    c = np.add.reduceat(coeffs[idx], starts) % p
+    keep = c.nonzero()[0]
+    rows = idx[starts[keep]]
+    return keys[rows], exps[rows], c[keep]
 
 
 def pivot_rows(rows, p):
@@ -79,39 +99,49 @@ def pivot_rows(rows, p):
 
 
 def merge_sub(k1, e1, c1, k2, e2, c2, p):
-    """f - g for term arrays already sorted descending; result canonical."""
+    """f - g for canonical term arrays; the result is canonical.
+
+    One Python merge of the two sorted key lists (native list comparison)
+    records the output rows as indices into (f; g), with their
+    coefficients; the key and exponent arrays are then one fancy index
+    each into the concatenated inputs.
+    """
     m1, m2 = len(c1), len(c2)
-    K = k1.shape[1] if m1 else k2.shape[1]
-    E = e1.shape[1] if m1 else e2.shape[1]
-    ok = np.empty((m1 + m2, K), dtype=_I64)
-    oe = np.empty((m1 + m2, E), dtype=_I64)
-    oc = np.empty(m1 + m2, dtype=_I64)
-    i = j = t = 0
+    if not m2:
+        return k1.copy(), e1.copy(), c1.copy()
+    if not m1:
+        return k2.copy(), e2.copy(), p - c2
+    a, b = k1.tolist(), k2.tolist()
+    ca, cb = c1.tolist(), c2.tolist()
+    order, oc = [], []
+    i = j = 0
     while i < m1 and j < m2:
-        cmp = _row_cmp(k1[i], k2[j])
-        if cmp > 0:
-            ok[t] = k1[i]; oe[t] = e1[i]; oc[t] = c1[i]; i += 1; t += 1
-        elif cmp < 0:
-            ok[t] = k2[j]; oe[t] = e2[j]; oc[t] = (p - c2[j]) % p; j += 1; t += 1
-        else:
-            c = (c1[i] - c2[j]) % p
-            if c:
-                ok[t] = k1[i]; oe[t] = e1[i]; oc[t] = c; t += 1
-            i += 1; j += 1
-    while i < m1:
-        ok[t] = k1[i]; oe[t] = e1[i]; oc[t] = c1[i]; i += 1; t += 1
-    while j < m2:
-        ok[t] = k2[j]; oe[t] = e2[j]; oc[t] = (p - c2[j]) % p; j += 1; t += 1
-    return ok[:t].copy(), oe[:t].copy(), oc[:t].copy()
-
-
-def _row_cmp(a, b):
-    for x, y in zip(a, b):
+        x, y = a[i], b[j]
         if x > y:
-            return 1
-        if x < y:
-            return -1
-    return 0
+            order.append(i)
+            oc.append(ca[i])
+            i += 1
+        elif x < y:
+            order.append(m1 + j)
+            oc.append(p - cb[j])
+            j += 1
+        else:
+            c = (ca[i] - cb[j]) % p
+            if c:
+                order.append(i)
+                oc.append(c)
+            i += 1
+            j += 1
+    order.extend(range(i, m1))
+    oc.extend(ca[i:])
+    order.extend(range(m1 + j, m1 + m2))
+    oc.extend([p - c for c in cb[j:]])
+    idx = np.array(order, dtype=np.intp)
+    return (
+        np.concatenate((k1, k2))[idx],
+        np.concatenate((e1, e2))[idx],
+        np.array(oc, dtype=_I64),
+    )
 
 
 def normal_form_arrays(fk, fe, fc, bk, be, bc, boff, p):

@@ -188,11 +188,25 @@ def _pair_loop(gens, boundary):
         heapq.heappush(heap, (deg, key, i, j))
         pending.add((i, j))
 
+    # the current basis as a GroebnerBasis, which caches its concatenated
+    # arrays; built when first needed and dropped when admit appends
+    gb = None
+
+    def reduce(f):
+        nonlocal gb
+        if not basis:
+            return f
+        if gb is None:
+            gb = GroebnerBasis(module, basis)
+        return normal_form(f, gb)
+
     def admit(h):
+        nonlocal gb
         if int(h.exps[0, 0]) >= boundary:
             syzygies.append(h)
             return
         basis.append(h.monic())
+        gb = None
         for t in range(len(basis) - 1):
             push_pair(t, len(basis) - 1)
 
@@ -220,14 +234,14 @@ def _pair_loop(gens, boundary):
             if skip:
                 continue
             s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
-            h = normal_form(s, basis)
+            h = reduce(s)
             if not h.is_zero:
                 admit(h)
 
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     for i in sorted(live, key=lambda i: _admission_key(gens[i])):
         pop_pairs(gens[i].degree)
-        h = normal_form(gens[i], basis)
+        h = reduce(gens[i])
         if h.is_zero:
             redundant.append(i)
         else:

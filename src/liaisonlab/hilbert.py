@@ -2,10 +2,10 @@
 regularity index and Macaulay growth bounds.
 
 The series numerator of R/I is computed from the leading-term monomial
-ideal by pivot recursion (split on the most frequent variable), memoized
-on the canonical form of the monomial generators.  Everything downstream
-(function values, polynomial, h-vector, regularity index) is derived
-exactly from that numerator.
+ideal by pivot recursion (split on a power of the most frequent variable),
+memoized on the canonical form of the monomial generators.  Everything
+downstream (function values, polynomial, h-vector, regularity index) is
+derived exactly from that numerator.
 """
 
 import math
@@ -55,17 +55,19 @@ def mono_numerator(gens, nv):
                     for i in s:
                         counts[i] += 1
             piv = max(range(nv), key=lambda i: counts[i])
-            # I + (x_piv):   drop generators divisible by x_piv, add x_piv
-            e = tuple(1 if i == piv else 0 for i in range(nv))
-            plus = [g for g in gens if g[piv] == 0] + [e]
-            # I : x_piv
+            # pivot on m = x_piv^k, k the smallest positive exponent of x_piv:
+            # N(I) = N(I + (m)) + t^k N(I : m), and I + (m) drops every
+            # generator divisible by x_piv, so the depth does not grow with k
+            k = min(g[piv] for g in gens if g[piv])
+            m = tuple(k if i == piv else 0 for i in range(nv))
+            plus = [g for g in gens if g[piv] == 0] + [m]
             colon = [
-                tuple(a - 1 if i == piv and a > 0 else a for i, a in enumerate(g))
+                tuple(max(a - k, 0) if i == piv else a for i, a in enumerate(g))
                 for g in gens
             ]
             na = mono_numerator(plus, nv)
             nb = mono_numerator(colon, nv)
-            res = _poly_add(na, _poly_shift(nb, 1))
+            res = _poly_add(na, _poly_shift(nb, k))
     _memo[key] = dict(res)
     return res
 

@@ -162,6 +162,18 @@ def test_betti_at_a_huge_degree_lists_no_graded_piece(tmp_path):
     assert doc["betti"] == {"0": {"2": 1, "1000001": 1}, "1": {"1000002": 1}}
 
 
+def test_hilbert_at_a_huge_pivot_exponent(tmp_path):
+    """The Hilbert numerator pivots on x0^5000 in one step; one power of x0
+    at a time, its recursion would be 5000 calls deep."""
+    (tmp_path / "s.txt").write_text("ring p=32003 vars=x0..x2\nideal I = x0^5000*x1, x1^2\n")
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "s.txt"), "hilbert", "I"]) == 0
+    doc = json.loads(out.read_bytes())
+    assert (doc["degree"], doc["dim"]) == (1, 2)
+    I = parse_session((tmp_path / "s.txt").read_text()).get("I", ("ideal",))
+    assert I.hilbert().numerator == {0: 1, 2: -1, 5001: -1, 5002: 1}
+
+
 def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
     code, doc = _betti(tmp_path, "x0^4611686018427387904*x1, x1^2")
     assert (code, doc["error"]) == (2, "degree-overflow")

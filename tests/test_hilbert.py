@@ -8,7 +8,9 @@ from liaisonlab.hilbert import (
     hilbert_data,
     macaulay_bound,
     macaulay_growth_check,
+    mono_numerator,
     regularity_index,
+    series_hf,
     si_sequence_check,
 )
 from liaisonlab.ideals import Ideal
@@ -143,3 +145,28 @@ def test_brute_force_hf_random_monomials(R3, rng):
         d = I.hilbert()
         for j in range(0, d.reg_index + 4):
             assert d.hf(j) == _brute_hf(I, j)
+
+
+def _brute_count(gens, j):
+    """Degree-j monomials of k[x0, x1, x2] divisible by no generator."""
+    count = 0
+    for a in range(j + 1):
+        for b in range(j - a + 1):
+            e = (a, b, j - a - b)
+            if not any(all(g[k] <= e[k] for k in range(3)) for g in gens):
+                count += 1
+    return count
+
+
+def test_mono_numerator_large_exponents(rng):
+    """Pivots on x^k with k up to 50: the numerator still gives every
+    Hilbert function value, checked by counting standard monomials."""
+    for _ in range(6):
+        gens = []
+        for _ in range(int(rng.integers(2, 5))):
+            g = rng.integers(0, 51, 3) * (rng.random(3) < 0.7)
+            gens.append(tuple(int(v) for v in g) if g.any() else (1, 0, 0))
+        numer = mono_numerator(gens, 3)
+        top = max(numer)
+        for j in sorted(set(range(0, top + 3, 13)) | set(range(max(top - 3, 0), top + 3))):
+            assert series_hf(numer, 3, j) == _brute_count(gens, j)
