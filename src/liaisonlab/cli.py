@@ -439,11 +439,11 @@ def run(session, command, args, seed, window):
         return {"command": "aci-gor", "result": J.canonical_strings(), **_betti_json(J)}
     if command == "cb-check":
         P = session.get(args.name, ("points",))
-        rep = cayley_bacharach_check(P, rng=rng, samples=args.samples)
+        rep = cayley_bacharach_check(P, rng=rng)
         return {"command": "cb-check", "name": args.name, **rep}
     if command == "dgo":
         P = session.get(args.name, ("points",))
-        rep = cayley_bacharach_check(P, rng=rng, samples=args.samples)
+        rep = cayley_bacharach_check(P, rng=rng)
         val = dgo_verify(P, rep)
         cls = classify(P.ideal())
         return {
@@ -546,10 +546,8 @@ def _build_parser():
     c = sub.add_parser("aci-gor")
     c.add_argument("--ci", required=True)
     c.add_argument("--ideal", required=True)
-    c = name_cmd("cb-check")
-    c.add_argument("--samples", type=int, default=200)
-    c = name_cmd("dgo")
-    c.add_argument("--samples", type=int, default=200)
+    name_cmd("cb-check")
+    name_cmd("dgo")
     name_cmd("wlp")
     name_cmd("gaeta")
     name_cmd("glicci")
@@ -569,14 +567,17 @@ def main(argv=None):
         args = ap.parse_args(argv)
         if args.window and args.window[0] > args.window[1]:
             ap.error("--window needs LO <= HI")
+        seed = args.seed or 0
+        env_seed = os.environ.get("LIAISON_SEED")
+        if env_seed is not None:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                ap.error(f"LIAISON_SEED must be an integer, not {env_seed!r}")
+        if seed < 0:
+            ap.error("the seed must be non-negative")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    seed = args.seed
-    env_seed = os.environ.get("LIAISON_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    if seed is None:
-        seed = 0
     session = Session()
     try:
         if args.session:

@@ -268,7 +268,8 @@ def minimal_generators(gens):
 
 
 def interreduce(elems):
-    """Canonical reduced basis: minimal monic generators, tails reduced."""
+    """Canonical reduced basis of a Groebner basis: minimal monic
+    generators, tails reduced."""
     elems = [g.monic() for g in elems if not g.is_zero]
     # keep only elements with minimal leading terms
     keep = []
@@ -286,21 +287,18 @@ def interreduce(elems):
                 break
         if not redundant:
             keep.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(keep)):
-            others = keep[:i] + keep[i + 1 :]
-            r = normal_form(keep[i], others) if others else keep[i]
-            if not r == keep[i]:
-                changed = True
-                if r.is_zero:
-                    keep.pop(i)
-                else:
-                    keep[i] = r.monic()
-                break
-    keep.sort(key=lambda g: tuple(int(x) for x in g.keys[0]), reverse=True)
-    return keep
+    if not keep:
+        return []
+    # A tail term is below its own leading term, so no element reduces
+    # itself; the leads stay, so one pass gives the unique reduced basis.
+    G = GroebnerBasis(keep[0].module, keep)
+    out = [
+        g._wrap((g.keys[:1], g.exps[:1], g.coeffs[:1]))
+        + normal_form(g._wrap((g.keys[1:], g.exps[1:], g.coeffs[1:])), G)
+        for g in keep
+    ]
+    out.sort(key=lambda g: tuple(int(x) for x in g.keys[0]), reverse=True)
+    return out
 
 
 def _augmented_basis(gens):

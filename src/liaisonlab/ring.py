@@ -395,8 +395,8 @@ class Element:
 
     def coordinates(self, index):
         """Dense int64 coefficient vector in the columns of index, a
-        {(pos, exps): column} map such as one built from
-        `FreeModule.monomials`; ring elements sit at pos 0."""
+        {(pos, exps): column} map that names every term of the element;
+        ring elements sit at pos 0."""
         v = np.zeros(len(index), dtype=_I64)
         v[[index[pos, e] for pos, e, _ in self.terms()]] = self.coeffs
         return v

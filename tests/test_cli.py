@@ -180,18 +180,22 @@ def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv,error",
+    "argv,env,error",
     [
-        (["macaulay", "1", "a", "3"], None),
-        (["--session", "p3.txt", "lift", "x1^2", "--level", "-1"], "variable-out-of-range"),
-        (["--session", "p3.txt", "lift", "1", "--level", "9"], "variable-out-of-range"),
-        (["--session", "p3.txt", "lift", "x1^2", "--level", "9"], "variable-out-of-range"),
-        (["--session", "p3.txt", "--window", "5", "1", "deficiency", "QUARTIC"], None),
+        (["macaulay", "1", "a", "3"], None, None),
+        (["--session", "p3.txt", "lift", "x1^2", "--level", "-1"], None, "variable-out-of-range"),
+        (["--session", "p3.txt", "lift", "1", "--level", "9"], None, "variable-out-of-range"),
+        (["--session", "p3.txt", "lift", "x1^2", "--level", "9"], None, "variable-out-of-range"),
+        (["--session", "p3.txt", "--window", "5", "1", "deficiency", "QUARTIC"], None, None),
+        (["--session", "p2pts.txt", "cb-check", "GRID"], "abc", None),
+        (["--session", "p2pts.txt", "--seed", "-1", "cb-check", "GRID"], None, None),
     ],
     ids=["macaulay-not-integer", "level-negative", "level-too-high-constant",
-         "level-too-high", "window-reversed"],
+         "level-too-high", "window-reversed", "env-seed-not-integer", "seed-negative"],
 )
-def test_malformed_arguments_exit_2(argv, error, tmp_path):
+def test_malformed_arguments_exit_2(argv, env, error, tmp_path, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("LIAISON_SEED", env)
     out = tmp_path / "report.json"
     assert main(["--out", str(out)] + _sessionize(argv)) == 2
     if error is None:  # rejected while parsing the arguments, before any report

@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liaisonlab._kernels import pivot_rows
@@ -128,6 +130,63 @@ def test_collinear_points(R3):
     assert not rep["cb"] and not rep["upp"]
     assert not dgo_verify(bad, rep)
     assert not classify(bad.ideal())["gorenstein"]
+
+
+def _cb_upp_by_full_enumeration(Z):
+    """Reference: CB from every |Z| - 1 subset in degree s - 1, and UPP as
+    h_Y(t) = min(|Y|, h_Z(t)) for every proper subset Y and every t <= s + 1."""
+    N, s = len(Z), Z.socle_degree()
+    cb = all(Z.hf(s - 1, Y) == Z.hf(s - 1) for Y in combinations(range(N), N - 1))
+    upp = all(
+        Z.hf(t, Y) == min(m, Z.hf(t))
+        for m in range(1, N)
+        for Y in combinations(range(N), m)
+        for t in range(s + 2)
+    )
+    return cb, upp
+
+
+CURVES = {"line": lambda a: (1, a, 0), "conic": lambda a: (1, a, a * a)}
+
+
+@given(
+    st.sampled_from([(3, 7), (3, 32003), (4, 7), (4, 32003)]),
+    st.sampled_from(sorted(CURVES)),
+    st.lists(st.integers(0, 6), unique=True, max_size=6),
+    st.lists(st.tuples(*[st.integers(0, 32002)] * 4), min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_cb_upp_match_full_subset_enumeration(shape, curve, params, free):
+    """Points on a line or a conic, plus a few more: the size-h_Z(t) subsets
+    decide UPP as the enumeration of every subset at every degree does."""
+    nvars, p = shape
+    coords = {}
+    for pt in [CURVES[curve](a) + (0,) * (nvars - 3) for a in params] + list(free):
+        pt = [a % p for a in pt[:nvars]]
+        lead = next((a for a in pt if a), None)
+        if lead is not None:
+            inv = pow(lead, p - 2, p)
+            coords.setdefault(tuple(a * inv % p for a in pt), None)
+    assume(coords)
+    Z = PointSet(Ring(nvars, p), list(coords))
+    rep = cayley_bacharach_check(Z)
+    assert (rep["cb"], rep["upp"]) == _cb_upp_by_full_enumeration(Z)
+    assert rep["upp_exhaustive"] and rep["socle_degree"] == Z.socle_degree()
+
+
+def test_upp_sampled_past_5000_subsets(R3):
+    """16 points: 8008 subsets of size 6 and of size 10, so those degrees
+    are sampled, with the same verdict for the same seed."""
+    general = PointSet.general(R3, 16, np.random.default_rng(5))
+    assert general.h_vector() == (1, 2, 3, 4, 5, 1)
+    rep = cayley_bacharach_check(general, rng=np.random.default_rng(1))
+    assert rep["upp"] and not rep["upp_exhaustive"]
+    assert rep == cayley_bacharach_check(general, rng=np.random.default_rng(1))
+    # 12 of 16 points on a conic: a sampled 6-subset on the conic has rank 5
+    conic = [(1, t, t * t % R3.p) for t in range(12)]
+    mixed = PointSet(R3, conic + PointSet.general(R3, 4, np.random.default_rng(6)).coords)
+    rep = cayley_bacharach_check(mixed, rng=np.random.default_rng(1))
+    assert not rep["upp"] and not rep["upp_exhaustive"]
 
 
 def test_five_general_points(R4, rng):
