@@ -24,19 +24,54 @@ canonical; the term-array kernels below return new canonical arrays.
   coefficients, combining equal keys mod p and dropping zero sums; keys
   and exponents are then one fancy index each.  An empty side returns a
   copy of the other at once.
-- `normal_form_arrays` is full reduction against a basis: one
-  `merge_sub` per reduced head term.
+- `normal_form_arrays` is full reduction against a basis by heap-based
+  division (Monagan & Pearce, "Polynomial division using dynamic arrays,
+  heaps, and packed exponent vectors", CASC 2007).  The pending terms sit
+  in a dict keyed by the negated key tuple, with a `heapq` min-heap of
+  those tuples, so the largest term is popped first.  A reduction step
+  adds the reducer's shifted tail term by term: the shifted keys,
+  exponents and coefficients are one numpy op each and one `tolist()`, so
+  a step costs O(reducer length * log n), not a pass over the remainder.
+  A coefficient that sums to 0 drops its dict entry; the key keeps its one
+  heap entry, which is skipped when popped unless a later step brought the
+  key back.  A term is reduced by the first block, by index, whose lead
+  has its position and divides it.  Heads are tested one numpy mask each
+  until the first irreducible head; the remainder's lead is then final, so
+  every pending term is tested against all leads in one batched
+  comparison and keeps its first divisor, and terms added later are tested
+  when they become the head.  A step that would take a term past
+  MAX_DEGREE raises DegreeOverflow.  A block's largest rise in degree
+  (tail over lead) is found the first time it reduces in a call, and only
+  a block with a positive rise costs one Python comparison per step:
+  homogeneous input never does.
 
-Both sort-and-combine kernels run the same code at every size: there is no
-size cutoff and no second path.  `pivot_rows` is the GF(p) rank of a
-sequence of dense rows; it serves point Hilbert functions and Weak
-Lefschetz checks only (minimal generators come from the pair loop in
-`groebner`).
+Every kernel runs the same code at every size: there is no size cutoff
+and no second path.  `pivot_rows` is the GF(p) rank of a sequence of
+dense rows; it serves point Hilbert functions and Weak Lefschetz checks
+only (minimal generators come from the pair loop in `groebner`).
 """
+
+import heapq
 
 import numpy as np
 
+from .errors import DegreeOverflow
+
 _I64 = np.int64
+
+# Exponents are >= 0 and every term has total degree <= MAX_DEGREE, so the
+# exponents, degrees and keys of a product of two terms (an S-pair lcm, a
+# reduction step) fit in int64.  A product that would pass the bound raises
+# DegreeOverflow instead of wrapping.
+MAX_DEGREE = 2**62 - 1
+
+# Cells of one batched divisibility mask (pending terms x leads x columns).
+_MASK_CELLS = 1 << 20
+
+_all = np.logical_and.reduce
+
+# Below every (-pos, pos, exponents...) row of a term.
+_FLOOR = np.iinfo(_I64).min
 
 
 def empty_terms(nexp, nkey):
@@ -148,42 +183,103 @@ def normal_form_arrays(fk, fe, fc, bk, be, bc, boff, p):
     """Full normal form of f against the basis blocks in (bk, be, bc, boff).
 
     Block j occupies rows boff[j]:boff[j+1]; its leading term is the first
-    row.  Returns canonical term arrays of the remainder.
+    row.  The largest pending term is reduced first, by the first block
+    whose lead divides it.  Returns canonical term arrays of the remainder;
+    raises DegreeOverflow where a reduction step would pass MAX_DEGREE.
     """
     nb = len(boff) - 1
-    lt_e = be[boff[:-1]] if nb else be[:0]
-    lt_c = bc[boff[:-1]] if nb else bc[:0]
+    if not nb or not len(fc):
+        return fk.copy(), fe.copy(), fc.copy()
+    bounds = boff.tolist()
+    # lead rows as (-pos, pos, exponents...), then a row below every term:
+    # lead j divides a term exactly when its row is <= the term's row in the
+    # same form, and the first such row is block j's, or nb for none.  The
+    # rows are the columns of lt_t, which the batched test reads fastest
+    lead = be[boff[:-1]]
+    lt_t = np.empty((lead.shape[1] + 1, nb + 1), dtype=_I64)
+    lt_t[1:, :nb] = lead.T
+    np.negative(lead[:, 0], out=lt_t[0, :nb])
+    lt_t[:, nb] = _FLOOR
+    lt_x = lt_t.T
+    # block j -> the most a step with it raises its head's degree, found
+    # the first time the block reduces
+    excess = {}
+    # pending terms by negated key (heap order is ascending), with their
+    # exponents and first dividing block.  A key is pushed once: keys only
+    # fall, so a popped key never returns, and a cancelled key's entry stays
+    # in the heap for the step that may bring it back
+    heap = list(map(tuple, (-fk).tolist()))  # ascending, so already a heap
+    coef = dict(zip(heap, fc.tolist()))
+    exps = dict(zip(heap, fe.tolist()))
+    first = {}
+    lead_final = False
     out_k, out_e, out_c = [], [], []
-    ck, ce, cc = fk, fe, fc
-    while len(cc):
-        head_e = ce[0]
-        j = -1
-        if nb:
-            hits = np.nonzero((lt_e <= head_e).all(axis=1) & (lt_e[:, 0] == head_e[0]))[0]
-            if hits.size:
-                j = int(hits[0])
-        if j < 0:
-            out_k.append(ck[0]); out_e.append(ce[0]); out_c.append(cc[0])
-            ck, ce, cc = ck[1:], ce[1:], cc[1:]
+    while heap:
+        h = heapq.heappop(heap)
+        c = coef.pop(h, 0)
+        if not c:
             continue
-        s, t = int(boff[j]), int(boff[j + 1])
-        shift_e = head_e - lt_e[j]
-        shift_e[0] = 0
-        shift_k = ck[0] - bk[s]
-        q = (int(cc[0]) * pow(int(lt_c[j]), p - 2, p)) % p
-        gk = bk[s + 1 : t] + shift_k
-        ge = be[s + 1 : t] + shift_e
-        gc = (bc[s + 1 : t] * q) % p
-        ck, ce, cc = merge_sub(ck[1:], ce[1:], cc[1:], gk, ge, gc, p)
-    K = fk.shape[1]
-    E = fe.shape[1]
+        e = exps[h]
+        j = first.get(h)
+        if j is None:
+            j = int(_all(lt_x <= [-e[0], *e], axis=1).argmax())
+        if j == nb:
+            out_k.append(h); out_e.append(e); out_c.append(c)
+            if not lead_final:
+                # the remainder's lead is fixed: test every pending term
+                # against the leads at once
+                lead_final = True
+                if coef:
+                    _first_divisors(coef, exps, first, lt_t)
+            continue
+        s, t = bounds[j], bounds[j + 1]
+        if t - s == 1:
+            continue
+        rise = excess.get(j)
+        if rise is None:
+            d = np.add.reduce(be[s:t, 1:], axis=1)
+            rise = excess[j] = int(np.maximum.reduce(d) - d[0])
+        if rise > 0 and sum(e[1:]) + rise > MAX_DEGREE:
+            raise DegreeOverflow(
+                f"reduction step reaches total degree {sum(e[1:]) + rise}, "
+                "above the bound 2^62 - 1 of the int64 term arrays"
+            )
+        # the terms of -(c / lead coefficient) * (shifted tail), keys negated
+        q = p - c * pow(int(bc[s]), -1, p) % p
+        gk = (bk[s] + h) - bk[s + 1 : t]
+        ge = be[s + 1 : t] + (e - be[s])
+        gc = bc[s + 1 : t] * q % p
+        for k, x, y in zip(map(tuple, gk.tolist()), gc.tolist(), ge.tolist()):
+            old = coef.get(k)
+            if old is None:
+                coef[k] = x
+                if k not in exps:
+                    exps[k] = y
+                    heapq.heappush(heap, k)
+            else:
+                x = (old + x) % p
+                if x:
+                    coef[k] = x
+                else:
+                    del coef[k]
     if not out_c:
-        return empty_terms(E, K)
+        return empty_terms(fe.shape[1], fk.shape[1])
     return (
-        np.array(out_k, dtype=_I64),
+        -np.array(out_k, dtype=_I64),
         np.array(out_e, dtype=_I64),
         np.array(out_c, dtype=_I64),
     )
+
+
+def _first_divisors(coef, exps, first, lt_t):
+    """Record in `first` the first dividing block of each pending term, by
+    one batched comparison (in chunks of at most _MASK_CELLS cells)."""
+    keys = list(coef)
+    rows = np.array([[-exps[k][0], *exps[k]] for k in keys], dtype=_I64)
+    step = max(1, _MASK_CELLS // lt_t.size)
+    for i in range(0, len(keys), step):
+        hits = _all(lt_t <= rows[i : i + step, :, None], axis=1)
+        first.update(zip(keys[i : i + step], hits.argmax(axis=1).tolist()))
 
 
 def backend_name():

@@ -567,6 +567,8 @@ def main(argv=None):
         args = ap.parse_args(argv)
         if args.window and args.window[0] > args.window[1]:
             ap.error("--window needs LO <= HI")
+        if args.command == "macaulay" and min(args.values) < 0:
+            ap.error("macaulay values must be non-negative")
         seed = args.seed or 0
         env_seed = os.environ.get("LIAISON_SEED")
         if env_seed is not None:

@@ -344,12 +344,15 @@ def macaulay_growth_check(seq):
 
     Returns dict with 'valid', 'first_violation' (index j with the bad
     growth j -> j+1, or None) and 'maximal_growth' (indices with equality).
+    No sequence with a negative entry is valid; its first violation is the
+    growth into the first negative entry (0 if that is the first entry).
     """
     seq = list(seq)
     maximal = []
+    neg = next((i for i, v in enumerate(seq) if v < 0), None)
+    if neg is not None:
+        return {"valid": False, "first_violation": max(neg - 1, 0), "maximal_growth": maximal}
     for j in range(1, len(seq) - 1):
-        if seq[j] < 0 or seq[j + 1] < 0:
-            return {"valid": False, "first_violation": j, "maximal_growth": maximal}
         bound = macaulay_bound(seq[j], j)
         if seq[j + 1] > bound:
             return {"valid": False, "first_violation": j, "maximal_growth": maximal}

@@ -18,11 +18,8 @@ _I64 = np.int64
 # Coefficient products of two residues must fit in int64.
 MAX_PRIME = 2**31
 
-# Exponents are >= 0 and every term has total degree <= MAX_DEGREE, so the
-# exponents, degrees and keys of a product of two terms (an S-pair lcm, a
-# reduction step) fit in int64.  A product that would pass the bound raises
-# DegreeOverflow instead of wrapping.
-MAX_DEGREE = 2**62 - 1
+# The degree bound of the int64 term arrays (see _kernels).
+MAX_DEGREE = K.MAX_DEGREE
 
 
 def _check_degree(degree):

@@ -183,6 +183,7 @@ def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
     "argv,env,error",
     [
         (["macaulay", "1", "a", "3"], None, None),
+        (["macaulay", "1", "-3"], None, None),
         (["--session", "p3.txt", "lift", "x1^2", "--level", "-1"], None, "variable-out-of-range"),
         (["--session", "p3.txt", "lift", "1", "--level", "9"], None, "variable-out-of-range"),
         (["--session", "p3.txt", "lift", "x1^2", "--level", "9"], None, "variable-out-of-range"),
@@ -190,7 +191,7 @@ def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
         (["--session", "p2pts.txt", "cb-check", "GRID"], "abc", None),
         (["--session", "p2pts.txt", "--seed", "-1", "cb-check", "GRID"], None, None),
     ],
-    ids=["macaulay-not-integer", "level-negative", "level-too-high-constant",
+    ids=["macaulay-not-integer", "macaulay-negative", "level-negative", "level-too-high-constant",
          "level-too-high", "window-reversed", "env-seed-not-integer", "seed-negative"],
 )
 def test_malformed_arguments_exit_2(argv, env, error, tmp_path, monkeypatch):

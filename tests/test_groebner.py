@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from sympy import groebner as sympy_groebner
 from sympy import symbols
 
+from liaisonlab.errors import DegreeOverflow
 from liaisonlab.groebner import (
     annihilator,
     buchberger,
@@ -62,6 +63,22 @@ def test_normal_form(R4):
     assert normal_form(conic * (x0 + x3), G).is_zero
     G01 = buchberger([x0, x1])
     assert normal_form(R4.one(), G01) == R4.one()
+
+
+def test_normal_form_past_the_degree_bound_raises():
+    """Under lex a reduction step can raise the degree: x0 -> x1^N with
+    N = 2^61 takes x0^k to x1^(kN), past MAX_DEGREE = 2^62 - 1 from k = 2
+    on.  It raises instead of wrapping the int64 exponents (x0^4 used to
+    come back as 1, and x0^3 as x1^(3N))."""
+    R = Ring(2, 32003, order=LEX)
+    x0, x1 = R.gens()
+    for N, k in ((2**61, 4), (2**61, 3), (2**61, 2)):
+        with pytest.raises(DegreeOverflow):
+            normal_form(x0 ** k, [x0 - R.monomial((0, N))])
+    # at and below the bound the exponents are exact
+    assert normal_form(x0, [x0 - R.monomial((0, 2**61))]) == R.monomial((0, 2**61))
+    assert normal_form(x0 ** 3, [x0 - R.monomial((0, 2**60))]) == R.monomial((0, 3 * 2**60))
+    assert normal_form(x0 ** 3 + x0, [x0 - x1]) == x1 ** 3 + x1
 
 
 def test_nf_is_linear(R4, rng):

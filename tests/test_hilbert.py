@@ -125,6 +125,11 @@ def test_macaulay_growth_cases():
     assert r2["valid"] and 3 in r2["maximal_growth"]
     r3 = macaulay_growth_check([1, 2, 3, 1, 2])
     assert not r3["valid"] and r3["first_violation"] == 3
+    # no sequence with a negative entry is valid, however short
+    negative = [([1, -3], 0), ([-1], 0), ([-1, 3, 1], 0), ([1, 3, -1], 1), ([1, 3, 6, 5, -6], 3)]
+    for seq, violation in negative:
+        r = macaulay_growth_check(seq)
+        assert not r["valid"] and r["first_violation"] == violation
 
 
 def test_si_sequences():

@@ -3,7 +3,9 @@
 `canonicalize` and `merge_sub` are checked against a dict that sums the
 coefficients per key mod p, drops zeros and sorts the keys descending, on
 degrevlex, lex and block keys, ring and position-over-term modules, and
-p = 2 and p = 2^31 - 1.  `pivot_rows` is checked against Gaussian
+p = 2 and p = 2^31 - 1.  `normal_form_arrays` is checked, on the same
+modules, against full reduction in a dict: the largest term first, by the
+first dividing block.  `pivot_rows` is checked against Gaussian
 elimination on Python ints.
 """
 
@@ -134,6 +136,103 @@ def test_merge_sub_edge_cases(p):
     _assert_same(K.merge_sub(*zero, *f, p), negated)
     _assert_same(K.merge_sub(*zero, *zero, p), zero)
     _assert_same(K.canonicalize(*_arrays(module, [((1, 0, 0, 2), p), ((1, 0, 0, 2), 0)]), p), zero)
+
+
+def _blocks(module, blocks):
+    """The (keys, exps, coeffs, offsets) arrays of a list of canonical
+    elements, as normal_form_arrays takes its basis."""
+    nexp, nkey = 1 + module.ring.nvars, module.keylen
+    off = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(c) for _, _, c in blocks], out=off[1:])
+    if not blocks:
+        return (*K.empty_terms(nexp, nkey), off)
+    return (*(np.concatenate(parts) for parts in zip(*blocks)), off)
+
+
+def _reduce_reference(module, f, blocks, p):
+    """Full normal form in a dict keyed by exponent tuples: the term with
+    the largest key first, divided by the first block (in list order) whose
+    lead has its position and divides it."""
+
+    def key(e):
+        return tuple(module.key_rows(np.array([e], dtype=np.int64))[0].tolist())
+
+    pending = {tuple(e): c for e, c in zip(f[1].tolist(), f[2].tolist())}
+    rem = {}
+    while pending:
+        e = max(pending, key=key)
+        c = pending.pop(e)
+        for _, be, bc in blocks:
+            lead = be[0].tolist()
+            if lead[0] == e[0] and all(a <= b for a, b in zip(lead[1:], e[1:])):
+                q = c * pow(int(bc[0]), p - 2, p) % p
+                for t, tc in zip(be[1:].tolist(), bc[1:].tolist()):
+                    m = (t[0], *(a + b - l for a, b, l in zip(t[1:], e[1:], lead[1:])))
+                    v = (pending.get(m, 0) - q * tc) % p
+                    if v:
+                        pending[m] = v
+                    else:
+                        pending.pop(m, None)
+                break
+        else:
+            rem[e] = c
+    return _reference(module, list(rem.items()), p)
+
+
+@st.composite
+def reductions(draw, p):
+    """A module, an f and a basis of 0-4 blocks with random (often
+    non-monic) leads: not a Groebner basis, so the first dividing block
+    decides the remainder.  Blocks of one term occur often."""
+    module = draw(modules(p))
+    f = _reference(module, draw(terms(module, p)), p)
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        b = _reference(module, draw(terms(module, p))[:4], p)
+        if len(b[2]):
+            blocks.append(b)
+    return module, f, blocks
+
+
+def _check_normal_form(module, f, blocks, p):
+    basis = _blocks(module, blocks)
+    inputs = [a.copy() for a in f + basis]
+    got = K.normal_form_arrays(*f, *basis, p)
+    _assert_same(got, _reduce_reference(module, f, blocks, p))
+    _assert_same(f + basis, inputs)  # the inputs are left as they were
+    return got
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_normal_form_arrays_matches_dict_reduction(p):
+    @given(reductions(p))
+    @settings(max_examples=200, deadline=None)
+    def check(case):
+        _check_normal_form(*case, p)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_normal_form_arrays_edge_cases(p):
+    module = _module(3, ("lex", 0), p, "ring", 1)
+
+    def el(*pairs):
+        return _reference(module, [((0, *e), c) for e, c in pairs], p)
+
+    x0, x1, x2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    # x0 -> x2 cancels the pending -x2; then x1 -> x2 brings the key back
+    f = el((x0, 1), (x1, 1), (x2, -1))
+    got = _check_normal_form(module, f, [el((x0, 1), (x2, -1)), el((x1, 1), (x2, -1))], p)
+    _assert_same(got, el((x2, 1)))
+    # a one-term block removes every multiple of its lead; a later block
+    # dividing the same term is never used
+    got = _check_normal_form(module, el(((1, 1, 0), 3), (x2, 1)), [el((x0, 3)), el((x0, 1), (x1, 1))], p)
+    _assert_same(got, el((x2, 1)))
+    # no blocks, a zero f, and an f that reduces to zero
+    _check_normal_form(module, el((x0, 1), (x2, 1)), [], p)
+    _assert_same(_check_normal_form(module, el(), [el((x0, 1))], p), el())
+    _assert_same(_check_normal_form(module, el((x0, 5), (x1, 5)), [el((x0, 1), (x1, 1))], p), el())
 
 
 def _independent_rows(rows, p):
