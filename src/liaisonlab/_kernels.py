@@ -24,26 +24,46 @@ canonical; the term-array kernels below return new canonical arrays.
   coefficients, combining equal keys mod p and dropping zero sums; keys
   and exponents are then one fancy index each.  An empty side returns a
   copy of the other at once.
-- `normal_form_arrays` is full reduction against a basis by heap-based
-  division (Monagan & Pearce, "Polynomial division using dynamic arrays,
-  heaps, and packed exponent vectors", CASC 2007).  The pending terms sit
-  in a dict keyed by the negated key tuple, with a `heapq` min-heap of
-  those tuples, so the largest term is popped first.  A reduction step
-  adds the reducer's shifted tail term by term: the shifted keys,
-  exponents and coefficients are one numpy op each and one `tolist()`, so
-  a step costs O(reducer length * log n), not a pass over the remainder.
-  A coefficient that sums to 0 drops its dict entry; the key keeps its one
-  heap entry, which is skipped when popped unless a later step brought the
-  key back.  A term is reduced by the first block, by index, whose lead
-  has its position and divides it.  Heads are tested one numpy mask each
-  until the first irreducible head; the remainder's lead is then final, so
-  every pending term is tested against all leads in one batched
-  comparison and keeps its first divisor, and terms added later are tested
-  when they become the head.  A step that would take a term past
-  MAX_DEGREE raises DegreeOverflow.  A block's largest rise in degree
-  (tail over lead) is found the first time it reduces in a call, and only
-  a block with a positive rise costs one Python comparison per step:
-  homogeneous input never does.
+- `normal_form_arrays` is full reduction against a `Reducers` table by
+  heap-based division on packed terms (Monagan & Pearce, "Polynomial
+  division using dynamic arrays, heaps, and packed exponent vectors",
+  CASC 2007).
+  - A term is packed into one Python int: its negated key fields, then its
+    exponent fields (position first), each biased by 2^63 into 64 bits,
+    most significant first.  A biased field lies in [0, 2^64) exactly when
+    the field fits in int64, so the int is a base-2^64 numeral and int
+    order is the lexicographic order of the fields: the smallest int is
+    the largest term.  Equal keys imply equal exponents within a module,
+    so the key fields alone decide the order and the identity of a term.
+    Packing is linear in the fields, so a term times the monomial that
+    takes a reducer's lead to its head h is h + delta, with delta the
+    difference of the packed tail term and the packed lead (the biases
+    cancel).
+  - That needs every field of every term met to fit in int64, the same
+    precondition the numpy term arithmetic has: every term has total
+    degree <= MAX_DEGREE, which bounds its exponents and key fields by
+    2^62 in absolute value.  A step that would take a term past
+    MAX_DEGREE raises DegreeOverflow first.
+  - `Reducers` prepares each basis element once, when it is appended: its
+    tail as packed shifts, its tail coefficients over its lead coefficient
+    (negated mod p), its largest rise in degree (tail over lead), and its
+    lead's exponent fields packed without the bias, listed under the
+    lead's position.  Only an element with a positive rise costs one
+    degree test per step: homogeneous input never does.
+  - The pending terms sit in a dict of coefficients under a `heapq`
+    min-heap of their ints, so the largest term is popped first.  A
+    reduction step adds the reducer's tail term by term, one int add, one
+    dict lookup and one product mod p each, and makes no numpy call; it
+    costs O(reducer length * log n), not a pass over the remainder.  A
+    coefficient that sums to 0 keeps its dict entry, and a key keeps its
+    one heap entry until popped: keys only fall, so a popped key never
+    returns.  The remainder is unpacked in one vectorised pass.
+  - A term is reduced by the first element, by index, whose lead has its
+    position and divides it.  Each popped head is tested against the
+    leads at its position, in index order, by the packed divisibility
+    test: a biased exponent field (2^63 + e) minus an unbiased one (l),
+    both of them in [0, 2^62], stays in (0, 2^64) and so never borrows
+    from the next field, and it keeps its top bit exactly when e >= l.
 
 Every kernel runs the same code at every size: there is no size cutoff
 and no second path.  `pivot_rows` is the GF(p) rank of a sequence of
@@ -65,13 +85,11 @@ _I64 = np.int64
 # DegreeOverflow instead of wrapping.
 MAX_DEGREE = 2**62 - 1
 
-# Cells of one batched divisibility mask (pending terms x leads x columns).
-_MASK_CELLS = 1 << 20
-
-_all = np.logical_and.reduce
-
-# Below every (-pos, pos, exponents...) row of a term.
-_FLOOR = np.iinfo(_I64).min
+# A packed term holds 64-bit fields, each biased by 2^63: as int64, the
+# bias flips the sign bit.
+_BIAS = 1 << 63
+_SIGN = np.iinfo(_I64).min
+_MASK = (1 << 64) - 1
 
 
 def empty_terms(nexp, nkey):
@@ -179,107 +197,120 @@ def merge_sub(k1, e1, c1, k2, e2, c2, p):
     )
 
 
-def normal_form_arrays(fk, fe, fc, bk, be, bc, boff, p):
-    """Full normal form of f against the basis blocks in (bk, be, bc, boff).
+class Reducers:
+    """Basis elements prepared for reduction, in index order; `append` adds
+    one nonzero element (canonical arrays, any lead coefficient).
 
-    Block j occupies rows boff[j]:boff[j+1]; its leading term is the first
-    row.  The largest pending term is reduced first, by the first block
-    whose lead divides it.  Returns canonical term arrays of the remainder;
+    Per element the table holds its tail as packed shifts (a tail term's
+    packed int minus the lead's), its tail coefficients over its lead
+    coefficient, negated mod p, its rise in degree (tail over lead), and
+    its lead's exponent fields packed without the bias, listed under the
+    lead's position.
+    """
+
+    __slots__ = ("tails", "coeffs", "rises", "leads")
+
+    def __init__(self):
+        self.tails, self.coeffs, self.rises = [], [], []
+        self.leads = {}  # position -> [(index, packed lead exponents)]
+
+    def __len__(self):
+        return len(self.tails)
+
+    def append(self, keys, exps, coeffs, p):
+        lead, *tail = _pack(keys, exps)
+        low, guard = _exponent_masks(exps.shape[1])
+        self.leads.setdefault(int(exps[0, 0]), []).append((len(self.tails), (lead & low) - guard))
+        self.tails.append([t - lead for t in tail])
+        q = pow(int(coeffs[0]), -1, p)
+        self.coeffs.append([p - c * q % p for c in coeffs[1:].tolist()])
+        d = np.add.reduce(exps[:, 1:], axis=1)
+        self.rises.append(int(np.maximum.reduce(d) - d[0]))
+
+
+def _exponent_masks(nexp):
+    """(the exponent fields of a packed int, the top bit of each)."""
+    low = (1 << 64 * nexp) - 1
+    return low, low // _MASK << 63
+
+
+def _pack(keys, exps):
+    """The packed ints of the terms (rows) of canonical arrays, in order.
+
+    A row's fields go into a buffer least significant first, so that one
+    little-endian read of the row is its packed int."""
+    n, nexp = exps.shape
+    fields = np.empty((n, nexp + keys.shape[1]), dtype=_I64)
+    fields[:, :nexp] = exps[:, ::-1]
+    np.negative(keys[:, ::-1], out=fields[:, nexp:])
+    fields ^= _SIGN
+    raw = fields.astype("<i8", copy=False).tobytes()
+    width = 8 * fields.shape[1]
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
+def _unpack(packed, nkey, nexp):
+    """The (keys, exps) arrays of packed ints."""
+    width = 8 * (nkey + nexp)
+    raw = b"".join([h.to_bytes(width, "little") for h in packed])
+    fields = np.frombuffer(raw, dtype="<i8").reshape(len(packed), nkey + nexp) ^ _SIGN
+    return -fields[:, : nexp - 1 : -1], fields[:, nexp - 1 :: -1].copy()
+
+
+def normal_form_arrays(fk, fe, fc, reducers, p):
+    """Full normal form of f against the elements of a Reducers table.
+
+    The largest pending term is reduced first, by the first element whose
+    lead divides it.  Returns canonical term arrays of the remainder;
     raises DegreeOverflow where a reduction step would pass MAX_DEGREE.
     """
-    nb = len(boff) - 1
-    if not nb or not len(fc):
+    if not len(reducers) or not len(fc):
         return fk.copy(), fe.copy(), fc.copy()
-    bounds = boff.tolist()
-    # lead rows as (-pos, pos, exponents...), then a row below every term:
-    # lead j divides a term exactly when its row is <= the term's row in the
-    # same form, and the first such row is block j's, or nb for none.  The
-    # rows are the columns of lt_t, which the batched test reads fastest
-    lead = be[boff[:-1]]
-    lt_t = np.empty((lead.shape[1] + 1, nb + 1), dtype=_I64)
-    lt_t[1:, :nb] = lead.T
-    np.negative(lead[:, 0], out=lt_t[0, :nb])
-    lt_t[:, nb] = _FLOOR
-    lt_x = lt_t.T
-    # block j -> the most a step with it raises its head's degree, found
-    # the first time the block reduces
-    excess = {}
-    # pending terms by negated key (heap order is ascending), with their
-    # exponents and first dividing block.  A key is pushed once: keys only
-    # fall, so a popped key never returns, and a cancelled key's entry stays
-    # in the heap for the step that may bring it back
-    heap = list(map(tuple, (-fk).tolist()))  # ascending, so already a heap
+    nkey, nexp = fk.shape[1], fe.shape[1]
+    tails, coeffs, rises, leads = reducers.tails, reducers.coeffs, reducers.rises, reducers.leads
+    low, guard = _exponent_masks(nexp)
+    top = 64 * (nexp - 1)  # the position field's shift
+    # pending terms, as packed ints, with their coefficients; a coefficient
+    # that sums to 0 keeps its entry.  A key is in `coef` exactly while it
+    # has its one heap entry: keys only fall, so a popped key never returns
+    heap = _pack(fk, fe)  # ascending, so already a heap
     coef = dict(zip(heap, fc.tolist()))
-    exps = dict(zip(heap, fe.tolist()))
-    first = {}
-    lead_final = False
-    out_k, out_e, out_c = [], [], []
+    out, out_c = [], []
+    pop, push, get = heapq.heappop, heapq.heappush, coef.get
     while heap:
-        h = heapq.heappop(heap)
-        c = coef.pop(h, 0)
+        h = pop(heap)
+        c = coef.pop(h)
         if not c:
             continue
-        e = exps[h]
-        j = first.get(h)
-        if j is None:
-            j = int(_all(lt_x <= [-e[0], *e], axis=1).argmax())
-        if j == nb:
-            out_k.append(h); out_e.append(e); out_c.append(c)
-            if not lead_final:
-                # the remainder's lead is fixed: test every pending term
-                # against the leads at once
-                lead_final = True
-                if coef:
-                    _first_divisors(coef, exps, first, lt_t)
+        # lead l divides e exactly when no field of e - l borrows: each
+        # biased field of e minus the unbiased one of l keeps its top bit
+        e = h & low
+        for j, lead in leads.get((e >> top) - _BIAS, ()):
+            if (e - lead) & guard == guard:
+                break
+        else:
+            out.append(h)
+            out_c.append(c)
             continue
-        s, t = bounds[j], bounds[j + 1]
-        if t - s == 1:
-            continue
-        rise = excess.get(j)
-        if rise is None:
-            d = np.add.reduce(be[s:t, 1:], axis=1)
-            rise = excess[j] = int(np.maximum.reduce(d) - d[0])
-        if rise > 0 and sum(e[1:]) + rise > MAX_DEGREE:
-            raise DegreeOverflow(
-                f"reduction step reaches total degree {sum(e[1:]) + rise}, "
-                "above the bound 2^62 - 1 of the int64 term arrays"
-            )
-        # the terms of -(c / lead coefficient) * (shifted tail), keys negated
-        q = p - c * pow(int(bc[s]), -1, p) % p
-        gk = (bk[s] + h) - bk[s + 1 : t]
-        ge = be[s + 1 : t] + (e - be[s])
-        gc = bc[s + 1 : t] * q % p
-        for k, x, y in zip(map(tuple, gk.tolist()), gc.tolist(), ge.tolist()):
-            old = coef.get(k)
+        if rises[j] > 0:
+            degree = sum(((e >> s) & _MASK) - _BIAS for s in range(0, top, 64)) + rises[j]
+            if degree > MAX_DEGREE:
+                raise DegreeOverflow(
+                    f"reduction step reaches total degree {degree}, "
+                    "above the bound 2^62 - 1 of the int64 term arrays"
+                )
+        # subtract c * (the tail over the lead coefficient), shifted by h
+        for d, x in zip(tails[j], coeffs[j]):
+            k = h + d
+            old = get(k)
             if old is None:
-                coef[k] = x
-                if k not in exps:
-                    exps[k] = y
-                    heapq.heappush(heap, k)
+                coef[k] = c * x % p
+                push(heap, k)
             else:
-                x = (old + x) % p
-                if x:
-                    coef[k] = x
-                else:
-                    del coef[k]
-    if not out_c:
-        return empty_terms(fe.shape[1], fk.shape[1])
-    return (
-        -np.array(out_k, dtype=_I64),
-        np.array(out_e, dtype=_I64),
-        np.array(out_c, dtype=_I64),
-    )
-
-
-def _first_divisors(coef, exps, first, lt_t):
-    """Record in `first` the first dividing block of each pending term, by
-    one batched comparison (in chunks of at most _MASK_CELLS cells)."""
-    keys = list(coef)
-    rows = np.array([[-exps[k][0], *exps[k]] for k in keys], dtype=_I64)
-    step = max(1, _MASK_CELLS // lt_t.size)
-    for i in range(0, len(keys), step):
-        hits = _all(lt_t <= rows[i : i + step, :, None], axis=1)
-        first.update(zip(keys[i : i + step], hits.argmax(axis=1).tolist()))
+                coef[k] = (old + c * x) % p
+    if not out:
+        return empty_terms(nexp, nkey)
+    return (*_unpack(out, nkey, nexp), np.array(out_c, dtype=_I64))
 
 
 def backend_name():

@@ -26,6 +26,7 @@ from .errors import (
     LiaisonError,
     NotHomogeneous,
     PrimeCheckFailed,
+    SessionObjectError,
     SessionSyntaxError,
     VariableOutOfRange,
 )
@@ -198,10 +199,10 @@ class Session:
 
     def get(self, name, kinds=None):
         if name not in self.objects:
-            raise LiaisonError(f"unknown object {name!r}")
+            raise SessionObjectError(f"unknown object {name!r}")
         kind, obj = self.objects[name]
         if kinds and kind not in kinds:
-            raise LiaisonError(f"object {name!r} has kind {kind}, expected {kinds}")
+            raise SessionObjectError(f"object {name!r} has kind {kind}, expected {kinds}")
         return obj
 
     def poly(self, text):
@@ -592,6 +593,7 @@ def main(argv=None):
         payload = run(session, args.command, args, seed, args.window)
     except (
         SessionSyntaxError,
+        SessionObjectError,
         PrimeCheckFailed,
         VariableOutOfRange,
         NotHomogeneous,

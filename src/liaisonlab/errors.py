@@ -122,6 +122,13 @@ class VariableOutOfRange(LiaisonError):
     code = "variable-out-of-range"
 
 
+class SessionObjectError(LiaisonError):
+    """A command names an object the session does not declare, or one of
+    another kind: a usage error."""
+
+    code = "session-object"
+
+
 class SessionSyntaxError(LiaisonError):
     """Parse error with 1-based position information."""
 

@@ -11,8 +11,16 @@ lcm first, and pruned by Buchberger's product criterion (ring case) and
 the chain criterion.  `buchberger` returns the canonical reduced basis,
 deterministic for a fixed input ideal regardless of generator order.
 
-`minimal_generators` is one run of the loop: the generators it does not
-report redundant are a minimal generating set (graded Nakayama).
+Reduction goes through a `_kernels.Reducers` table, which prepares each
+basis element once: the loop appends every element it admits to its one
+table and calls the kernel directly, and a `GroebnerBasis` builds its
+table when first used.  The pair bookkeeping reads one array of the
+basis' leading rows: an admission makes its pairs, and a popped pair
+tests the chain criterion, with one numpy mask each.
+
+`minimal_generators` is one run of the loop, stopped after its last
+input: the generators it does not report redundant are a minimal
+generating set (graded Nakayama).
 
 Syzygies come out of the same pair loop, run once on the tracked
 generators (g_i, e_{r+i}) in F + R^m, F of rank r dominant
@@ -41,17 +49,19 @@ from .ring import FreeModule
 
 _I64 = np.int64
 
+_all = np.logical_and.reduce
+
 
 class GroebnerBasis:
     """A Groebner basis (`buchberger` returns the reduced one); the elements
-    share one module and their concatenated arrays are cached."""
+    share one module, and their reducer table is built when first needed."""
 
-    __slots__ = ("module", "elements", "_cat")
+    __slots__ = ("module", "elements", "_reducers")
 
     def __init__(self, module, elements):
         self.module = module
         self.elements = tuple(elements)
-        self._cat = None
+        self._reducers = None
 
     def __len__(self):
         return len(self.elements)
@@ -70,30 +80,27 @@ class GroebnerBasis:
             and all(a == b for a, b in zip(self.elements, other.elements))
         )
 
-    def concat(self):
-        if self._cat is None:
-            self._cat = _concat(self.module, self.elements)
-        return self._cat
+    def reducers(self):
+        if self._reducers is None:
+            self._reducers = _reducers(self.elements)
+        return self._reducers
 
     def __repr__(self):
         return f"GB<{len(self.elements)} elements>"
 
 
-def _concat(module, elements):
-    nv = module.ring.nvars
-    if not elements:
-        return (
-            np.empty((0, module.keylen), dtype=_I64),
-            np.empty((0, 1 + nv), dtype=_I64),
-            np.empty((0,), dtype=_I64),
-            np.zeros(1, dtype=_I64),
-        )
-    ks = np.concatenate([g.keys for g in elements])
-    es = np.concatenate([g.exps for g in elements])
-    cs = np.concatenate([g.coeffs for g in elements])
-    off = np.zeros(len(elements) + 1, dtype=_I64)
-    np.cumsum([len(g) for g in elements], out=off[1:])
-    return ks, es, cs, off
+def _reducers(elements):
+    """A reducer table of nonzero elements, in order."""
+    table = K.Reducers()
+    for g in elements:
+        table.append(g.keys, g.exps, g.coeffs, g.ring.p)
+    return table
+
+
+def _reduce(f, table):
+    if not len(table):
+        return f
+    return f._wrap(K.normal_form_arrays(f.keys, f.exps, f.coeffs, table, f.ring.p))
 
 
 def normal_form(f, G):
@@ -101,32 +108,14 @@ def normal_form(f, G):
     if isinstance(G, GroebnerBasis):
         if f.module != G.module:
             raise RingMismatch("normal form in a different module")
-        bk, be, bc, boff = G.concat()
-    else:
-        G = [g for g in G if not g.is_zero]
-        if not G:
-            return f
-        for g in G:
-            if f.module is not g.module and f.module != g.module:
-                raise RingMismatch("normal form in a different module")
-        bk, be, bc, boff = _concat(f.module, G)
-    return f._wrap(
-        K.normal_form_arrays(f.keys, f.exps, f.coeffs, bk, be, bc, boff, f.ring.p)
-    )
-
-
-def _lcm_exps(ea, eb):
-    return np.maximum(ea, eb)
-
-
-def _pair_key(module, pos, lcm):
-    """Heap key of an S-pair: its true degree (the lcm's degree plus the
-    twist of its position), then the module key of the lcm."""
-    row = np.empty((1, 1 + module.ring.nvars), dtype=_I64)
-    row[0, 0] = pos
-    row[0, 1:] = lcm
-    key = module.key_rows(row)[0]
-    return (int(lcm.sum()) + module.twists[pos], tuple(int(x) for x in key))
+        return _reduce(f, G.reducers())
+    G = [g for g in G if not g.is_zero]
+    if not G:
+        return f
+    for g in G:
+        if f.module is not g.module and f.module != g.module:
+            raise RingMismatch("normal form in a different module")
+    return _reduce(f, _reducers(G))
 
 
 def _admission_key(g):
@@ -148,7 +137,7 @@ def buchberger(gens):
     return GroebnerBasis(module, interreduce(basis))
 
 
-def _pair_loop(gens, boundary):
+def _pair_loop(gens, boundary, top=math.inf):
     """Buchberger's pair loop over gens, elements of one module, run degree
     by degree.
 
@@ -157,58 +146,55 @@ def _pair_loop(gens, boundary):
     pending pair of degree <= d is done, so the basis is a Groebner basis,
     up to degree d, of the inputs admitted so far; the input is then
     reduced against it.  A zero remainder means the input lies in the span
-    of the inputs before it.
+    of the inputs before it.  After the last input, the pending pairs of
+    degree <= top are done.
 
     Returns (basis, syzygies, redundant): redundant holds the indices of
     the inputs whose remainder was zero.  A nonzero remainder, of an input
     or of an S-pair, whose leading term sits at a position >= boundary goes
     to syzygies: it is never added to the basis and never paired.  Every
     other one joins the basis, which is returned as it stands (not
-    interreduced): each of its S-pairs reduces to zero or to a recorded
-    syzygy.
+    interreduced): with top infinite, each of its S-pairs reduces to zero
+    or to a recorded syzygy.
     """
     module = gens[0].module
     basis, syzygies, redundant = [], [], []
+    table = K.Reducers()
+    # the basis' leading (position, exponents) rows
+    leads = np.empty((0, 1 + module.ring.nvars), dtype=_I64)
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
 
-    def push_pair(i, j):
-        gi, gj = basis[i], basis[j]
-        pi, ei = gi.exps[0, 0], gi.exps[0, 1:]
-        pj, ej = gj.exps[0, 0], gj.exps[0, 1:]
-        if pi != pj:
-            return
-        lcm = _lcm_exps(ei, ej)
-        # product criterion; ring modules only: a tracked run is POT, where
-        # it would drop Koszul syzygies
-        if is_ring and (np.minimum(ei, ej) == 0).all():
-            return
-        deg, key = _pair_key(module, int(pi), lcm)
-        heapq.heappush(heap, (deg, key, i, j))
-        pending.add((i, j))
-
-    # the current basis as a GroebnerBasis, which caches its concatenated
-    # arrays; built when first needed and dropped when admit appends
-    gb = None
-
-    def reduce(f):
-        nonlocal gb
-        if not basis:
-            return f
-        if gb is None:
-            gb = GroebnerBasis(module, basis)
-        return normal_form(f, gb)
-
     def admit(h):
-        nonlocal gb
-        if int(h.exps[0, 0]) >= boundary:
+        nonlocal leads
+        pos = int(h.exps[0, 0])
+        if pos >= boundary:
             syzygies.append(h)
             return
-        basis.append(h.monic())
-        gb = None
-        for t in range(len(basis) - 1):
-            push_pair(t, len(basis) - 1)
+        h = h.monic()
+        j = len(basis)
+        basis.append(h)
+        table.append(h.keys, h.exps, h.coeffs, module.ring.p)
+        lead, older = h.exps[0, 1:], leads
+        leads = np.concatenate((leads, h.exps[:1]))
+        # pairs (i, j) with a lead at the same position, less those the
+        # product criterion drops; ring modules only: a tracked run is POT,
+        # where it would drop Koszul syzygies
+        keep = older[:, 0] == pos
+        if is_ring:
+            keep &= np.logical_or.reduce(np.minimum(older[:, 1:], lead) != 0, axis=1)
+        idx = keep.nonzero()[0]
+        rows = np.empty((len(idx), 1 + len(lead)), dtype=_I64)
+        rows[:, 0] = pos
+        np.maximum(older[idx, 1:], lead, out=rows[:, 1:])
+        # heap key: the pair's true degree (the lcm's degree plus the twist
+        # of its position), then the module key of the lcm
+        degrees = (np.add.reduce(rows[:, 1:], axis=1) + module.twists[pos]).tolist()
+        keys = module.key_rows(rows).tolist()
+        for i, d, k in zip(idx.tolist(), degrees, keys):
+            heapq.heappush(heap, (d, tuple(k), i, j))
+            pending.add((i, j))
 
     def pop_pairs(degree):
         while heap and heap[0][0] <= degree:
@@ -216,37 +202,31 @@ def _pair_loop(gens, boundary):
             if (i, j) not in pending:
                 continue
             pending.discard((i, j))
-            gi, gj = basis[i], basis[j]
-            lcm = _lcm_exps(gi.exps[0, 1:], gj.exps[0, 1:])
-            # chain criterion
-            skip = False
-            for k, gk in enumerate(basis):
-                if k in (i, j):
-                    continue
-                if gk.exps[0, 0] != gi.exps[0, 0]:
-                    continue
-                if (gk.exps[0, 1:] <= lcm).all():
-                    pik = (min(i, k), max(i, k))
-                    pjk = (min(j, k), max(j, k))
-                    if pik not in pending and pjk not in pending:
-                        skip = True
-                        break
-            if skip:
+            lcm = np.maximum(leads[i, 1:], leads[j, 1:])
+            # chain criterion: some k with its lead at the same position
+            # dividing the lcm, whose pairs with i and with j are both done
+            hits = (leads[:, 0] == leads[i, 0]) & _all(leads[:, 1:] <= lcm, axis=1)
+            if any(
+                k != i and k != j
+                and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k in hits.nonzero()[0].tolist()
+            ):
                 continue
-            s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
-            h = reduce(s)
+            s = basis[i].mono_mul(lcm - leads[i, 1:]) - basis[j].mono_mul(lcm - leads[j, 1:])
+            h = _reduce(s, table)
             if not h.is_zero:
                 admit(h)
 
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     for i in sorted(live, key=lambda i: _admission_key(gens[i])):
         pop_pairs(gens[i].degree)
-        h = reduce(gens[i])
+        h = _reduce(gens[i], table)
         if h.is_zero:
             redundant.append(i)
         else:
             admit(h)
-    pop_pairs(math.inf)
+    pop_pairs(top)
     return basis, syzygies, redundant
 
 
@@ -262,7 +242,8 @@ def minimal_generators(gens):
     gens = sorted((g for g in gens if not g.is_zero), key=_admission_key)
     if not gens:
         return []
-    _, _, redundant = _pair_loop(gens, gens[0].module.rank)
+    # redundancy is settled when the last input is reduced
+    _, _, redundant = _pair_loop(gens, gens[0].module.rank, top=gens[-1].degree)
     redundant = set(redundant)
     return [g for i, g in enumerate(gens) if i not in redundant]
 
@@ -271,24 +252,16 @@ def interreduce(elems):
     """Canonical reduced basis of a Groebner basis: minimal monic
     generators, tails reduced."""
     elems = [g.monic() for g in elems if not g.is_zero]
-    # keep only elements with minimal leading terms
-    keep = []
-    for i, g in enumerate(elems):
-        lt = g.exps[0]
-        redundant = False
-        for j, h in enumerate(elems):
-            if i == j:
-                continue
-            hlt = h.exps[0]
-            if hlt[0] == lt[0] and (hlt[1:] <= lt[1:]).all():
-                if (hlt[1:] == lt[1:]).all() and j > i:
-                    continue  # equal lt: keep the first
-                redundant = True
-                break
-        if not redundant:
-            keep.append(g)
-    if not keep:
+    if not elems:
         return []
+    # keep only elements with minimal leading terms; of equal ones, the first
+    leads = np.array([g.exps[0] for g in elems])
+    keep = []
+    for i, lt in enumerate(leads):
+        divides = (leads[:, 0] == lt[0]) & _all(leads[:, 1:] <= lt[1:], axis=1)
+        divides[i:] &= np.logical_or.reduce(leads[i:] != lt, axis=1)
+        if not divides.any():
+            keep.append(elems[i])
     # A tail term is below its own leading term, so no element reduces
     # itself; the leads stay, so one pass gives the unique reduced basis.
     G = GroebnerBasis(keep[0].module, keep)

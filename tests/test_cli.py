@@ -190,9 +190,12 @@ def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
         (["--session", "p3.txt", "--window", "5", "1", "deficiency", "QUARTIC"], None, None),
         (["--session", "p2pts.txt", "cb-check", "GRID"], "abc", None),
         (["--session", "p2pts.txt", "--seed", "-1", "cb-check", "GRID"], None, None),
+        (["--session", "p3.txt", "gb", "NOPE"], None, "session-object"),
+        (["--session", "p3.txt", "cb-check", "TC"], None, "session-object"),
     ],
     ids=["macaulay-not-integer", "macaulay-negative", "level-negative", "level-too-high-constant",
-         "level-too-high", "window-reversed", "env-seed-not-integer", "seed-negative"],
+         "level-too-high", "window-reversed", "env-seed-not-integer", "seed-negative",
+         "unknown-object", "object-of-another-kind"],
 )
 def test_malformed_arguments_exit_2(argv, env, error, tmp_path, monkeypatch):
     if env is not None:

@@ -5,8 +5,8 @@ coefficients per key mod p, drops zeros and sorts the keys descending, on
 degrevlex, lex and block keys, ring and position-over-term modules, and
 p = 2 and p = 2^31 - 1.  `normal_form_arrays` is checked, on the same
 modules, against full reduction in a dict: the largest term first, by the
-first dividing block.  `pivot_rows` is checked against Gaussian
-elimination on Python ints.
+first dividing block, with the reducer table built one `append` at a time.
+`pivot_rows` is checked against Gaussian elimination on Python ints.
 """
 
 from functools import lru_cache
@@ -138,15 +138,12 @@ def test_merge_sub_edge_cases(p):
     _assert_same(K.canonicalize(*_arrays(module, [((1, 0, 0, 2), p), ((1, 0, 0, 2), 0)]), p), zero)
 
 
-def _blocks(module, blocks):
-    """The (keys, exps, coeffs, offsets) arrays of a list of canonical
-    elements, as normal_form_arrays takes its basis."""
-    nexp, nkey = 1 + module.ring.nvars, module.keylen
-    off = np.zeros(len(blocks) + 1, dtype=np.int64)
-    np.cumsum([len(c) for _, _, c in blocks], out=off[1:])
-    if not blocks:
-        return (*K.empty_terms(nexp, nkey), off)
-    return (*(np.concatenate(parts) for parts in zip(*blocks)), off)
+def _table(blocks, p):
+    """A reducer table of canonical elements, appended one at a time."""
+    table = K.Reducers()
+    for b in blocks:
+        table.append(*b, p)
+    return table
 
 
 def _reduce_reference(module, f, blocks, p):
@@ -195,11 +192,10 @@ def reductions(draw, p):
 
 
 def _check_normal_form(module, f, blocks, p):
-    basis = _blocks(module, blocks)
-    inputs = [a.copy() for a in f + basis]
-    got = K.normal_form_arrays(*f, *basis, p)
+    inputs = [a.copy() for a in f + sum(blocks, ())]
+    got = K.normal_form_arrays(*f, _table(blocks, p), p)
     _assert_same(got, _reduce_reference(module, f, blocks, p))
-    _assert_same(f + basis, inputs)  # the inputs are left as they were
+    _assert_same(f + sum(blocks, ()), inputs)  # the inputs are left as they were
     return got
 
 
@@ -233,6 +229,49 @@ def test_normal_form_arrays_edge_cases(p):
     _check_normal_form(module, el((x0, 1), (x2, 1)), [], p)
     _assert_same(_check_normal_form(module, el(), [el((x0, 1))], p), el())
     _assert_same(_check_normal_form(module, el((x0, 5), (x1, 5)), [el((x0, 1), (x1, 1))], p), el())
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_normal_form_arrays_packs_extreme_fields(p):
+    """Fields near the int64 bound pack and shift exactly: exponents near
+    2^61, block keys whose fields are near -2^61, and a step whose positive
+    rise ends at MAX_DEGREE."""
+    big = 2**61
+    # x0^(2^61) * x1^(2^60 - 1) -> x1^(2^62 - 1) by x0^(2^61) - x1^(2^61 + 2^60)
+    lex = _module(2, ("lex", 0), p, "ring", 1)
+    f = _reference(lex, [((0, big, 2**60 - 1), 1), ((0, 0, 5), 3)], p)
+    block = _reference(lex, [((0, big, 0), 3), ((0, 0, big + 2**60), 1)], p)
+    got = _check_normal_form(lex, f, [block], p)
+    assert got[1][:, 1:].sum(axis=1).max() == K.MAX_DEGREE
+    # block(1) keys (-pos, e0, -e0, e1 + e2, -e2, -e1) of a rank-2 POT module
+    pot = _module(3, ("block", 1), p, "pot", 2)
+    f = _reference(pot, [((1, big, 2**60, 3), 1), ((1, big - 1, 2**60 + 1, 3), 3), ((0, 1, big, 2**60), 1)], p)
+    blocks = [
+        _reference(pot, [((1, big, 0, 3), 3), ((1, big - 1, 1, 3), 1)], p),
+        _reference(pot, [((0, 1, big - 7, 0), 1), ((0, 0, big - 7, 1), 3)], p),
+    ]
+    got = _check_normal_form(pot, f, blocks, p)
+    assert len(got[2]) and (got[1][:, 0] == 0).any()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_reducers_append_after_a_reduction(p):
+    """A table that reduced, then grew, reduces as one built fresh from all
+    its elements: an element appended after a reduction divides in the
+    next one, after the elements before it."""
+
+    @given(reductions(p), st.data())
+    @settings(max_examples=100, deadline=None)
+    def check(case, data):
+        module, f, blocks = case
+        cut = data.draw(st.integers(0, len(blocks)))
+        table = _table(blocks[:cut], p)
+        _assert_same(K.normal_form_arrays(*f, table, p), _reduce_reference(module, f, blocks[:cut], p))
+        for b in blocks[cut:]:
+            table.append(*b, p)
+        _assert_same(K.normal_form_arrays(*f, table, p), K.normal_form_arrays(*f, _table(blocks, p), p))
+
+    check()
 
 
 def _independent_rows(rows, p):
