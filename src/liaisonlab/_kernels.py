@@ -24,32 +24,45 @@ canonical; the term-array kernels below return new canonical arrays.
   coefficients, combining equal keys mod p and dropping zero sums; keys
   and exponents are then one fancy index each.  An empty side returns a
   copy of the other at once.
-- `normal_form_arrays` is full reduction against a `Reducers` table by
+- `reduce_packed` is full reduction against a `Reducers` table by
   heap-based division on packed terms (Monagan & Pearce, "Polynomial
   division using dynamic arrays, heaps, and packed exponent vectors",
-  CASC 2007).
-  - A term is packed into one Python int: its negated key fields, then its
-    exponent fields (position first), each biased by 2^63 into 64 bits,
-    most significant first.  A biased field lies in [0, 2^64) exactly when
-    the field fits in int64, so the int is a base-2^64 numeral and int
-    order is the lexicographic order of the fields: the smallest int is
-    the largest term.  Equal keys imply equal exponents within a module,
-    so the key fields alone decide the order and the identity of a term.
-    Packing is linear in the fields, so a term times the monomial that
-    takes a reducer's lead to its head h is h + delta, with delta the
-    difference of the packed tail term and the packed lead (the biases
-    cancel).
+  CASC 2007).  `normal_form_arrays` is `pack`, `reduce_packed` and
+  `unpack`; the Buchberger pair loop calls `reduce_packed` itself.
+  - A term is packed into one Python int (`pack`): its negated key fields,
+    then its exponent fields (position first), each biased by 2^63 into
+    64 bits, most significant first.  A biased field lies in [0, 2^64)
+    exactly when the field fits in int64, so the int is a base-2^64
+    numeral and int order is the lexicographic order of the fields: the
+    smallest int is the largest term.  Equal keys imply equal exponents
+    within a module, so the key fields alone decide the order and the
+    identity of a term.  Packing is linear in the fields, so a term times
+    the monomial that takes a reducer's lead to its head h is h + delta,
+    with delta the difference of the packed tail term and the packed lead
+    (the biases cancel).
   - That needs every field of every term met to fit in int64, the same
     precondition the numpy term arithmetic has: every term has total
     degree <= MAX_DEGREE, which bounds its exponents and key fields by
     2^62 in absolute value.  A step that would take a term past
     MAX_DEGREE raises DegreeOverflow first.
-  - `Reducers` prepares each basis element once, when it is appended: its
-    tail as packed shifts, its tail coefficients over its lead coefficient
-    (negated mod p), its largest rise in degree (tail over lead), and its
-    lead's exponent fields packed without the bias, listed under the
-    lead's position.  Only an element with a positive rise costs one
-    degree test per step: homogeneous input never does.
+  - `Reducers` prepares each basis element once, when it is appended from
+    its packed terms: its tail as packed shifts, its tail coefficients
+    over its lead coefficient (negated mod p), its largest rise in degree
+    (tail over lead), and its lead's exponent fields packed without the
+    bias, listed under the lead's position.  Only an element with a
+    positive rise costs one degree test per step: homogeneous input never
+    does.
+  - `Reducers.s_pair` seeds the pending terms of the S-polynomial of two
+    elements i and j from their tails alone.  L, the packed lcm of the two
+    leads, is the lcm shift: a shift d = t - lead of i's tail gives L + d,
+    the term t times lcm/lead, with no lead in sight.  The leads cancel,
+    so the S-pair is the terms L + d over the shifts of i, with
+    coefficients p - x_i, and over those of j, with coefficients x_j,
+    summed where they meet (x the table's negated coefficients).  L itself
+    packs exactly: each lead has degree <= MAX_DEGREE, so every field of
+    the lcm fits in int64.  The S-pair's largest degree is deg(L) plus the
+    larger rise of i and j; past MAX_DEGREE it raises DegreeOverflow
+    before any term is formed.
   - The pending terms sit in a dict of coefficients under a `heapq`
     min-heap of their ints, so the largest term is popped first.  A
     reduction step adds the reducer's tail term by term, one int add, one
@@ -57,7 +70,8 @@ canonical; the term-array kernels below return new canonical arrays.
     costs O(reducer length * log n), not a pass over the remainder.  A
     coefficient that sums to 0 keeps its dict entry, and a key keeps its
     one heap entry until popped: keys only fall, so a popped key never
-    returns.  The remainder is unpacked in one vectorised pass.
+    returns.  The remainder comes back packed, largest term first; `unpack`
+    turns a list of packed ints into arrays in one vectorised pass.
   - A term is reduced by the first element, by index, whose lead has its
     position and divides it.  Each popped head is tested against the
     leads at its position, in index order, by the packed divisibility
@@ -199,7 +213,8 @@ def merge_sub(k1, e1, c1, k2, e2, c2, p):
 
 class Reducers:
     """Basis elements prepared for reduction, in index order; `append` adds
-    one nonzero element (canonical arrays, any lead coefficient).
+    one nonzero element, given as its packed terms (`pack`), its exponent
+    rows and its coefficients (a list, any lead coefficient).
 
     Per element the table holds its tail as packed shifts (a tail term's
     packed int minus the lead's), its tail coefficients over its lead
@@ -217,15 +232,35 @@ class Reducers:
     def __len__(self):
         return len(self.tails)
 
-    def append(self, keys, exps, coeffs, p):
-        lead, *tail = _pack(keys, exps)
+    def append(self, packed, exps, coeffs, p):
+        lead = packed[0]
         low, guard = _exponent_masks(exps.shape[1])
         self.leads.setdefault(int(exps[0, 0]), []).append((len(self.tails), (lead & low) - guard))
-        self.tails.append([t - lead for t in tail])
-        q = pow(int(coeffs[0]), -1, p)
-        self.coeffs.append([p - c * q % p for c in coeffs[1:].tolist()])
+        self.tails.append([t - lead for t in packed[1:]])
+        q = pow(coeffs[0], -1, p)
+        self.coeffs.append([p - c * q % p for c in coeffs[1:]])
         d = np.add.reduce(exps[:, 1:], axis=1)
         self.rises.append(int(np.maximum.reduce(d) - d[0]))
+
+    def s_pair(self, i, j, lcm, degree, p):
+        """The S-polynomial of elements i and j, each over its lead
+        coefficient, as pending terms for `reduce_packed`: (a heap of packed
+        ints, their coefficients).  lcm is the packed lcm of the two leads
+        and degree its total degree.  Raises DegreeOverflow where a term of
+        the S-polynomial would pass MAX_DEGREE."""
+        top = degree + max(self.rises[i], self.rises[j])
+        if top > MAX_DEGREE:
+            raise DegreeOverflow(
+                f"S-pair reaches total degree {top}, above the bound 2^62 - 1 "
+                "of the int64 term arrays"
+            )
+        # the leads cancel; the tail of i comes in with the sign flipped
+        coef = {lcm + d: p - x for d, x in zip(self.tails[i], self.coeffs[i])}
+        get = coef.get
+        for d, x in zip(self.tails[j], self.coeffs[j]):
+            k = lcm + d
+            coef[k] = (get(k, 0) + x) % p
+        return sorted(coef), coef  # ascending, so a heap
 
 
 def _exponent_masks(nexp):
@@ -234,7 +269,7 @@ def _exponent_masks(nexp):
     return low, low // _MASK << 63
 
 
-def _pack(keys, exps):
+def pack(keys, exps):
     """The packed ints of the terms (rows) of canonical arrays, in order.
 
     A row's fields go into a buffer least significant first, so that one
@@ -249,7 +284,7 @@ def _pack(keys, exps):
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
-def _unpack(packed, nkey, nexp):
+def unpack(packed, nkey, nexp):
     """The (keys, exps) arrays of packed ints."""
     width = 8 * (nkey + nexp)
     raw = b"".join([h.to_bytes(width, "little") for h in packed])
@@ -257,24 +292,21 @@ def _unpack(packed, nkey, nexp):
     return -fields[:, : nexp - 1 : -1], fields[:, nexp - 1 :: -1].copy()
 
 
-def normal_form_arrays(fk, fe, fc, reducers, p):
-    """Full normal form of f against the elements of a Reducers table.
+def reduce_packed(heap, coef, reducers, nexp, p):
+    """Full normal form of pending packed terms against a Reducers table.
 
-    The largest pending term is reduced first, by the first element whose
-    lead divides it.  Returns canonical term arrays of the remainder;
-    raises DegreeOverflow where a reduction step would pass MAX_DEGREE.
+    heap is a heap of the packed ints that key coef, their coefficients
+    (0 allowed); both are used up.  The largest pending term is reduced
+    first, by the first element whose lead divides it.  Returns the
+    remainder as (packed ints, coefficients), largest term first; raises
+    DegreeOverflow where a reduction step would pass MAX_DEGREE.
     """
-    if not len(reducers) or not len(fc):
-        return fk.copy(), fe.copy(), fc.copy()
-    nkey, nexp = fk.shape[1], fe.shape[1]
     tails, coeffs, rises, leads = reducers.tails, reducers.coeffs, reducers.rises, reducers.leads
     low, guard = _exponent_masks(nexp)
     top = 64 * (nexp - 1)  # the position field's shift
-    # pending terms, as packed ints, with their coefficients; a coefficient
-    # that sums to 0 keeps its entry.  A key is in `coef` exactly while it
-    # has its one heap entry: keys only fall, so a popped key never returns
-    heap = _pack(fk, fe)  # ascending, so already a heap
-    coef = dict(zip(heap, fc.tolist()))
+    # a coefficient that sums to 0 keeps its entry.  A key is in `coef`
+    # exactly while it has its one heap entry: keys only fall, so a popped
+    # key never returns
     out, out_c = [], []
     pop, push, get = heapq.heappop, heapq.heappush, coef.get
     while heap:
@@ -308,9 +340,21 @@ def normal_form_arrays(fk, fe, fc, reducers, p):
                 push(heap, k)
             else:
                 coef[k] = (old + c * x) % p
+    return out, out_c
+
+
+def normal_form_arrays(fk, fe, fc, reducers, p):
+    """Full normal form of f against the elements of a Reducers table, by
+    `reduce_packed`.  Returns canonical term arrays of the remainder;
+    raises DegreeOverflow where a reduction step would pass MAX_DEGREE."""
+    if not len(reducers) or not len(fc):
+        return fk.copy(), fe.copy(), fc.copy()
+    nkey, nexp = fk.shape[1], fe.shape[1]
+    heap = pack(fk, fe)  # ascending, so already a heap
+    out, out_c = reduce_packed(heap, dict(zip(heap, fc.tolist())), reducers, nexp, p)
     if not out:
         return empty_terms(nexp, nkey)
-    return (*_unpack(out, nkey, nexp), np.array(out_c, dtype=_I64))
+    return (*unpack(out, nkey, nexp), np.array(out_c, dtype=_I64))
 
 
 def backend_name():

@@ -12,11 +12,16 @@ the chain criterion.  `buchberger` returns the canonical reduced basis,
 deterministic for a fixed input ideal regardless of generator order.
 
 Reduction goes through a `_kernels.Reducers` table, which prepares each
-basis element once: the loop appends every element it admits to its one
-table and calls the kernel directly, and a `GroebnerBasis` builds its
-table when first used.  The pair bookkeeping reads one array of the
-basis' leading rows: an admission makes its pairs, and a popped pair
-tests the chain criterion, with one numpy mask each.
+basis element once; a `GroebnerBasis` builds its table when first used.
+The loop keeps one table and works on packed terms: an S-pair is seeded
+from the two elements' table tails, shifted by the packed lcm of their
+leads (`Reducers.s_pair`), and reduced by `_kernels.reduce_packed`; a
+remainder comes back packed, is made monic on its coefficient list and
+is appended to the table from its packed ints.  Only what leaves the loop
+is unpacked: each basis element and each recorded syzygy, once.  The pair
+bookkeeping reads one array of the basis' leading rows: an admission makes
+its pairs, with one numpy mask and one `pack` call for their lcms, and a
+popped pair tests the chain criterion with one mask.
 
 `minimal_generators` is one run of the loop, stopped after its last
 input: the generators it does not report redundant are a minimal
@@ -93,7 +98,7 @@ def _reducers(elements):
     """A reducer table of nonzero elements, in order."""
     table = K.Reducers()
     for g in elements:
-        table.append(g.keys, g.exps, g.coeffs, g.ring.p)
+        table.append(K.pack(g.keys, g.exps), g.exps, g.coeffs.tolist(), g.ring.p)
     return table
 
 
@@ -158,26 +163,33 @@ def _pair_loop(gens, boundary, top=math.inf):
     or to a recorded syzygy.
     """
     module = gens[0].module
+    p, nkey, nexp = module.ring.p, module.keylen, 1 + module.ring.nvars
     basis, syzygies, redundant = [], [], []
     table = K.Reducers()
     # the basis' leading (position, exponents) rows
-    leads = np.empty((0, 1 + module.ring.nvars), dtype=_I64)
+    leads = np.empty((0, nexp), dtype=_I64)
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
 
-    def admit(h):
+    def reduce(heap, coef):
+        return K.reduce_packed(heap, coef, table, nexp, p)
+
+    def admit(packed, coeffs):
+        """Take a nonzero remainder: its packed terms and coefficients."""
         nonlocal leads
-        pos = int(h.exps[0, 0])
+        keys, exps = K.unpack(packed, nkey, nexp)
+        pos = int(exps[0, 0])
         if pos >= boundary:
-            syzygies.append(h)
+            syzygies.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
             return
-        h = h.monic()
+        q = pow(coeffs[0], -1, p)
+        coeffs = [c * q % p for c in coeffs]
         j = len(basis)
-        basis.append(h)
-        table.append(h.keys, h.exps, h.coeffs, module.ring.p)
-        lead, older = h.exps[0, 1:], leads
-        leads = np.concatenate((leads, h.exps[:1]))
+        basis.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
+        table.append(packed, exps, coeffs, p)
+        lead, older = exps[0, 1:], leads
+        leads = np.concatenate((leads, exps[:1]))
         # pairs (i, j) with a lead at the same position, less those the
         # product criterion drops; ring modules only: a tracked run is POT,
         # where it would drop Koszul syzygies
@@ -185,20 +197,24 @@ def _pair_loop(gens, boundary, top=math.inf):
         if is_ring:
             keep &= np.logical_or.reduce(np.minimum(older[:, 1:], lead) != 0, axis=1)
         idx = keep.nonzero()[0]
-        rows = np.empty((len(idx), 1 + len(lead)), dtype=_I64)
+        rows = np.empty((len(idx), nexp), dtype=_I64)
         rows[:, 0] = pos
         np.maximum(older[idx, 1:], lead, out=rows[:, 1:])
         # heap key: the pair's true degree (the lcm's degree plus the twist
-        # of its position), then the module key of the lcm
-        degrees = (np.add.reduce(rows[:, 1:], axis=1) + module.twists[pos]).tolist()
-        keys = module.key_rows(rows).tolist()
-        for i, d, k in zip(idx.tolist(), degrees, keys):
-            heapq.heappush(heap, (d, tuple(k), i, j))
+        # of its position), then the module key of the lcm; the entry also
+        # carries the packed lcm and its degree, for the S-pair
+        lcm_degrees = np.add.reduce(rows[:, 1:], axis=1)
+        degrees = (lcm_degrees + module.twists[pos]).tolist()
+        keys = module.key_rows(rows)
+        for i, d, k, packed_lcm, lcm_degree in zip(
+            idx.tolist(), degrees, keys.tolist(), K.pack(keys, rows), lcm_degrees.tolist()
+        ):
+            heapq.heappush(heap, (d, tuple(k), i, j, packed_lcm, lcm_degree))
             pending.add((i, j))
 
     def pop_pairs(degree):
         while heap and heap[0][0] <= degree:
-            _, _, i, j = heapq.heappop(heap)
+            _, _, i, j, packed_lcm, lcm_degree = heapq.heappop(heap)
             if (i, j) not in pending:
                 continue
             pending.discard((i, j))
@@ -213,19 +229,20 @@ def _pair_loop(gens, boundary, top=math.inf):
                 for k in hits.nonzero()[0].tolist()
             ):
                 continue
-            s = basis[i].mono_mul(lcm - leads[i, 1:]) - basis[j].mono_mul(lcm - leads[j, 1:])
-            h = _reduce(s, table)
-            if not h.is_zero:
-                admit(h)
+            packed, coeffs = reduce(*table.s_pair(i, j, packed_lcm, lcm_degree, p))
+            if packed:
+                admit(packed, coeffs)
 
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     for i in sorted(live, key=lambda i: _admission_key(gens[i])):
         pop_pairs(gens[i].degree)
-        h = _reduce(gens[i], table)
-        if h.is_zero:
-            redundant.append(i)
+        g = gens[i]
+        packed = K.pack(g.keys, g.exps)
+        packed, coeffs = reduce(packed, dict(zip(packed, g.coeffs.tolist())))
+        if packed:
+            admit(packed, coeffs)
         else:
-            admit(h)
+            redundant.append(i)
     pop_pairs(top)
     return basis, syzygies, redundant
 

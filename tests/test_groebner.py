@@ -81,6 +81,18 @@ def test_normal_form_past_the_degree_bound_raises():
     assert normal_form(x0 ** 3 + x0, [x0 - x1]) == x1 ** 3 + x1
 
 
+def test_buchberger_past_the_degree_bound_at_an_s_pair_raises():
+    """Under lex, x0*x1 - x2^N with N = 2^61 reduces the input x0*x1^N to
+    x1^(N-1)*x2^N, of degree exactly MAX_DEGREE.  The S-pair of the two
+    has the term x1^(N-2)*x2^(2N), past the bound: it raises instead of
+    forming that term."""
+    R = Ring(3, 32003, order=LEX)
+    x0, x1, _ = R.gens()
+    N = 2**61
+    with pytest.raises(DegreeOverflow):
+        buchberger([x0 * x1 - R.monomial((0, 0, N)), x0 * R.monomial((0, N, 0))])
+
+
 def test_nf_is_linear(R4, rng):
     x0, x1, x2, x3 = R4.gens()
     G = buchberger([x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2])

@@ -6,6 +6,9 @@ degrevlex, lex and block keys, ring and position-over-term modules, and
 p = 2 and p = 2^31 - 1.  `normal_form_arrays` is checked, on the same
 modules, against full reduction in a dict: the largest term first, by the
 first dividing block, with the reducer table built one `append` at a time.
+The packed S-pair of two table elements (`Reducers.s_pair`) is checked
+against the array S-polynomial of `Element.mono_mul` and `merge_sub` and
+against the dict reference.
 `pivot_rows` is checked against Gaussian elimination on Python ints.
 """
 
@@ -13,11 +16,12 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from liaisonlab import _kernels as K
-from liaisonlab.ring import FreeModule, Order, Ring
+from liaisonlab.errors import DegreeOverflow
+from liaisonlab.ring import Element, FreeModule, Order, Ring
 
 PRIMES = [2, 2**31 - 1]
 ORDERS = [("degrevlex", 0), ("lex", 0), ("block", 1), ("block", 2)]
@@ -138,11 +142,16 @@ def test_merge_sub_edge_cases(p):
     _assert_same(K.canonicalize(*_arrays(module, [((1, 0, 0, 2), p), ((1, 0, 0, 2), 0)]), p), zero)
 
 
+def _append(table, block, p):
+    keys, exps, coeffs = block
+    table.append(K.pack(keys, exps), exps, coeffs.tolist(), p)
+
+
 def _table(blocks, p):
     """A reducer table of canonical elements, appended one at a time."""
     table = K.Reducers()
     for b in blocks:
-        table.append(*b, p)
+        _append(table, b, p)
     return table
 
 
@@ -268,10 +277,74 @@ def test_reducers_append_after_a_reduction(p):
         table = _table(blocks[:cut], p)
         _assert_same(K.normal_form_arrays(*f, table, p), _reduce_reference(module, f, blocks[:cut], p))
         for b in blocks[cut:]:
-            table.append(*b, p)
+            _append(table, b, p)
         _assert_same(K.normal_form_arrays(*f, table, p), K.normal_form_arrays(*f, _table(blocks, p), p))
 
     check()
+
+
+def _packed_s_pair(module, blocks, i, j, p):
+    """The S-pair of blocks i and j from their table: seeded from the
+    tails, shifted by the packed lcm of the leads, and popped in order
+    (zero sums dropped) by a reduction against an empty table."""
+    row = np.maximum(blocks[i][1][:1], blocks[j][1][:1])
+    lcm = K.pack(module.key_rows(row), row)[0]
+    heap, coef = _table(blocks, p).s_pair(i, j, lcm, int(row[0, 1:].sum()), p)
+    nexp = 1 + module.ring.nvars
+    packed, coeffs = K.reduce_packed(heap, coef, K.Reducers(), nexp, p)
+    return (*K.unpack(packed, module.keylen, nexp), np.array(coeffs, dtype=np.int64))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_s_pair_matches_array_s_polynomial(p):
+    """The packed S-pair of two table elements with leads at one position
+    equals the array S-polynomial m_i*g_i/lc_i - m_j*g_j/lc_j, made by
+    `Element.mono_mul` and `merge_sub`, and both equal the dict
+    reference."""
+
+    @given(reductions(p), st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(case, data):
+        module, _, blocks = case
+        pairs = [
+            (i, j)
+            for i, a in enumerate(blocks)
+            for j, b in enumerate(blocks)
+            if i != j and a[1][0, 0] == b[1][0, 0]
+        ]
+        assume(pairs)
+        i, j = data.draw(st.sampled_from(pairs))
+        lcm = np.maximum(blocks[i][1][0, 1:], blocks[j][1][0, 1:])
+        g_i, g_j = (Element(module, blocks[k]).monic() for k in (i, j))
+        s = g_i.mono_mul(lcm - g_i.exps[0, 1:]) - g_j.mono_mul(lcm - g_j.exps[0, 1:])
+        terms = []
+        for k, sign in ((i, 1), (j, -1)):
+            _, exps, coeffs = blocks[k]
+            q = sign * pow(int(coeffs[0]), p - 2, p)
+            lead = exps[0, 1:].tolist()
+            for e, c in zip(exps.tolist(), coeffs.tolist()):
+                terms.append(((e[0], *(a + m - b for a, m, b in zip(e[1:], lcm.tolist(), lead))), q * c))
+        want = _reference(module, terms, p)
+        _assert_same((s.keys, s.exps, s.coeffs), want)
+        _assert_same(_packed_s_pair(module, blocks, i, j, p), want)
+
+    check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_s_pair_degree_bound(p):
+    """An S-pair whose terms reach MAX_DEGREE is exact; one past it raises.
+    Under lex, g = x0 + x1^(2^61) has rise 2^61 - 1, and its S-pair with
+    x0*x1^k is x1^(k + 2^61), of degree lcm + rise."""
+    lex = _module(2, ("lex", 0), p, "ring", 1)
+    g = _reference(lex, [((0, 1, 0), 1), ((0, 0, 2**61), 1)], p)
+    for k in (2**61 - 1, 2**61):
+        blocks = [g, _reference(lex, [((0, 1, k), 1)], p)]
+        if k + 2**61 > K.MAX_DEGREE:
+            with pytest.raises(DegreeOverflow):
+                _packed_s_pair(lex, blocks, 0, 1, p)
+        else:
+            _assert_same(_packed_s_pair(lex, blocks, 0, 1, p), _reference(lex, [((0, 0, K.MAX_DEGREE), 1)], p))
 
 
 def _independent_rows(rows, p):

@@ -8,16 +8,30 @@ PKG = Path(__file__).resolve().parents[1] / "src" / "liaisonlab"
 
 def test_no_private_name_imported_from_a_sibling_module():
     """`from .<sibling> import _name` couples a module to another's
-    internals; `from . import _kernels as K` imports a module and is fine."""
+    internals; `from . import _kernels as K` imports a module and is fine,
+    but reading a private name through it (`K._pack`) is the same coupling."""
     offenders = []
     for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # local names bound to sibling modules
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level and node.module:
                 offenders += [
                     f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
                     for alias in node.names
                     if alias.name.startswith("_")
                 ]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                modules.update(alias.asname or alias.name for alias in node.names)
+        offenders += [
+            f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+            and not node.attr.endswith("__")
+        ]
     assert offenders == []
 
 
