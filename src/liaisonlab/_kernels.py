@@ -80,9 +80,27 @@ canonical; the term-array kernels below return new canonical arrays.
     from the next field, and it keeps its top bit exactly when e >= l.
 
 Every kernel runs the same code at every size: there is no size cutoff
-and no second path.  `pivot_rows` is the GF(p) rank of a sequence of
-dense rows; it serves point Hilbert functions and Weak Lefschetz checks
-only (minimal generators come from the pair loop in `groebner`).
+and no second path.  `ranks` is the one GF(p) linear-algebra kernel: the
+rank of every matrix in an (S, r, c) stack, by fraction-free Gaussian
+elimination over all S matrices at once.
+  - Column j is one step for the whole stack.  Each matrix takes as its
+    pivot q its first row that is nonzero in column j, and every row
+    becomes pv * row - row[j] * q, with pv = q[j] != 0; no modular
+    inverse is taken.  That clears column j and turns q itself to 0.
+    The other rows span, together with q, what they spanned before, and
+    q, nonzero in column j, is independent of them: so the step lowers
+    the rank by exactly one, and the rank of a matrix is the number of
+    steps that found it a pivot.  A zero row is never chosen again.
+  - A matrix with no pivot in column j is zero there and takes pv = 1,
+    which leaves it unchanged, so no matrix is singled out by a Python
+    loop; a column with no pivot in any matrix is skipped.  The step is
+    applied in place to the columns after j (the earlier ones are zero
+    in every row).
+  - Entries are kept in [0, p) with p < 2^31 (`ring.MAX_PRIME`), so each
+    product is below 2^62 and their difference fits in int64.
+  It serves point Hilbert functions, Cayley-Bacharach and uniform position
+  (one stack of row subsets per degree) and Weak Lefschetz checks; minimal
+  generators come from the pair loop in `groebner`.
 """
 
 import heapq
@@ -139,30 +157,30 @@ def canonicalize(keys, exps, coeffs, p):
     return keys[rows], exps[rows], c[keep]
 
 
-def pivot_rows(rows, p):
-    """Indices of the rows that are independent of all earlier rows, over
-    GF(p); their count is the rank.
-
-    rows is any iterable of int64 vectors of one length, read one at a time
-    and never held as a matrix.  Each independent row is stored
-    pivot-normalized but not inter-reduced, which is fastest when most rows
-    reduce to zero after a few steps; a stored row is skipped when the
-    vector is zero at its pivot.
-    """
-    stored = []
-    out = []
-    for i, vec in enumerate(rows):
-        v = np.asarray(vec, dtype=_I64) % p
-        for piv, r in stored:
-            c = v[piv]
-            if c:
-                v = (v - c * r) % p
-        nz = v.nonzero()[0]
-        if nz.size:
-            piv = int(nz[0])
-            stored.append((piv, (v * pow(int(v[piv]), p - 2, p)) % p))
-            out.append(i)
-    return out
+def ranks(stack, p):
+    """GF(p) rank of every matrix of an (S, r, c) stack of int64 entries,
+    as an int64 array of length S; the stack itself is not changed."""
+    a = np.asarray(stack, dtype=_I64) % p
+    S, r, c = a.shape
+    every = np.arange(S)
+    rank = np.zeros(S, dtype=_I64)
+    if r == 0:
+        return rank
+    for j in range(c):
+        col = a[:, :, j]
+        nonzero = col != 0
+        piv = nonzero.argmax(axis=1)
+        has = nonzero[every, piv]
+        if not has.any():
+            continue
+        pv = np.where(has, col[every, piv], 1)
+        prow = a[every, piv, j + 1 :]
+        rest = a[:, :, j + 1 :]
+        rest *= pv[:, None, None]
+        rest -= col[:, :, None] * prow[:, None, :]
+        rest %= p
+        rank += has
+    return rank
 
 
 def merge_sub(k1, e1, c1, k2, e2, c2, p):

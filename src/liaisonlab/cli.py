@@ -243,7 +243,7 @@ def parse_session(text, base_dir="."):
                 if not (body.startswith("file(") and body.endswith(")")):
                     raise SessionSyntaxError("points need file(...)", line_no, 1)
                 path = os.path.join(base_dir, body[5:-1].strip())
-                sess.objects[name] = ("points", _read_points(sess.ring, path))
+                sess.objects[name] = ("points", _read_points(sess.ring, path, line_no))
         else:
             raise SessionSyntaxError(f"unknown statement {head!r}", line_no, 1)
     return sess
@@ -318,7 +318,10 @@ def _parse_matrix(ring, body, line_no):
     return PolyMatrix(ring, mat)
 
 
-def _read_points(ring, path):
+def _read_points(ring, path, decl_line):
+    """The points listed in a file, one per line; an error with no line of
+    its own in the file (a file with no points) points at decl_line, the
+    session line that declares them."""
     pts = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -335,6 +338,8 @@ def _read_points(ring, path):
                 raise SessionSyntaxError(
                     f"{path}: a point needs {ring.nvars} coordinates", line_no, 1
                 )
+    if not pts:
+        raise SessionSyntaxError(f"{path}: the file lists no points", decl_line, 1)
     return PointSet(ring, pts)
 
 

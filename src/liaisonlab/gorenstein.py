@@ -11,11 +11,13 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import (
+    CharacteristicTooSmall,
     DuplicatePoint,
     NotACI,
     NotArtinian,
     NotGeometricallyLinked,
     NotRegularSequence,
+    PreconditionFailed,
     WrongCodim,
 )
 from .groebner import normal_form
@@ -106,6 +108,8 @@ class PointSet:
                 raise DuplicatePoint(f"repeated point {pt}")
             seen.add(key)
             self.coords.append(key)
+        if not self.coords:
+            raise PreconditionFailed("a point set needs at least one point")
         self._ideal = None
         self._values = {}
 
@@ -115,6 +119,10 @@ class PointSet:
     @classmethod
     def general(cls, ring, count, rng):
         """Seeded uniform points (distinct); generic for large p."""
+        p, n = ring.p, ring.nvars
+        total = (p**n - 1) // (p - 1)  # the points of P^(n-1) over GF(p)
+        if count > total:
+            raise CharacteristicTooSmall(f"P^{n - 1} over GF({p}) has {total} points, fewer than {count}")
         pts = []
         seen = set()
         while len(pts) < count:
@@ -162,7 +170,7 @@ class PointSet:
         values = self._eval_matrix(t)
         if subset is not None:
             values = values[list(subset)]
-        return len(K.pivot_rows(values, self.ring.p))
+        return int(K.ranks(values[None], self.ring.p)[0])
 
     def h_vector(self):
         out = []
@@ -203,29 +211,42 @@ def cayley_bacharach_check(points, rng=None):
     """Cayley-Bacharach (CB) and uniform position (UPP) of a point set Z of
     socle degree s, as a dict report.
 
-    CB: dropping any one point keeps h_Z(s - 1).  UPP: h_Y(t) =
-    min(|Y|, h_Z(t)) for every subset Y and every t.  Subsets of independent
-    points stay independent and no rank in degree t exceeds h_Z(t), so UPP
-    holds exactly when every subset of size h_Z(t) has rank h_Z(t); degrees
-    t >= s, where h_Z(t) = |Z|, need no check.  A degree with more than 5000
-    such subsets is checked on 200 seeded random ones, and `upp_exhaustive` is
-    then False (Geramita, Kreuzer & Robbiano, Trans. AMS 339, 1993)."""
+    Row i of the evaluation matrix M_t holds the values of the degree-t
+    monomials at point i, so a subset Y of the points has h_Y(t) = rank of
+    the rows Y of M_t.  Each check is one `ranks` call on a stack of row
+    subsets of one M_t.
+
+    CB: dropping any one point keeps h_Z(s - 1); the stack is the N
+    drop-one row subsets of M_(s-1).  A single point (s = 0) has CB, as
+    h(-1) = 0 for every subset.  UPP: h_Y(t) = min(|Y|, h_Z(t)) for every
+    subset Y and every t.  Subsets of independent points stay independent
+    and no rank in degree t exceeds h_Z(t), so UPP holds exactly when every
+    subset of size h = h_Z(t) has rank h, that is, when every h-row subset
+    of M_t is independent; degrees t >= s, where h_Z(t) = |Z|, need no
+    check.  Degree t is one stack of all its h-row subsets; a degree with
+    more than 5000 of them is checked on 200 seeded random ones, and
+    `upp_exhaustive` is then False (Geramita, Kreuzer & Robbiano, Trans.
+    AMS 339, 1993)."""
     Z = points
     N = len(Z)
-    s = Z.socle_degree()
-    hs1 = Z.hf(s - 1)
-    cb = all(Z.hf(s - 1, [i for i in range(N) if i != drop]) == hs1 for drop in range(N))
+    p = Z.ring.p
+    hz = np.cumsum(Z.h_vector())
+    s = len(hz) - 1
+    cb = True
+    if s > 0:
+        drop_one = np.nonzero(~np.eye(N, dtype=bool))[1].reshape(N, N - 1)
+        cb = bool((K.ranks(Z._eval_matrix(s - 1)[drop_one], p) == hz[s - 1]).all())
     upp = True
     upp_exhaustive = True
     rng = rng or np.random.default_rng(0)
     for t in range(s):
-        h = Z.hf(t)
+        h = int(hz[t])
         if math.comb(N, h) <= 5000:
-            pool = combinations(range(N), h)
+            subsets = list(combinations(range(N), h))
         else:
             upp_exhaustive = False
-            pool = (sorted(rng.choice(N, size=h, replace=False)) for _ in range(200))
-        if any(Z.hf(t, sub) != h for sub in pool):
+            subsets = [sorted(rng.choice(N, size=h, replace=False)) for _ in range(200)]
+        if not (K.ranks(Z._eval_matrix(t)[np.array(subsets)], p) == h).all():
             upp = False
             break
     return {"cb": cb, "upp": upp, "upp_exhaustive": upp_exhaustive, "socle_degree": s}
@@ -272,8 +293,8 @@ def wlp_check(I, rng=None):
             if h0 == 0 or h1 == 0:
                 continue
             index = {(0, m): i for i, m in enumerate(std[t + 1])}
-            images = (normal_form(L.mono_mul(m), I.gb).coordinates(index) for m in std[t])
-            if len(K.pivot_rows(images, ring.p)) != min(h0, h1):
+            images = [normal_form(L.mono_mul(m), I.gb).coordinates(index) for m in std[t]]
+            if K.ranks([images], ring.p)[0] != min(h0, h1):
                 ok = False
                 break
         if ok:

@@ -147,6 +147,20 @@ def test_malformed_input_exits_2(session, points, error, tmp_path):
         assert doc["message"].startswith("line 2," if points else "line 1,")
 
 
+@pytest.mark.parametrize("command", ["cb-check", "dgo"])
+@pytest.mark.parametrize("points", ["", "# no points here\n\n"], ids=["empty", "comments-only"])
+def test_points_file_with_no_points_exits_2(command, points, tmp_path):
+    """An empty point set is malformed input, reported at the session line
+    that reads the file."""
+    (tmp_path / "s.txt").write_text("ring p=32003 vars=x0..x2\npoints Z = file(pts.txt)\n")
+    (tmp_path / "pts.txt").write_text(points)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "s.txt"), command, "Z"]) == 2
+    doc = json.loads(out.read_bytes())
+    assert doc["error"] == "syntax-error"
+    assert doc["message"].startswith("line 2, column 1:") and "no points" in doc["message"]
+
+
 def _betti(tmp_path, ideal):
     (tmp_path / "s.txt").write_text(f"ring p=32003 vars=x0..x2\nideal I = {ideal}\n")
     out = tmp_path / "report.json"

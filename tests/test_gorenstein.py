@@ -1,18 +1,19 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from liaisonlab._kernels import pivot_rows
 from liaisonlab.errors import (
+    CharacteristicTooSmall,
     DuplicatePoint,
     NotACI,
     NotArtinian,
     NotGeometricallyLinked,
     NotRegularSequence,
+    PreconditionFailed,
 )
 from liaisonlab.gorenstein import (
     PointSet,
@@ -26,6 +27,8 @@ from liaisonlab.gorenstein import (
 from liaisonlab.ideals import Ideal
 from liaisonlab.resolution import classify, self_duality_check
 from liaisonlab.ring import MAX_PRIME, Ring
+
+from conftest import independent_rows
 
 
 def test_complete_intersection(R4):
@@ -104,6 +107,18 @@ def test_points_basic(R3):
         PointSet(R3, [(1, 0, 0), (2, 0, 0)])
     I = two.ideal()
     assert I.codimension() == 2 and I.is_saturated
+    with pytest.raises(PreconditionFailed):
+        PointSet(R3, [])
+
+
+def test_general_points_past_the_points_of_the_plane():
+    """P^2 over GF(2) has 7 points: 7 general ones are all of them, and an
+    8th cannot be drawn."""
+    plane = Ring(3, 2)
+    P = PointSet.general(plane, 7, np.random.default_rng(0))
+    assert sorted(P.coords) == sorted(pt for pt in product((0, 1), repeat=3) if any(pt))
+    with pytest.raises(CharacteristicTooSmall):
+        PointSet.general(plane, 8, np.random.default_rng(0))
 
 
 def test_grid_points(R3):
@@ -189,6 +204,47 @@ def test_upp_sampled_past_5000_subsets(R3):
     assert not rep["upp"] and not rep["upp_exhaustive"]
 
 
+def _upp_by_subset_loop(Z, rng):
+    """Reference: UPP by one `hf` per subset of size h_Z(t), for t below the
+    socle degree, over the same subsets as `cayley_bacharach_check`: all of
+    them, or 200 drawn from rng where there are more than 5000."""
+    N = len(Z)
+    for t in range(Z.socle_degree()):
+        h = Z.hf(t)
+        if math.comb(N, h) <= 5000:
+            pool = list(combinations(range(N), h))
+        else:
+            pool = [sorted(rng.choice(N, size=h, replace=False)) for _ in range(200)]
+        if not all(Z.hf(t, sub) == h for sub in pool):
+            return False
+    return True
+
+
+def test_upp_sampled_matches_a_loop_over_the_same_draws(R3):
+    """The two 16-point sets above: one stack of subsets per degree gives
+    the verdict of one rank per subset over the same 200 seeded draws,
+    and leaves the generator where the loop leaves it."""
+    general = PointSet.general(R3, 16, np.random.default_rng(5))
+    conic = [(1, t, t * t % R3.p) for t in range(12)]
+    mixed = PointSet(R3, conic + PointSet.general(R3, 4, np.random.default_rng(6)).coords)
+    for Z, upp in [(general, True), (mixed, False)]:
+        loop_rng, stack_rng = np.random.default_rng(1), np.random.default_rng(1)
+        assert _upp_by_subset_loop(Z, loop_rng) is upp
+        assert cayley_bacharach_check(Z, rng=stack_rng)["upp"] is upp
+        assert loop_rng.bit_generator.state == stack_rng.bit_generator.state
+
+
+def test_cb_upp_of_one_and_two_points(R3):
+    """Socle degree 0 and 1: a single point has CB and UPP with nothing to
+    rank; two points are independent in degree 0 and each alone keeps
+    h(0) = 1."""
+    for coords, s in [([(1, 2, 3)], 0), ([(1, 2, 3), (0, 1, 5)], 1)]:
+        Z = PointSet(R3, coords)
+        rep = cayley_bacharach_check(Z)
+        assert rep == {"cb": True, "upp": True, "upp_exhaustive": True, "socle_degree": s}
+        assert (rep["cb"], rep["upp"]) == _cb_upp_by_full_enumeration(Z)
+
+
 def test_five_general_points(R4, rng):
     P = PointSet.general(R4, 5, rng)
     assert dgo_verify(P)
@@ -257,7 +313,7 @@ def test_points_hf_with_large_coordinates():
             [math.prod(pow(a, e, p) for a, e in zip(pt, m)) % p for m in BIG.monomials(t)]
             for pt in P.coords
         ]
-        assert P.hf(t) == len(pivot_rows(rows, p)) == d.hf(t)
+        assert P.hf(t) == len(independent_rows(rows, p)) == d.hf(t)
     assert [P.hf(t, range(6)) for t in range(7)] == [1, 2, 3, 4, 5, 6, 6]
 
 

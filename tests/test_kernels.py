@@ -9,7 +9,9 @@ first dividing block, with the reducer table built one `append` at a time.
 The packed S-pair of two table elements (`Reducers.s_pair`) is checked
 against the array S-polynomial of `Element.mono_mul` and `merge_sub` and
 against the dict reference.
-`pivot_rows` is checked against Gaussian elimination on Python ints.
+`ranks` is checked, one stack of same-shaped matrices at a time, against
+Gaussian elimination on Python ints (`conftest.independent_rows`) for
+each matrix, on stacks of mixed ranks and with no rows or no columns.
 """
 
 from functools import lru_cache
@@ -22,6 +24,8 @@ from hypothesis import strategies as st
 from liaisonlab import _kernels as K
 from liaisonlab.errors import DegreeOverflow
 from liaisonlab.ring import Element, FreeModule, Order, Ring
+
+from conftest import independent_rows
 
 PRIMES = [2, 2**31 - 1]
 ORDERS = [("degrevlex", 0), ("lex", 0), ("block", 1), ("block", 2)]
@@ -347,37 +351,14 @@ def test_s_pair_degree_bound(p):
             _assert_same(_packed_s_pair(lex, blocks, 0, 1, p), _reference(lex, [((0, 0, K.MAX_DEGREE), 1)], p))
 
 
-def _independent_rows(rows, p):
-    """Reference for pivot_rows: Gaussian elimination on Python ints against
-    a fully reduced basis; row i is kept when it raises the rank."""
-    basis = {}  # pivot column -> row that is 1 there and 0 at every other pivot
-    out = []
-    for i, row in enumerate(rows):
-        v = [x % p for x in row]
-        for col, b in basis.items():
-            c = v[col]
-            v = [(x - c * y) % p for x, y in zip(v, b)]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = pow(v[piv], p - 2, p)
-        v = [x * inv % p for x in v]
-        for col, b in basis.items():
-            c = b[piv]
-            basis[col] = [(x - c * y) % p for x, y in zip(b, v)]
-        basis[piv] = v
-        out.append(i)
-    return out
-
-
 @st.composite
-def row_lists(draw, p):
-    """Rows mod p, some of them combinations of earlier rows, with entries
-    biased to 0, 1 and p - 1 (the largest products int64 must hold)."""
-    ncols = draw(st.integers(1, 6))
+def row_lists(draw, p, nrows, ncols):
+    """nrows rows of ncols entries mod p, some of them combinations of
+    earlier rows, with entries biased to 0, 1 and p - 1 (the largest
+    products int64 must hold)."""
     entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
     rows = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(nrows):
         if rows and draw(st.booleans()):
             coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
             rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(ncols)])
@@ -386,12 +367,39 @@ def row_lists(draw, p):
     return rows
 
 
-@pytest.mark.parametrize("p", [2, 2**31 - 1])
-def test_pivot_rows_matches_elimination(p):
-    @given(row_lists(p))
+@st.composite
+def stacks(draw, p):
+    """1-4 matrices of one shape, up to 10 x 6 and possibly with no rows or
+    no columns, each drawn by `row_lists`, so their ranks differ."""
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 6))
+    mats = [draw(row_lists(p, nrows, ncols)) for _ in range(draw(st.integers(1, 4)))]
+    return np.array(mats, dtype=np.int64).reshape(len(mats), nrows, ncols)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ranks_match_elimination(p):
+    @given(stacks(p))
     @settings(max_examples=150, deadline=None)
-    def check(rows):
-        lazy = (np.array(r, dtype=np.int64) for r in rows)
-        assert K.pivot_rows(lazy, p) == _independent_rows(rows, p)
+    def check(stack):
+        before = stack.copy()
+        got = K.ranks(stack, p)
+        assert got.tolist() == [len(independent_rows(m.tolist(), p)) for m in stack]
+        assert np.array_equal(stack, before)
 
     check()
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_ranks_of_a_stack_with_mixed_ranks(p):
+    """Full, zero, one and two, side by side in one stack; a stack with no
+    matrices, no rows or no columns has no rank to report but zeros."""
+    q = p - 1
+    stack = [
+        [[1, 0, 0], [0, q, 0], [0, 0, 1]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[q, 1, 0], [1, q, 0], [q, 1, 0]],
+        [[0, 1, 1], [0, 0, 1], [0, 1, 0]],
+    ]
+    assert K.ranks(np.array(stack), p).tolist() == [3, 0, 1, 2]
+    for shape in [(0, 3, 3), (2, 0, 3), (2, 3, 0)]:
+        assert K.ranks(np.zeros(shape, dtype=np.int64), p).tolist() == [0] * shape[0]

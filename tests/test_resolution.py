@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liaisonlab._kernels import pivot_rows
 from liaisonlab.errors import NotCM, WrongCodim
 from liaisonlab.hilbert import free_numerator
 from liaisonlab.ideals import Ideal, PolyMatrix
@@ -22,6 +21,8 @@ from liaisonlab.resolution import (
     self_duality_check,
 )
 from liaisonlab.ring import FreeModule, Ring
+
+from conftest import independent_rows
 
 
 def test_line_resolution(R4):
@@ -337,9 +338,9 @@ def _degree_basis(F, d):
 
 def _dense_minimal_generators(gens):
     """Reference: graded Nakayama by ranks of graded pieces.  In degree d,
-    `pivot_rows` reads the monomial multiples of the lower-degree generators
-    first and then the degree-d generators, in (degree, leading key) order;
-    a generator is kept when its row is a pivot."""
+    `independent_rows` reads the monomial multiples of the lower-degree
+    generators first and then the degree-d generators, in (degree, leading
+    key) order; a generator is kept when its row is a pivot."""
     elems = sorted(
         (g for g in gens if not g.is_zero),
         key=lambda g: (g.degree, tuple(int(x) for x in g.keys[0])),
@@ -350,7 +351,7 @@ def _dense_minimal_generators(gens):
         index = {m: i for i, m in enumerate(_degree_basis(elems[0].module, d))}
         rows = [g.mono_mul(u) for g in elems if g.degree < d for u in ring.monomials(d - g.degree)]
         cands = [g for g in elems if g.degree == d]
-        pivots = pivot_rows((h.coordinates(index) for h in rows + cands), ring.p)
+        pivots = independent_rows([h.coordinates(index) for h in rows + cands], ring.p)
         kept += [cands[i - len(rows)] for i in pivots if i >= len(rows)]
     return kept
 
