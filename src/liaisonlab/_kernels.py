@@ -80,9 +80,9 @@ canonical; the term-array kernels below return new canonical arrays.
     from the next field, and it keeps its top bit exactly when e >= l.
 
 Every kernel runs the same code at every size: there is no size cutoff
-and no second path.  `ranks` is the one GF(p) linear-algebra kernel: the
-rank of every matrix in an (S, r, c) stack, by fraction-free Gaussian
-elimination over all S matrices at once.
+and no second path.  `pivots` is the one GF(p) linear-algebra kernel: the
+pivot columns of every matrix in an (S, r, c) stack, by fraction-free
+Gaussian elimination over all S matrices at once; `ranks` counts them.
   - Column j is one step for the whole stack.  Each matrix takes as its
     pivot q its first row that is nonzero in column j, and every row
     becomes pv * row - row[j] * q, with pv = q[j] != 0; no modular
@@ -91,6 +91,12 @@ elimination over all S matrices at once.
     q, nonzero in column j, is independent of them: so the step lowers
     the rank by exactly one, and the rank of a matrix is the number of
     steps that found it a pivot.  A zero row is never chosen again.
+  - Each step keeps, of the vectors the rows span, those that vanish in
+    column j.  So at column j the rows span the vectors of the row space
+    that vanish on every earlier column, and column j finds a pivot
+    exactly when it is not a combination of the earlier columns: the
+    pivot columns are the first basis of the column space in column
+    order, and `pivots` reports them as a mask.
   - A matrix with no pivot in column j is zero there and takes pv = 1,
     which leaves it unchanged, so no matrix is singled out by a Python
     loop; a column with no pivot in any matrix is skipped.  The step is
@@ -99,8 +105,9 @@ elimination over all S matrices at once.
   - Entries are kept in [0, p) with p < 2^31 (`ring.MAX_PRIME`), so each
     product is below 2^62 and their difference fits in int64.
   It serves point Hilbert functions, Cayley-Bacharach and uniform position
-  (one stack of row subsets per degree) and Weak Lefschetz checks; minimal
-  generators come from the pair loop in `groebner`.
+  (one stack of row subsets per degree, on the pivot columns) and Weak
+  Lefschetz checks; minimal generators come from the pair loop in
+  `groebner`.
 """
 
 import heapq
@@ -157,15 +164,16 @@ def canonicalize(keys, exps, coeffs, p):
     return keys[rows], exps[rows], c[keep]
 
 
-def ranks(stack, p):
-    """GF(p) rank of every matrix of an (S, r, c) stack of int64 entries,
-    as an int64 array of length S; the stack itself is not changed."""
+def pivots(stack, p):
+    """Pivot columns of every matrix of an (S, r, c) stack of int64 entries,
+    as an (S, c) bool mask: column j is set when it is independent of the
+    columns before it over GF(p).  The stack itself is not changed."""
     a = np.asarray(stack, dtype=_I64) % p
     S, r, c = a.shape
     every = np.arange(S)
-    rank = np.zeros(S, dtype=_I64)
+    mask = np.zeros((S, c), dtype=bool)
     if r == 0:
-        return rank
+        return mask
     for j in range(c):
         col = a[:, :, j]
         nonzero = col != 0
@@ -179,8 +187,14 @@ def ranks(stack, p):
         rest *= pv[:, None, None]
         rest -= col[:, :, None] * prow[:, None, :]
         rest %= p
-        rank += has
-    return rank
+        mask[:, j] = has
+    return mask
+
+
+def ranks(stack, p):
+    """GF(p) rank of every matrix of an (S, r, c) stack, as an int64 array
+    of length S: the number of its pivot columns."""
+    return pivots(stack, p).sum(axis=1, dtype=_I64)
 
 
 def merge_sub(k1, e1, c1, k2, e2, c2, p):

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 mathematical failure, 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -44,7 +45,7 @@ from .hilbert import macaulay_growth_check, si_sequence_check
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link, liaison_addition
 from .resolution import ci_invariant_hf, classify, deficiency_table
-from .ring import Order, Ring
+from .ring import Order, Ring, check_degree
 
 SCHEMA = "liaison-lab/1"
 
@@ -109,7 +110,11 @@ def _tokenize(text, line_no=1):
 
 
 class PolyParser:
-    """Recursive-descent parser for `^ * + -` polynomial expressions."""
+    """Recursive-descent parser for `^ * + -` polynomial expressions.
+
+    Expressions evaluate to {exponent tuple: coefficient} dicts with
+    coefficients in [1, p); `parse_poly` builds the polynomial with one
+    `Ring.poly` call."""
 
     def __init__(self, ring, toks, pos=0):
         self.ring = ring
@@ -127,40 +132,52 @@ class PolyParser:
         return t
 
     def parse_expr(self):
+        p = self.ring.p
         t = self.peek()
-        negate = False
+        sign = 1
         if t.kind in "+-":
             self.take()
-            negate = t.kind == "-"
-        acc = self.parse_term()
-        if negate:
-            acc = -acc
+            sign = -1 if t.kind == "-" else 1
+        acc = {e: c * sign % p for e, c in self.parse_term().items()}
         while self.peek().kind in "+-":
-            op = self.take().kind
-            rhs = self.parse_term()
-            acc = acc + rhs if op == "+" else acc - rhs
+            sign = 1 if self.take().kind == "+" else -1
+            for e, c in self.parse_term().items():
+                v = (acc.get(e, 0) + sign * c) % p
+                if v:
+                    acc[e] = v
+                else:
+                    acc.pop(e, None)
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            acc = acc * self.parse_factor()
+            acc = _dict_mul(acc, self.parse_factor(), self.ring.p)
         return acc
 
     def parse_factor(self):
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.take()
-            e = self.take("int")
-            base = base ** e.value
+            k = self.take("int").value
+            check_degree(_dict_degree(base) * k)
+            out = {(0,) * self.ring.nvars: 1}
+            while k > 0:
+                if k & 1:
+                    out = _dict_mul(out, base, self.ring.p)
+                k >>= 1
+                if k:
+                    base = _dict_mul(base, base, self.ring.p)
+            base = out
         return base
 
     def parse_atom(self):
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return self.ring.constant(t.value)
+            c = t.value % self.ring.p
+            return {(0,) * self.ring.nvars: c} if c else {}
         if t.kind == "name":
             self.take()
             return self._variable(t)
@@ -174,10 +191,32 @@ class PolyParser:
     def _variable(self, tok):
         name = tok.value
         if name in self.ring.names:
-            return self.ring.var(self.ring.names.index(name))
+            k = self.ring.names.index(name)
+            return {tuple(int(i == k) for i in range(self.ring.nvars)): 1}
         if name.startswith("x") and name[1:].isdigit():
             raise VariableOutOfRange(f"{name} outside the declared ring")
         raise SessionSyntaxError(f"unknown variable {name!r}", tok.line, tok.col)
+
+
+def _dict_degree(f):
+    """Largest total degree of a term of a polynomial dict (0 for zero)."""
+    return max(map(sum, f), default=0)
+
+
+def _dict_mul(f, g, p):
+    """Product of two polynomial dicts, past the degree bound an error even
+    when its top terms would cancel, as for `Polynomial` products."""
+    check_degree(_dict_degree(f) + _dict_degree(g))
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            v = (out.get(e, 0) + c1 * c2) % p
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
 
 
 def parse_poly(ring, text, line_no=1):
@@ -187,7 +226,7 @@ def parse_poly(ring, text, line_no=1):
     t = p.peek()
     if t.kind != "end":
         raise SessionSyntaxError(f"trailing input {t.kind}", t.line, t.col)
-    return out
+    return ring.poly(out)
 
 
 class Session:
@@ -516,7 +555,10 @@ def run(session, command, args, seed, window):
     raise LiaisonError(f"unknown command {command}")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (it holds no state
+    between `parse_args` calls)."""
     ap = argparse.ArgumentParser(prog="liaison-lab", description=__doc__)
     ap.add_argument("--session", help="session file (ring/ideal declarations)")
     ap.add_argument("--seed", type=int, default=None)

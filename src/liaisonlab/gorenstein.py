@@ -93,7 +93,7 @@ def aci_gorenstein(c, I):
 class PointSet:
     """Reduced points in P^n over GF(p), pairwise distinct up to scalar."""
 
-    __slots__ = ("ring", "coords", "_ideal", "_values")
+    __slots__ = ("ring", "coords", "_ideal", "_values", "_pivots")
 
     def __init__(self, ring, coords):
         self.ring = ring
@@ -112,6 +112,7 @@ class PointSet:
             raise PreconditionFailed("a point set needs at least one point")
         self._ideal = None
         self._values = {}
+        self._pivots = {}
 
     def __len__(self):
         return len(self.coords)
@@ -137,12 +138,11 @@ class PointSet:
         return cls(ring, pts)
 
     def ideal(self):
+        """The ideal of the points: the intersection of the point ideals,
+        in one n-ary `Ideal.intersect` run."""
         if self._ideal is None:
             parts = [_point_ideal(self.ring, pt) for pt in self.coords]
-            acc = parts[0]
-            for q in parts[1:]:
-                acc = acc.intersect(q)
-            self._ideal = acc
+            self._ideal = parts[0].intersect(*parts[1:])
         return self._ideal
 
     # -- Hilbert functions by evaluation rank --------------------------
@@ -163,13 +163,20 @@ class PointSet:
             self._values[t] = values
         return self._values[t]
 
+    def _pivot_columns(self, t):
+        """Mask of the pivot columns of the degree-t evaluation matrix: h(t)
+        columns that span its column space, found once per t."""
+        if t not in self._pivots:
+            self._pivots[t] = K.pivots(self._eval_matrix(t)[None], self.ring.p)[0]
+        return self._pivots[t]
+
     def hf(self, t, subset=None):
         """Hilbert function of the subset's coordinate ring at degree t."""
         if t < 0:
             return 0
-        values = self._eval_matrix(t)
-        if subset is not None:
-            values = values[list(subset)]
+        if subset is None:
+            return int(self._pivot_columns(t).sum())
+        values = self._eval_matrix(t)[list(subset)]
         return int(K.ranks(values[None], self.ring.p)[0])
 
     def h_vector(self):
@@ -198,13 +205,14 @@ def _normalize_point(pt, p):
 
 
 def _point_ideal(ring, pt):
+    """The linear forms pt[k] x_i - pt[i] x_k (i != k), k the first nonzero
+    coordinate."""
     k = next(i for i, a in enumerate(pt) if a)
-    gens = []
-    for i in range(ring.nvars):
-        if i == k:
-            continue
-        gens.append(ring.var(i) * pt[k] - ring.var(k) * pt[i])
-    return Ideal(ring, gens)
+    unit = [tuple(int(i == v) for i in range(ring.nvars)) for v in range(ring.nvars)]
+    return Ideal(
+        ring,
+        [ring.poly({unit[i]: pt[k], unit[k]: -pt[i]}) for i in range(ring.nvars) if i != k],
+    )
 
 
 def cayley_bacharach_check(points, rng=None):
@@ -213,8 +221,12 @@ def cayley_bacharach_check(points, rng=None):
 
     Row i of the evaluation matrix M_t holds the values of the degree-t
     monomials at point i, so a subset Y of the points has h_Y(t) = rank of
-    the rows Y of M_t.  Each check is one `ranks` call on a stack of row
-    subsets of one M_t.
+    the rows Y of M_t.  Every column of M_t is a combination of its
+    h_Z(t) pivot columns, and the same combination holds on every row
+    subset, so those columns alone give every h_Y(t).  Each check is one
+    `ranks` call on a stack of row subsets of M_t cut to its pivot
+    columns, so the stack of all h_Z(t)-row subsets holds C(N, h) x h x h
+    entries, h = h_Z(t), however many monomials degree t has.
 
     CB: dropping any one point keeps h_Z(s - 1); the stack is the N
     drop-one row subsets of M_(s-1).  A single point (s = 0) has CB, as
@@ -232,10 +244,14 @@ def cayley_bacharach_check(points, rng=None):
     p = Z.ring.p
     hz = np.cumsum(Z.h_vector())
     s = len(hz) - 1
+
+    def basis(t):
+        return Z._eval_matrix(t)[:, Z._pivot_columns(t)]
+
     cb = True
     if s > 0:
         drop_one = np.nonzero(~np.eye(N, dtype=bool))[1].reshape(N, N - 1)
-        cb = bool((K.ranks(Z._eval_matrix(s - 1)[drop_one], p) == hz[s - 1]).all())
+        cb = bool((K.ranks(basis(s - 1)[drop_one], p) == hz[s - 1]).all())
     upp = True
     upp_exhaustive = True
     rng = rng or np.random.default_rng(0)
@@ -246,7 +262,7 @@ def cayley_bacharach_check(points, rng=None):
         else:
             upp_exhaustive = False
             subsets = [sorted(rng.choice(N, size=h, replace=False)) for _ in range(200)]
-        if not (K.ranks(Z._eval_matrix(t)[np.array(subsets)], p) == h).all():
+        if not (K.ranks(basis(t)[np.array(subsets)], p) == h).all():
             upp = False
             break
     return {"cb": cb, "upp": upp, "upp_exhaustive": upp_exhaustive, "socle_degree": s}

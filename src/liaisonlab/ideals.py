@@ -2,13 +2,14 @@
 saturation, elimination, ideals of maximal minors, codimension.
 
 Intersections and colon ideals are annihilators (`groebner.annihilator`):
-I cap J is the annihilator of (1, 1) modulo I e_0 + J e_1, and I : f the
+I_1 cap ... cap I_k is the annihilator of (1, ..., 1) modulo the relations
+I_1 e_1 + ... + I_k e_k, one run however many ideals meet, and I : f the
 annihilator of f modulo I.  The colon by an ideal intersects the colons by
-its generators; saturation iterates the colon until the reduced Groebner
-basis stabilizes.  Only `Ideal.eliminate` works in an elimination order.
+its generators in one such run; saturation iterates the colon until the
+reduced Groebner basis stabilizes.  Only `Ideal.eliminate` works in an
+elimination order.
 """
 
-from functools import reduce
 from itertools import combinations
 
 from .errors import (
@@ -29,7 +30,7 @@ class Ideal:
     homogeneous (the grading is load-bearing everywhere downstream).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_resolution_cache", "ci_degrees")
+    __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_quotient", "ci_degrees")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -43,7 +44,7 @@ class Ideal:
         self._gb = None
         self._codim = None
         self._hilbert = None
-        self._resolution_cache = None
+        self._quotient = None
         self.ci_degrees = None
 
     # -- basic structure ----------------------------------------------
@@ -119,9 +120,16 @@ class Ideal:
             out = out * self
         return out
 
-    def intersect(self, other):
-        self._chk(other)
-        return _colon_of_parts(self.ring, [(self, self.ring.one()), (other, self.ring.one())])
+    def intersect(self, *others):
+        """self cap others[0] cap ...: one annihilator run over the direct
+        sum of the ideals, however many there are; self when there are
+        none."""
+        for other in others:
+            self._chk(other)
+        if not others:
+            return self
+        one = self.ring.one()
+        return _colon_of_parts(self.ring, [(I, one) for I in (self, *others)])
 
     def colon_poly(self, f):
         """(self : f) for a single polynomial f."""
@@ -130,14 +138,15 @@ class Ideal:
         return _colon_of_parts(self.ring, [(self, f)])
 
     def colon(self, other):
-        """(self : other) = intersection of (self : g) over generators g."""
+        """(self : other) = intersection of (self : g) over generators g,
+        taken in one n-ary `intersect`."""
         if isinstance(other, Polynomial):
             return self.colon_poly(other)
         self._chk(other)
         if not other.gens:
             raise DivisionByZero("colon by the zero ideal")
         parts = [self.colon_poly(g) for g in other.gens]
-        return reduce(lambda a, b: a.intersect(b), parts)
+        return parts[0].intersect(*parts[1:])
 
     def saturate(self, by=None):
         """Saturation self : by^infinity (by=None means the irrelevant ideal)."""

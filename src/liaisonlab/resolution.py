@@ -128,17 +128,18 @@ class PresentedModule:
 
 
 def quotient_module(ideal):
-    """R/I as a presented module (F0 = R at twist 0)."""
-    F0 = FreeModule(ideal.ring, (0,), kind="pot")
-    rels = [F0.inject(g, 0) for g in ideal.gens_or_gb()]
-    return PresentedModule(F0, rels)
+    """R/I as a presented module (F0 = R at twist 0), built once per ideal,
+    so every caller shares its resolution."""
+    if ideal._quotient is None:
+        F0 = FreeModule(ideal.ring, (0,), kind="pot")
+        rels = [F0.inject(g, 0) for g in ideal.gens_or_gb()]
+        ideal._quotient = PresentedModule(F0, rels)
+    return ideal._quotient
 
 
 def minimal_free_resolution(ideal):
-    """Minimal free resolution of R/I (cached on the ideal)."""
-    if ideal._resolution_cache is None:
-        ideal._resolution_cache = quotient_module(ideal).resolution
-    return ideal._resolution_cache
+    """Minimal free resolution of R/I (cached with its quotient module)."""
+    return quotient_module(ideal).resolution
 
 
 class BettiTable:

@@ -22,7 +22,8 @@ MAX_PRIME = 2**31
 MAX_DEGREE = K.MAX_DEGREE
 
 
-def _check_degree(degree):
+def check_degree(degree):
+    """Raise DegreeOverflow for a total degree past MAX_DEGREE."""
     if degree > MAX_DEGREE:
         raise DegreeOverflow(f"total degree {degree} exceeds the bound 2^62 - 1 of the int64 term arrays")
 
@@ -354,7 +355,7 @@ def _tuples_to_arrays(module, rows):
     for t, _ in rows:
         if min(t[1:], default=0) < 0:
             raise DegreeOverflow(f"negative exponent in {tuple(t[1:])}")
-        _check_degree(sum(t[1:]))
+        check_degree(sum(t[1:]))
     exps = np.array([t for t, _ in rows], dtype=_I64).reshape(len(rows), 1 + nv)
     coeffs = np.array([c % module.ring.p for _, c in rows], dtype=_I64)
     keys = module.key_rows(exps)
@@ -477,7 +478,7 @@ class Element:
         c = int(c) % self.ring.p
         if c == 0 or self.is_zero:
             return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
-        _check_degree(self._top_degree() + sum(int(x) for x in exps))
+        check_degree(self._top_degree() + sum(int(x) for x in exps))
         e = np.zeros((1, self.exps.shape[1]), dtype=_I64)
         e[0, 1:] = exps
         dk = np.zeros((1, self.module.keylen), dtype=_I64)
@@ -492,7 +493,7 @@ class Element:
             raise RingMismatch("polynomial from another ring")
         if f.is_zero or self.is_zero:
             return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
-        _check_degree(self._top_degree() + f._top_degree())
+        check_degree(self._top_degree() + f._top_degree())
         m, n = len(self.coeffs), len(f.coeffs)
         de = f.exps[:, 1:]
         exps = np.repeat(self.exps, n, axis=0)
@@ -537,7 +538,7 @@ class Polynomial(Element):
 
     def __pow__(self, k):
         k = int(k)
-        _check_degree(self._top_degree() * k)
+        check_degree(self._top_degree() * k)
         r = self.ring.one()
         b = self
         while k > 0:

@@ -7,13 +7,19 @@ from pathlib import Path
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from liaisonlab import cli
 from liaisonlab.cli import main, parse_poly, parse_session
 from liaisonlab.errors import (
+    DegreeOverflow,
     PrimeCheckFailed,
     SessionSyntaxError,
     VariableOutOfRange,
 )
 from liaisonlab.ideals import Ideal
+from liaisonlab.ring import Ring
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -109,6 +115,67 @@ def test_parse_errors(R4):
         parse_session("ring p=32003 vars=x0..x3\nideal A = x0\nideal A = x1")
     with pytest.raises(SessionSyntaxError):
         parse_session("ideal A = x0")  # ring must come first
+
+
+R3_SMALL = Ring(3, 7)
+
+
+@st.composite
+def expressions(draw, depth=3):
+    """(text, Polynomial) pairs: an expression over GF(7)[x0..x2] and its
+    value by `Polynomial` arithmetic; every operation is parenthesised, so
+    the text has one reading."""
+    R = R3_SMALL
+    kinds = ["int", "var"] + (["+", "-", "*", "^", "neg"] if depth else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        c = draw(st.integers(0, 10**20))
+        return str(c), R.constant(c)
+    if kind == "var":
+        i = draw(st.integers(0, 2))
+        return f"x{i}", R.var(i)
+    a, f = draw(expressions(depth - 1))
+    if kind == "neg":
+        return f"(-{a})", -f
+    if kind == "^":
+        k = draw(st.integers(0, 3))
+        return f"({a})^{k}", f ** k
+    b, g = draw(expressions(depth - 1))
+    value = {"+": lambda: f + g, "-": lambda: f - g, "*": lambda: f * g}[kind]()
+    return f"({a}{kind}{b})", value
+
+
+@given(expressions())
+@settings(max_examples=150, deadline=None)
+def test_parse_poly_matches_polynomial_arithmetic(case):
+    text, value = case
+    assert parse_poly(R3_SMALL, text) == value
+
+
+def test_parse_poly_precedence_and_guards(R4):
+    x0, x1, x2, x3 = R4.gens()
+    assert parse_poly(R4, "-x0*x1^2 + 3*x2 - x3^0*x3") == -(x0 * x1 ** 2) + x2 * 3 - x3
+    assert parse_poly(R4, "2*x0 - 2*x0 + 32003*x1").is_zero
+    with pytest.raises(SessionSyntaxError) as exc:
+        parse_poly(R4, "x0 + * x1", line_no=3)
+    assert (exc.value.line, exc.value.column) == (3, 6)
+    with pytest.raises(SessionSyntaxError) as exc:
+        parse_poly(R4, "(x0 + x1", line_no=2)
+    assert (exc.value.line, exc.value.column) == (2, 9)
+    # past the degree bound on ^ and on *, even when the top terms cancel;
+    # ^ checks before it multiplies, so a huge power of a binomial fails fast
+    with pytest.raises(DegreeOverflow, match="9223372036854775807"):
+        parse_poly(R4, "x0^9223372036854775807")
+    for text in ["x0^4611686018427387904", "(x0^2305843009213693952)^2",
+                 "x0^4611686018427387903*x1 - x0^4611686018427387903*x1",
+                 "(x0 + x1)^9223372036854775807"]:
+        with pytest.raises(DegreeOverflow):
+            parse_poly(R4, text)
+    assert parse_poly(R4, "x0^4611686018427387903").degree == 2**62 - 1
+
+
+def test_argument_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_prime_above_int64_bound_exits_2(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from liaisonlab import _kernels as K
 from liaisonlab.errors import (
     CharacteristicTooSmall,
     DuplicatePoint,
@@ -109,6 +111,63 @@ def test_points_basic(R3):
     assert I.codimension() == 2 and I.is_saturated
     with pytest.raises(PreconditionFailed):
         PointSet(R3, [])
+
+
+def _value(f, pt):
+    p = f.ring.p
+    return sum(c * math.prod(pow(a, e, p) for a, e in zip(pt, exps)) for _, exps, c in f.terms()) % p
+
+
+def _iterated_point_ideal(Z):
+    """Reference: the point ideals, each from its 2 x 2 minors x_i a_k -
+    x_k a_i by polynomial arithmetic, intersected two at a time."""
+    R = Z.ring
+    parts = []
+    for pt in Z.coords:
+        k = next(i for i, a in enumerate(pt) if a)
+        parts.append(Ideal(R, [R.var(i) * pt[k] - R.var(k) * pt[i] for i in range(R.nvars) if i != k]))
+    return reduce(lambda a, b: a.intersect(b), parts)
+
+
+def test_points_ideal_matches_the_iterated_intersection(R3, R4):
+    """P^2 and P^3: general points, points on x_n = 0 (where the last
+    variable is a zero divisor) and collinear points."""
+    rng = np.random.default_rng(4)
+    cases = [
+        PointSet.general(R3, 7, rng),
+        PointSet(R3, [(1, a, 0) for a in range(3)] + [(0, 1, 0), (1, 2, 5), (3, 1, 1)]),
+        PointSet(R3, [(1, a, 2 * a + 1) for a in range(5)]),
+        PointSet.general(R4, 6, rng),
+        PointSet(R4, [(1, a, a * a, 0) for a in range(4)] + [(0, 0, 1, 0), (2, 1, 7, 3)]),
+        PointSet(R4, [(1, a, 0, 0) for a in range(5)] + [(0, 0, 0, 1)]),
+    ]
+    for Z in cases:
+        I = Z.ideal()
+        assert I == _iterated_point_ideal(Z)
+        assert all(_value(g, pt) == 0 for g in I.gens for pt in Z.coords)
+        assert [Z.hf(t) for t in range(5)] == [I.hilbert().hf(t) for t in range(5)]
+
+
+def test_cb_upp_of_collinear_points_ranks_only_pivot_columns(monkeypatch):
+    """14 points on a line of P^3: h_Z(t) = t + 1 of the C(t + 3, 3)
+    monomial columns are pivots, and every stack of r-row subsets that
+    reaches `ranks` has at most C(14, r) r r entries."""
+    R = Ring(4, 32003)
+    Z = PointSet(R, [(1, a, 0, 0) for a in range(14)])
+    shapes = []
+    ranks = K.ranks
+
+    def spy(stack, p):
+        shapes.append(np.shape(stack))
+        return ranks(stack, p)
+
+    monkeypatch.setattr(K, "ranks", spy)
+    rep = cayley_bacharach_check(Z)
+    assert rep == {"cb": True, "upp": True, "upp_exhaustive": True, "socle_degree": 13}
+    assert Z.h_vector() == (1,) * 14
+    assert len(shapes) == 14  # CB, then UPP in t = 0..12
+    for S, r, c in shapes:
+        assert c <= r and S * r * c <= math.comb(14, r) * r * r
 
 
 def test_general_points_past_the_points_of_the_plane():

@@ -1,11 +1,13 @@
+from functools import reduce
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import DegenerateMatrix, DivisionByZero, UnitIdeal
+from liaisonlab.errors import DegenerateMatrix, DivisionByZero, RingMismatch, UnitIdeal
 from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab.ring import Ring
 
@@ -54,6 +56,41 @@ def test_intersection_trivial(R4):
     I = Ideal(R4, [x0])
     assert I.intersect(Ideal(R4, [R4.one()])) == I
     assert Ideal(R4, [x0]).intersect(Ideal(R4, [x0 ** 2])) == Ideal(R4, [x0 ** 2])
+
+
+def _pairwise(ideals):
+    return reduce(lambda a, b: a.intersect(b), ideals)
+
+
+def test_nary_intersect_matches_the_pairwise_fold(R4):
+    """One annihilator run over k ideals gives the reduced basis of k - 1
+    pairwise runs, on seeded ideals of random forms and monomials."""
+    rng = np.random.default_rng(13)
+    x0, x1, x2, x3 = R4.gens()
+    fixed = [Ideal(R4, [x0, x1]), Ideal(R4, [x2, x3]), Ideal(R4, [x0 ** 2, x1 * x3])]
+    for k in (2, 3, 4):
+        for _ in range(3):
+            ideals = [
+                Ideal(R4, [R4.random_poly(int(d), rng) for d in rng.integers(1, 3, size=2)])
+                for _ in range(k - 1)
+            ] + [fixed[int(rng.integers(0, len(fixed)))]]
+            order = rng.permutation(k)
+            ideals = [ideals[i] for i in order]
+            got = ideals[0].intersect(*ideals[1:])
+            assert got == _pairwise(ideals)
+            assert all(I.contains_ideal(got) for I in ideals)
+
+
+def test_nary_intersect_of_nothing_and_of_other_rings(R4, R3):
+    x0, x1 = R4.var(0), R4.var(1)
+    I = Ideal(R4, [x0 * x1, x1 ** 2])
+    assert I.intersect() is I
+    J, K = Ideal(R4, [x0]), Ideal(R3, [R3.var(0)])
+    for args in [(K,), (J, K), (K, J), (J, J, K)]:
+        with pytest.raises(RingMismatch):
+            I.intersect(*args)
+    with pytest.raises(RingMismatch):
+        K.intersect(J)
 
 
 def test_colon_worked_links(R4):

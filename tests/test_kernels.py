@@ -9,9 +9,10 @@ first dividing block, with the reducer table built one `append` at a time.
 The packed S-pair of two table elements (`Reducers.s_pair`) is checked
 against the array S-polynomial of `Element.mono_mul` and `merge_sub` and
 against the dict reference.
-`ranks` is checked, one stack of same-shaped matrices at a time, against
-Gaussian elimination on Python ints (`conftest.independent_rows`) for
-each matrix, on stacks of mixed ranks and with no rows or no columns.
+`ranks` and `pivots` are checked, one stack of same-shaped matrices at a
+time, against Gaussian elimination on Python ints
+(`conftest.independent_rows`) for each matrix and its transpose, on stacks
+of mixed ranks and with no rows or no columns.
 """
 
 from functools import lru_cache
@@ -384,6 +385,11 @@ def test_ranks_match_elimination(p):
         before = stack.copy()
         got = K.ranks(stack, p)
         assert got.tolist() == [len(independent_rows(m.tolist(), p)) for m in stack]
+        # the pivot columns are the columns that raise the rank of those before
+        mask = K.pivots(stack, p)
+        assert [np.flatnonzero(row).tolist() for row in mask] == [
+            independent_rows(m.T.tolist(), p) for m in stack
+        ]
         assert np.array_equal(stack, before)
 
     check()

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from liaisonlab.errors import NotCM, WrongCodim
 from liaisonlab.hilbert import free_numerator
 from liaisonlab.ideals import Ideal, PolyMatrix
+from liaisonlab import resolution
 from liaisonlab.resolution import (
     canonical_module,
     ci_invariant_hf,
@@ -13,6 +14,7 @@ from liaisonlab.resolution import (
     deficiency_hf,
     deficiency_table,
     e_type_resolution,
+    ext_module,
     ext_numerator,
     is_acm,
     minimal_free_resolution,
@@ -204,6 +206,34 @@ def test_e_type_check_on_curves(R4):
     for I, free in ((TC, True), (sk, False), (quartic, False)):
         _, E = e_type_resolution(I, check=True)
         assert (not E.relations) == free
+
+
+def test_one_resolution_per_ideal(R4, monkeypatch):
+    """The quotient module is built once per ideal, so deficiency tables,
+    Ext modules and E-type truncations reuse the resolution `classify`
+    made: R/I is resolved once, and only E-type's E again."""
+    x0, x1, x2, x3 = R4.gens()
+    calls = []
+    resolve = resolution.resolve
+
+    def spy(F0, relations):
+        calls.append(F0.twists)
+        return resolve(F0, relations)
+
+    monkeypatch.setattr(resolution, "resolve", spy)
+    I = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
+    assert quotient_module(I) is quotient_module(I)
+    classify(I)
+    assert len(calls) == 1
+    assert minimal_free_resolution(I) is quotient_module(I).resolution
+    deficiency_table(I, range(-3, 3))
+    deficiency_hf(I, 1, range(-3, 3))
+    ext_module(I, 2)
+    e_type_resolution(I)
+    assert len(calls) == 1
+    # a fresh ideal with the same basis is resolved afresh
+    classify(Ideal(R4, list(I.gens)))
+    assert len(calls) == 2
 
 
 def test_canonical_module(R4):
