@@ -220,13 +220,40 @@ def _dict_mul(f, g, p):
 
 
 def parse_poly(ring, text, line_no=1):
-    toks = _tokenize(text, line_no)
-    p = PolyParser(ring, toks)
+    p = PolyParser(ring, _tokenize(text, line_no))
     out = p.parse_expr()
-    t = p.peek()
+    _expect_end(p)
+    return ring.poly(out)
+
+
+def _expect_end(parser):
+    t = parser.peek()
     if t.kind != "end":
         raise SessionSyntaxError(f"trailing input {t.kind}", t.line, t.col)
-    return ring.poly(out)
+
+
+def _parse_row(parser):
+    """Comma-separated polynomials, each built as soon as it is read."""
+    polys = [parser.ring.poly(parser.parse_expr())]
+    while parser.peek().kind == ",":
+        parser.take()
+        polys.append(parser.ring.poly(parser.parse_expr()))
+    return polys
+
+
+def _parse_matrix(parser):
+    """[[f, ...], [g, ...], ...] read from the parser's tokens."""
+    parser.take("[")
+    rows = []
+    while not rows or parser.peek().kind == ",":
+        if rows:
+            parser.take()
+        parser.take("[")
+        rows.append(_parse_row(parser))
+        parser.take("]")
+    parser.take("]")
+    _expect_end(parser)
+    return PolyMatrix(parser.ring, rows)
 
 
 class Session:
@@ -269,20 +296,24 @@ def parse_session(text, base_dir="."):
                 raise SessionSyntaxError("bad object name", line_no, 1)
             if name in sess.objects:
                 raise SessionSyntaxError(f"duplicate name {name!r}", line_no, 1)
-            body = body.strip()
-            if head == "ideal":
-                gens = [
-                    parse_poly(sess.ring, part, line_no)
-                    for part in _split_top(body)
-                ]
-                sess.objects[name] = ("ideal", Ideal(sess.ring, gens))
-            elif head == "matrix":
-                sess.objects[name] = ("matrix", _parse_matrix(sess.ring, body, line_no))
-            else:
+            if head == "points":
+                body = body.strip()
                 if not (body.startswith("file(") and body.endswith(")")):
                     raise SessionSyntaxError("points need file(...)", line_no, 1)
                 path = os.path.join(base_dir, body[5:-1].strip())
-                sess.objects[name] = ("points", _read_points(sess.ring, path, line_no))
+                obj = _read_points(sess.ring, path, line_no)
+            else:
+                # blank out everything before the body, so that each token
+                # carries its column in the line
+                start = len(raw) - len(raw.lstrip()) + len(line) - len(body)
+                parser = PolyParser(sess.ring, _tokenize(" " * start + body, line_no))
+                if head == "matrix":
+                    obj = _parse_matrix(parser)
+                else:
+                    gens = _parse_row(parser) if parser.peek().kind != "end" else []
+                    _expect_end(parser)
+                    obj = Ideal(sess.ring, gens)
+            sess.objects[name] = (head, obj)
         else:
             raise SessionSyntaxError(f"unknown statement {head!r}", line_no, 1)
     return sess
@@ -309,52 +340,6 @@ def _parse_ring_decl(rest, line_no):
     if order not in ("degrevlex", "lex"):
         raise SessionSyntaxError(f"unknown order {order!r}", line_no, 1)
     return Ring(n + 1, p, Order(order))
-
-
-def _split_top(body):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p]
-
-
-def _parse_matrix(ring, body, line_no):
-    body = body.strip()
-    if not (body.startswith("[[") and body.endswith("]]")):
-        raise SessionSyntaxError("matrix needs [[...],[...]]", line_no, 1)
-    inner = body[1:-1]
-    rows = []
-    depth = 0
-    cur = []
-    for ch in inner:
-        if ch == "[":
-            depth += 1
-            if depth == 1:
-                cur = []
-                continue
-        if ch == "]":
-            depth -= 1
-            if depth == 0:
-                rows.append("".join(cur))
-                continue
-        if depth >= 1:
-            cur.append(ch)
-    mat = [
-        [parse_poly(ring, cell, line_no) for cell in _split_top(row)] for row in rows
-    ]
-    return PolyMatrix(ring, mat)
 
 
 def _read_points(ring, path, decl_line):
@@ -652,7 +637,7 @@ def main(argv=None):
     except LiaisonError as exc:
         emit_report({"error": exc.code, "message": str(exc)}, seed, args.out)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     emit_report(payload, seed, args.out)

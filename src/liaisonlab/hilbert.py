@@ -4,12 +4,14 @@ regularity index and Macaulay growth bounds.
 The series numerator of R/I is computed from the leading-term monomial
 ideal by pivot recursion (split on a power of the most frequent variable),
 memoized on the canonical form of the monomial generators.  Everything
-downstream (function values, polynomial, h-vector, regularity index) is
-derived exactly from that numerator.
+downstream is derived from that numerator in integer arithmetic: the
+Hilbert polynomial's binomial-basis coefficients are its forward
+differences at 0..dim-1 (Newton's formula), and the regularity index comes
+from a downward scan that a nonzero polynomial of degree dim-1 bounds
+(Bruns & Herzog, Cohen-Macaulay Rings, Sec. 4.1).
 """
 
 import math
-from fractions import Fraction
 
 from .errors import NotACurve, UnitIdeal
 
@@ -95,19 +97,14 @@ def _poly_shift(a, s):
 
 
 def _poly_divide_1mt(a):
-    """Divide by (1-t); returns (quotient, divisible flag)."""
-    if not a:
-        return {}, True
-    lo, hi = min(a), max(a)
+    """a / (1-t) for a nonzero polynomial a with a(1) = 0."""
     q = {}
     carry = 0
-    for k in range(lo, hi + 1):
+    for k in range(min(a), max(a)):
         carry += a.get(k, 0)
         if carry:
             q[k] = carry
-    if carry != 0:
-        return a, False
-    return {k: v for k, v in q.items() if v}, True
+    return q
 
 
 def binom_int(a, k):
@@ -133,7 +130,14 @@ def series_hf(numer, nv, j):
 
 
 class HilbertData:
-    """Hilbert data of a graded quotient with series numerator/(1-t)^nv."""
+    """Hilbert data of a graded quotient with series numerator/(1-t)^nv.
+
+    `reduced` is the numerator with every factor (1-t) cancelled, `dim`
+    = nv minus their number.  `hp_coeffs` are the forward differences of
+    hp at 0..dim-1, highest order first; `reg_index` is 1 + the largest j
+    with hf(j) != hp(j).  `h_vector` lays out `reduced`, and
+    `h_vector_is_honest` means "dimension 0": it is False for every
+    positive-dimensional quotient, Cohen-Macaulay or not."""
 
     __slots__ = (
         "numerator",
@@ -151,25 +155,18 @@ class HilbertData:
         self.numerator = dict(numerator)
         self.nv = nv
         red = dict(self.numerator)
-        cancelled = 0
-        while red:
-            q, ok = _poly_divide_1mt(red)
-            if not ok:
-                break
-            red = q
-            cancelled += 1
-        self.dim = nv - cancelled
-        if self.dim < 0:
-            # zero module
-            self.dim = 0
-            red = {}
+        self.dim = nv
+        while red and sum(red.values()) == 0:
+            red = _poly_divide_1mt(red)
+            self.dim -= 1
+        if self.dim < 0:  # not the numerator of a module: read as zero
+            self.dim, red = 0, {}
         self.reduced = red
         self.degree = sum(red.values())
         self.hp_coeffs = self._hp_coeffs()
         self.reg_index = self._reg_index()
-        hv, honest = self._h_vector()
-        self.h_vector = hv
-        self.h_vector_is_honest = honest
+        self.h_vector = self._h_vector()
+        self.h_vector_is_honest = self.dim == 0
 
     # -- basic values ---------------------------------------------------
     def hf(self, j):
@@ -182,92 +179,38 @@ class HilbertData:
         return sum(c * binom_int(j - i + d - 1, d - 1) for i, c in self.reduced.items())
 
     def _hp_coeffs(self):
-        """Coefficients h_0..h_{d-1} with p(j) = sum h_k C(j, d-1-k)."""
-        d = self.dim
-        if d == 0:
-            return []
-        pts = list(range(d))
-        vals = [self.hp(j) for j in pts]
-        # solve sum_k h_k C(j, d-1-k) = p(j)
-        mat = [[Fraction(binom_int(j, d - 1 - k)) for k in range(d)] for j in pts]
-        hs = _solve_fraction(mat, [Fraction(v) for v in vals])
-        return [int(h) for h in hs]
+        """h_0..h_{d-1} with p(j) = sum h_k C(j, d-1-k); Newton's forward
+        formula p(j) = sum_m (D^m p)(0) C(j, m) gives h_k = (D^(d-1-k) p)(0)."""
+        vals = [self.hp(j) for j in range(self.dim)]
+        diffs = []
+        while vals:
+            diffs.append(vals[0])
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        return diffs[::-1]
 
     def _reg_index(self):
+        """Scan down from where hf and hp must agree.  Below min(numerator)
+        hf is 0 and a nonzero hp has at most dim - 1 roots, so the scan
+        stops above the floor."""
         if self.numerator == {}:
             return 0
-        top = max(self.numerator) if self.numerator else 0
+        top = max(self.numerator)
         j = max(top - self.nv + self.dim + 2, top + 1)
-        # scan downward from the guaranteed-agreement zone
         if self.hf(j) != self.hp(j):
             raise AssertionError("regularity scan started too low")
-        floor = min(min(self.numerator), 0) - self._root_bound() - 3
+        floor = min(self.numerator) - self.dim - 1
         while j - 1 >= floor and self.hf(j - 1) == self.hp(j - 1):
             j -= 1
         return j
 
-    def _root_bound(self):
-        """Cauchy-style bound on integer roots of the Hilbert polynomial."""
-        if self.dim == 0 or not self.reduced:
-            return 1
-        coeffs = _hp_dense_coeffs(self.reduced, self.dim)
-        lead = coeffs[-1]
-        if lead == 0:
-            return 1
-        return 2 + int(max(abs(c / lead) for c in coeffs))
-
     def _h_vector(self):
-        """Numerator after cancelling down to dimension 0 (h-vector when CM)."""
-        red = dict(self.reduced)
-        honest = True
-        for _ in range(self.dim):
-            red, ok = _poly_divide_1mt(red)
-            if not ok:
-                honest = False
-                break
-        if not honest:
-            # forced division leaves a Laurent-style remainder; report the
-            # reduced numerator instead, flagged as not a genuine h-vector
-            red = dict(self.reduced)
+        """`reduced` from degree min(0, lowest); an h-vector when R/I is CM,
+        which dimension 0 guarantees (reduced(1) = degree != 0, so no
+        further division by (1-t) exists to test it)."""
+        red = self.reduced
         if not red:
-            return (), honest
-        lo, hi = min(red), max(red)
-        if lo < 0:
-            return tuple(red.get(k, 0) for k in range(lo, hi + 1)), honest
-        return tuple(red.get(k, 0) for k in range(0, hi + 1)), honest
-
-
-def _hp_dense_coeffs(reduced, d):
-    """Hilbert polynomial as dense coefficient list in j (Fractions)."""
-    out = [Fraction(0)] * d
-    for i, c in reduced.items():
-        # C(j - i + d - 1, d - 1) as polynomial in j
-        poly = [Fraction(1)]
-        for s in range(d - 1):
-            # multiply by (j - i + d - 1 - s)
-            shift = Fraction(d - 1 - s - i)
-            poly = [Fraction(0)] + poly
-            for t in range(len(poly) - 1):
-                poly[t] += shift * poly[t + 1]
-        poly = [x / math.factorial(d - 1) for x in poly]
-        for t, v in enumerate(poly):
-            out[t] += c * v
-    return out
-
-
-def _solve_fraction(mat, rhs):
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+            return ()
+        return tuple(red.get(k, 0) for k in range(min(min(red), 0), max(red) + 1))
 
 
 # -- ideal-level API -----------------------------------------------------

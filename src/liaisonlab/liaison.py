@@ -11,7 +11,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .groebner import syzygies_of
-from .hilbert import free_numerator
+from .hilbert import degree_and_genus, free_numerator
 from .ideals import Ideal
 from .resolution import (
     Resolution,
@@ -118,10 +118,8 @@ def verify_link_invariants(rec):
     else:
         report["hilbert_identity"] = None
     if hI.dim == 2 and hJ.dim == 2:
-        gI = 1 - hI.hp_coeffs[1]
-        gJ = 1 - hJ.hp_coeffs[1]
-        lhs = 2 * (gI - gJ)
-        rhs = (rec.c.hilbert().reg_index - 1) * (hI.degree - hJ.degree)
+        lhs = 2 * (degree_and_genus(I)[1] - degree_and_genus(J)[1])
+        rhs = (hc.reg_index - 1) * (hI.degree - hJ.degree)
         report["genus_difference"] = lhs == rhs
     else:
         report["genus_difference"] = None

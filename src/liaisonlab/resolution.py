@@ -110,14 +110,7 @@ class PresentedModule:
     @property
     def numerator(self):
         if self._numerator is None:
-            if not self.relations:
-                self._numerator = free_numerator(self.F0.twists)
-            else:
-                gb = buchberger(self.relations)
-                lts = [(int(g.exps[0, 0]), tuple(int(x) for x in g.exps[0, 1:])) for g in gb]
-                self._numerator = quotient_numerator(
-                    self.F0.twists, lts, self.ring.nvars
-                )
+            self._numerator = _lead_numerator(self.F0, self.relations)
         return self._numerator
 
     def hf(self, j):
@@ -300,14 +293,18 @@ def ext_numerator(module, i):
     return _numerator_difference(submodule_numerator(dual, ker), submodule_numerator(dual, im))
 
 
+def _lead_numerator(F, gens):
+    """Numerator of HS(F / <gens>), read off the leading terms of a
+    Groebner basis of the gens."""
+    if not gens:
+        return free_numerator(F.twists)
+    lts = [(int(g.exps[0, 0]), tuple(int(x) for x in g.exps[0, 1:])) for g in buchberger(gens)]
+    return quotient_numerator(F.twists, lts, F.ring.nvars)
+
+
 def submodule_numerator(module, gens):
     """Numerator of HS(S) for the submodule S generated by gens."""
-    if not gens:
-        return {}
-    gb = buchberger(gens)
-    lts = [(int(g.exps[0, 0]), tuple(int(x) for x in g.exps[0, 1:])) for g in gb]
-    quot = quotient_numerator(module.twists, lts, module.ring.nvars)
-    return _numerator_difference(free_numerator(module.twists), quot)
+    return _numerator_difference(free_numerator(module.twists), _lead_numerator(module, gens))
 
 
 def ext_hf(module, i, degrees):

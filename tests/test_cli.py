@@ -228,6 +228,47 @@ def test_points_file_with_no_points_exits_2(command, points, tmp_path):
     assert doc["message"].startswith("line 2, column 1:") and "no points" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "case", ["session-is-a-directory", "unreadable", "not-utf8", "points-file-is-a-directory"]
+)
+def test_unreadable_input_exits_2(case, tmp_path, capsys, monkeypatch):
+    """Input that cannot be read is a usage error, not a mathematical one.
+    The unreadable session is simulated, since a superuser reads any file
+    whatever its mode."""
+    session = tmp_path / "s.txt"
+    session.write_text("ring p=32003 vars=x0..x2\nideal I = x0\npoints P = file(pts)\n")
+    (tmp_path / "pts").mkdir()
+    if case == "session-is-a-directory":
+        session = tmp_path
+    elif case == "not-utf8":
+        session.write_bytes(b"ring p=32003 vars=x0..x2\nideal I = x0 # \xff\xfe\n")
+    elif case == "unreadable":
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "open", denied, raising=False)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(session), "gb", "I"]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_syntax_errors_in_a_body_report_their_column_in_the_line():
+    """Ideal and matrix bodies are tokenized once at their offset in the line,
+    so the column counts from the start of the line, leading blanks too."""
+    cases = [
+        ("ideal A = x0*x1, x1 +* x2", 22),
+        ("matrix M = [[x0,x1],[x2,x0 ^^ 2]]", 29),
+        ("  ideal  B = x0, x1 x2  # comment", 21),
+        ("matrix M = [[x0,x1] [x2,x3]]", 21),
+    ]
+    for text, col in cases:
+        with pytest.raises(SessionSyntaxError) as exc:
+            parse_session("ring p=32003 vars=x0..x3\n" + text)
+        assert (exc.value.line, exc.value.column) == (2, col), text
+
+
 def _betti(tmp_path, ideal):
     (tmp_path / "s.txt").write_text(f"ring p=32003 vars=x0..x2\nideal I = {ideal}\n")
     out = tmp_path / "report.json"

@@ -1,9 +1,13 @@
 from itertools import combinations_with_replacement
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaisonlab.errors import NotACurve, UnitIdeal
 from liaisonlab.hilbert import (
+    HilbertData,
     degree_and_genus,
     hilbert_data,
     macaulay_bound,
@@ -175,3 +179,43 @@ def test_mono_numerator_large_exponents(rng):
         top = max(numer)
         for j in sorted(set(range(0, top + 3, 13)) | set(range(max(top - 3, 0), top + 3))):
             assert series_hf(numer, 3, j) == _brute_count(gens, j)
+
+
+# -- oracle: Hilbert polynomial and regularity index from hf alone -----------
+
+
+@st.composite
+def module_numerators(draw):
+    """(numerator, nv) of a direct sum of twisted R/M, M monomial ideals
+    other than the unit ideal, in 1..5 variables."""
+    nv = draw(st.integers(1, 5))
+    gens = st.lists(st.tuples(*[st.integers(0, 3)] * nv).filter(any), max_size=5)
+    parts = draw(st.lists(st.tuples(gens, st.integers(-3, 3)), min_size=1, max_size=3))
+    total = {}
+    for g, shift in parts:
+        for k, v in mono_numerator(g, nv).items():
+            total[k + shift] = total.get(k + shift, 0) + v
+    return {k: v for k, v in total.items() if v}, nv
+
+
+J = sympy.Symbol("j")
+
+
+@given(module_numerators())
+@settings(max_examples=300, deadline=None)
+def test_hilbert_data_against_interpolation(case):
+    """hp_coeffs against a sympy interpolation of hf past the numerator's
+    top degree, written in the basis C(j, dim-1-k); reg_index against a
+    brute-force scan of hf - hp over a window reaching below
+    min(numerator) - dim; the honest flag against the dimension."""
+    numer, nv = case
+    d = HilbertData(numer, nv)
+    lo, hi = min(numer), max(numer)
+    p = sympy.interpolate([(j, d.hf(j)) for j in range(hi + 1, hi + nv + 2)], J)
+    binomial = [sympy.prod([J - i for i in range(m)]) / sympy.factorial(m) for m in range(nv)]
+    assert len(d.hp_coeffs) == d.dim
+    assert sympy.expand(p - sum(h * binomial[d.dim - 1 - k] for k, h in enumerate(d.hp_coeffs))) == 0
+    assert (sympy.degree(p, J) if p != 0 else -1) == d.dim - 1
+    window = range(lo - d.dim - 2, hi + nv + 2)
+    assert d.reg_index == 1 + max(j for j in window if d.hf(j) != p.subs(J, j))
+    assert d.h_vector_is_honest == (d.dim == 0)
