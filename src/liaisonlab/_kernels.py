@@ -316,6 +316,18 @@ def pack(keys, exps):
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
+def unit_shifts(key_rows, nexp):
+    """The packed shift of each variable: what multiplying a term by x_v
+    adds to its packed int, for v = 0 .. nexp - 2.  key_rows maps exponent
+    rows (position first) to their key rows, linearly.  Packing is linear
+    in the fields, so it is the packed int of x_v at position 0 less that
+    of the zero term."""
+    rows = np.eye(nexp, dtype=_I64)
+    rows[0, 0] = 0  # the zero term, then x_0, x_1, ...
+    zero, *units = pack(key_rows(rows), rows)
+    return [u - zero for u in units]
+
+
 def unpack(packed, nkey, nexp):
     """The (keys, exps) arrays of packed ints."""
     width = 8 * (nkey + nexp)

@@ -6,9 +6,11 @@ Computational Commutative Algebra 2, Ch. 4): the inputs are admitted in
 (degree, leading key) order, and before an input of degree d comes in,
 every pending S-pair of degree <= d is done.  The input is reduced against
 that truncated basis, and one whose normal form is zero is reported as
-redundant.  Pairs are taken by true degree (twists included), smallest
-lcm first, and pruned by Buchberger's product criterion (ring case) and
-the chain criterion.  `buchberger` returns the canonical reduced basis,
+redundant; an input whose lead no basis lead divides keeps that lead, so
+it is admitted as it stands, unreduced.  Pairs are taken by true degree
+(twists included), smallest lcm first, and pruned by Buchberger's product
+criterion (ring case) and the chain criterion (Gebauer-Moeller, JSC 6,
+1988).  `buchberger` returns the canonical reduced basis,
 deterministic for a fixed input ideal regardless of generator order.
 
 Reduction goes through a `_kernels.Reducers` table, which prepares each
@@ -19,9 +21,13 @@ leads (`Reducers.s_pair`), and reduced by `_kernels.reduce_packed`; a
 remainder comes back packed, is made monic on its coefficient list and
 is appended to the table from its packed ints.  Only what leaves the loop
 is unpacked: each basis element and each recorded syzygy, once.  The pair
-bookkeeping reads one array of the basis' leading rows: an admission makes
-its pairs, with one numpy mask and one `pack` call for their lcms, and a
-popped pair tests the chain criterion with one mask.
+bookkeeping is plain Python on the basis' leads, kept per position as
+exponent tuples with their packed ints, and makes no numpy call per pair:
+an admission pairs the new element with the leads at its position only,
+builds each lcm as a tuple and packs it as the new lead's packed int plus
+the unit shift of each variable it rises in (packing is linear,
+`_kernels.unit_shifts`), and a popped pair scans the same leads for the
+chain criterion.
 
 `minimal_generators` is one run of the loop, stopped after its last
 input: the generators it does not report redundant are a minimal
@@ -45,6 +51,7 @@ Introduction to Commutative Algebra, Sec. 2.8).
 
 import heapq
 import math
+from operator import le
 
 import numpy as np
 
@@ -125,7 +132,7 @@ def normal_form(f, G):
 
 def _admission_key(g):
     """(degree, leading key): the order in which the pair loop takes inputs."""
-    return g.degree, tuple(int(x) for x in g.keys[0])
+    return g.degree, tuple(g.keys[0].tolist())
 
 
 def buchberger(gens):
@@ -151,8 +158,11 @@ def _pair_loop(gens, boundary, top=math.inf):
     pending pair of degree <= d is done, so the basis is a Groebner basis,
     up to degree d, of the inputs admitted so far; the input is then
     reduced against it.  A zero remainder means the input lies in the span
-    of the inputs before it.  After the last input, the pending pairs of
-    degree <= top are done.
+    of the inputs before it.  An input whose lead no basis lead at its
+    position divides is not reduced: its normal form would keep that lead,
+    so it is nonzero, and the input itself spans the same as its normal
+    form with the basis.  It is admitted as it stands, tail unreduced.
+    After the last input, the pending pairs of degree <= top are done.
 
     Returns (basis, syzygies, redundant): redundant holds the indices of
     the inputs whose remainder was zero.  A nonzero remainder, of an input
@@ -164,10 +174,12 @@ def _pair_loop(gens, boundary, top=math.inf):
     """
     module = gens[0].module
     p, nkey, nexp = module.ring.p, module.keylen, 1 + module.ring.nvars
+    twists = module.twists
     basis, syzygies, redundant = [], [], []
     table = K.Reducers()
-    # the basis' leading (position, exponents) rows
-    leads = np.empty((0, nexp), dtype=_I64)
+    # the basis' leads by position: [(index, exponent tuple)]
+    leads = {}
+    unit = K.unit_shifts(module.key_rows, nexp)
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
@@ -175,10 +187,9 @@ def _pair_loop(gens, boundary, top=math.inf):
     def reduce(heap, coef):
         return K.reduce_packed(heap, coef, table, nexp, p)
 
-    def admit(packed, coeffs):
-        """Take a nonzero remainder: its packed terms and coefficients."""
-        nonlocal leads
-        keys, exps = K.unpack(packed, nkey, nexp)
+    def admit(packed, coeffs, keys, exps):
+        """Take a nonzero remainder: its packed terms, coefficients, and
+        key and exponent arrays."""
         pos = int(exps[0, 0])
         if pos >= boundary:
             syzygies.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
@@ -188,61 +199,57 @@ def _pair_loop(gens, boundary, top=math.inf):
         j = len(basis)
         basis.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
         table.append(packed, exps, coeffs, p)
-        lead, older = exps[0, 1:], leads
-        leads = np.concatenate((leads, exps[:1]))
+        lead, packed_lead = tuple(exps[0, 1:].tolist()), packed[0]
+        same = leads.setdefault(pos, [])
         # pairs (i, j) with a lead at the same position, less those the
         # product criterion drops; ring modules only: a tracked run is POT,
-        # where it would drop Koszul syzygies
-        keep = older[:, 0] == pos
-        if is_ring:
-            keep &= np.logical_or.reduce(np.minimum(older[:, 1:], lead) != 0, axis=1)
-        idx = keep.nonzero()[0]
-        rows = np.empty((len(idx), nexp), dtype=_I64)
-        rows[:, 0] = pos
-        np.maximum(older[idx, 1:], lead, out=rows[:, 1:])
-        # heap key: the pair's true degree (the lcm's degree plus the twist
-        # of its position), then the module key of the lcm; the entry also
-        # carries the packed lcm and its degree, for the S-pair
-        lcm_degrees = np.add.reduce(rows[:, 1:], axis=1)
-        degrees = (lcm_degrees + module.twists[pos]).tolist()
-        keys = module.key_rows(rows)
-        for i, d, k, packed_lcm, lcm_degree in zip(
-            idx.tolist(), degrees, keys.tolist(), K.pack(keys, rows), lcm_degrees.tolist()
-        ):
-            heapq.heappush(heap, (d, tuple(k), i, j, packed_lcm, lcm_degree))
+        # where it would drop Koszul syzygies.  Heap key: the pair's true
+        # degree (the lcm's degree plus the twist of its position), then
+        # the lcm's negated packed int, which orders the lcms as their
+        # module keys do
+        for i, other in same:
+            if is_ring and not any(map(min, other, lead)):
+                continue
+            lcm = tuple(map(max, other, lead))
+            packed_lcm = packed_lead + sum((m - e) * u for m, e, u in zip(lcm, lead, unit))
+            heapq.heappush(heap, (sum(lcm) + twists[pos], -packed_lcm, i, j, pos, lcm))
             pending.add((i, j))
+        same.append((j, lead))
 
     def pop_pairs(degree):
         while heap and heap[0][0] <= degree:
-            _, _, i, j, packed_lcm, lcm_degree = heapq.heappop(heap)
-            if (i, j) not in pending:
-                continue
-            pending.discard((i, j))
-            lcm = np.maximum(leads[i, 1:], leads[j, 1:])
+            d, neg_lcm, i, j, pos, lcm = heapq.heappop(heap)
+            pending.remove((i, j))
             # chain criterion: some k with its lead at the same position
             # dividing the lcm, whose pairs with i and with j are both done
-            hits = (leads[:, 0] == leads[i, 0]) & _all(leads[:, 1:] <= lcm, axis=1)
             if any(
                 k != i and k != j
                 and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
-                for k in hits.nonzero()[0].tolist()
+                and all(map(le, other, lcm))
+                for k, other in leads[pos]
             ):
                 continue
-            packed, coeffs = reduce(*table.s_pair(i, j, packed_lcm, lcm_degree, p))
+            packed, coeffs = reduce(*table.s_pair(i, j, -neg_lcm, d - twists[pos], p))
             if packed:
-                admit(packed, coeffs)
+                admit(packed, coeffs, *K.unpack(packed, nkey, nexp))
 
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     for i in sorted(live, key=lambda i: _admission_key(gens[i])):
-        pop_pairs(gens[i].degree)
         g = gens[i]
-        packed = K.pack(g.keys, g.exps)
-        packed, coeffs = reduce(packed, dict(zip(packed, g.coeffs.tolist())))
-        if packed:
-            admit(packed, coeffs)
-        else:
-            redundant.append(i)
+        pop_pairs(g.degree)
+        packed, coeffs = K.pack(g.keys, g.exps), g.coeffs.tolist()
+        arrays = g.keys, g.exps
+        # reduction keeps a lead that no basis lead divides, and the basis
+        # is not interreduced, so such an input is admitted as it stands
+        pos, *lead = g.exps[0].tolist()
+        if any(all(map(le, other, lead)) for _, other in leads.get(pos, ())):
+            packed, coeffs = reduce(packed, dict(zip(packed, coeffs)))
+            if not packed:
+                redundant.append(i)
+                continue
+            arrays = K.unpack(packed, nkey, nexp)
+        admit(packed, coeffs, *arrays)
     pop_pairs(top)
     return basis, syzygies, redundant
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NotCM, UnitIdeal, WrongCodim
 from .groebner import buchberger, lift_coordinates, minimal_generators, syzygies_of
-from .hilbert import HilbertData, free_numerator, quotient_numerator, series_hf
+from .hilbert import free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
 
 
@@ -115,9 +115,6 @@ class PresentedModule:
 
     def hf(self, j):
         return series_hf(self.numerator, self.ring.nvars, j)
-
-    def hilbert(self):
-        return HilbertData(self.numerator, self.ring.nvars)
 
 
 def quotient_module(ideal):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import groebner as sympy_groebner
 from sympy import symbols
@@ -266,6 +266,24 @@ def test_syzygies_of_zero_entries_are_unit_vectors(R4):
     assert syzygies_of([F.zero(), F.zero()], two) == [two.gen(0), two.gen(1)]
 
 
+# x1 and x0^2 + x1*x2 at position 0: in degrevlex and in lex, no lead of a
+# basis holding x1 divides x0^2, so the pair loop admits x0^2 + x1*x2 as it
+# stands, with a tail that x1 would reduce
+_X1 = {(0, (0, 1, 0)): 1}
+_UNREDUCED = {(0, (2, 0, 0)): 3, (0, (0, 1, 1)): 7}
+
+
+def test_lift_coordinates_through_an_unreduced_input():
+    """Coordinates through a generator admitted unreduced round-trip."""
+    for order in (None, LEX):
+        ring = Ring(3, 32003, order=order)
+        x0, x1, x2 = ring.gens()
+        gens = [ring.poly({e: c for (_, e), c in terms.items()}) for terms in (_X1, _UNREDUCED)]
+        targets = [gens[1], x0 * gens[1] + x2**2 * gens[0], x1 * gens[1] - x0**2 * gens[0]]
+        coords = lift_coordinates(gens, targets)
+        assert all(_apply(c, gens) == f for c, f in zip(coords, targets))
+
+
 # -- exactness oracle for syzygies_of ----------------------------------------
 
 
@@ -299,9 +317,14 @@ def test_syzygies_of_is_exact(order):
     """0 -> <syz> -> source -> F is exact at source: every syzygy maps to 0,
     and HS(<syz>) + HS(<gens>) = HS(source), so no syzygy is missing."""
     ring = Ring(3, 32003, order=LEX if order == "lex" else None)
+    F1, F2 = FreeModule(ring, (0,)), FreeModule(ring, (0, 1))
 
     @given(small_maps(ring))
     @settings(max_examples=60, deadline=None)
+    # x0^2 + x1*x2 comes in after x1: no basis lead divides its lead, so it
+    # is admitted unreduced, with a tail x1 reduces
+    @example((F1, FreeModule(ring, (1, 2)), [F1.element(_X1), F1.element(_UNREDUCED)]))
+    @example((F2, FreeModule(ring, (1, 2)), [F2.element(_X1), F2.element({**_UNREDUCED, (1, (1, 0, 0)): 5})]))
     def check(case):
         F, source, gens = case
         syz = syzygies_of(gens, source)
@@ -356,9 +379,13 @@ def test_annihilator_is_exact(twists):
     span, and 0 -> R/ann(-deg v) -> F/<rel> -> F/<rel, v> -> 0 is exact, so
     HS(<rel, v>) - HS(<rel>) = HS(R/ann) shifted by deg v."""
     ring = Ring(3, 32003)
+    F = FreeModule(ring, twists)
+    v = {**_UNREDUCED, (1, (1, 0, 0)): 5} if len(twists) > 1 else _UNREDUCED
 
     @given(small_annihilator_cases(ring, twists))
     @settings(max_examples=60, deadline=None)
+    # the tracked v comes in after the relation x1, unreduced
+    @example((F, F.element(v), [F.element(_X1)]))
     def check(case):
         F, v, relations = case
         ann = annihilator(v, relations)

@@ -8,7 +8,9 @@ modules, against full reduction in a dict: the largest term first, by the
 first dividing block, with the reducer table built one `append` at a time.
 The packed S-pair of two table elements (`Reducers.s_pair`) is checked
 against the array S-polynomial of `Element.mono_mul` and `merge_sub` and
-against the dict reference.
+against the dict reference.  `unit_shifts`, the packed shift of each
+variable, takes a packed lead to the packed lcm of two leads exactly as
+`pack` of the lcm row, for exponents up to MAX_DEGREE.
 `ranks` and `pivots` are checked, one stack of same-shaped matrices at a
 time, against Gaussian elimination on Python ints
 (`conftest.independent_rows`) for each matrix and its transpose, on stacks
@@ -350,6 +352,27 @@ def test_s_pair_degree_bound(p):
                 _packed_s_pair(lex, blocks, 0, 1, p)
         else:
             _assert_same(_packed_s_pair(lex, blocks, 0, 1, p), _reference(lex, [((0, 0, K.MAX_DEGREE), 1)], p))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_unit_shifts_pack_the_lcm(data):
+    """A lead's packed int plus (lcm - lead) times the unit shifts is the
+    packed lcm, for exponents up to MAX_DEGREE: packing is linear."""
+    module = data.draw(modules(32003))
+    nv = module.ring.nvars
+    cap = K.MAX_DEGREE // nv  # every exponent row, and the lcm, has degree <= MAX_DEGREE
+    exponent = st.one_of(st.sampled_from([0, 1, cap - 1, cap]), st.integers(0, cap))
+    pos = data.draw(st.integers(0, module.rank - 1))
+    rows = np.array(
+        [[pos, *data.draw(st.lists(exponent, min_size=nv, max_size=nv))] for _ in range(2)],
+        dtype=np.int64,
+    )
+    lcm = rows.max(axis=0, keepdims=True)
+    want = K.pack(module.key_rows(lcm), lcm)[0]
+    unit = K.unit_shifts(module.key_rows, 1 + nv)
+    for lead, row in zip(K.pack(module.key_rows(rows), rows), rows.tolist()):
+        assert lead + sum((m - e) * u for m, e, u in zip(lcm[0, 1:].tolist(), row[1:], unit)) == want
 
 
 @st.composite
