@@ -1,57 +1,59 @@
-"""Hot term-array kernels for exact polynomial reduction over GF(p).
+"""Packed terms and the hot kernels on them: exact polynomial reduction over
+GF(p), and the one dense GF(p) linear-algebra kernel.
 
-A (module) polynomial is held as three parallel arrays:
+A (module) polynomial is held as two parallel lists:
 
-  exps   int64[m, 1+nv]  -- column 0 is the free-module position (0 for ring
-                            elements), columns 1.. are variable exponents
-  keys   int64[m, K]     -- monomial-order key rows, strictly decreasing in
-                            lexicographic row order
-  coeffs int64[m]        -- values in [1, p)
+  packed  strictly ascending Python ints, one per term (`Packing.pack`)
+  coeffs  ints in [1, p)
 
-Keys are additive (key of a product is the sum of keys), so multiplying by a
-monomial is a constant shift and never re-sorts.  Arrays in this form are
-canonical; the term-array kernels below return new canonical arrays.
+- A term is packed into one Python int: its negated key fields, then its
+  exponent fields (position first), each biased by 2^63 into 64 bits, most
+  significant first.  A biased field lies in [0, 2^64) exactly when the
+  field fits in int64, so the int is a base-2^64 numeral and int order is
+  the lexicographic order of the fields: the smallest int is the largest
+  term, and ascending ints list the terms largest first (Monagan & Pearce,
+  "Polynomial division using dynamic arrays, heaps, and packed exponent
+  vectors", CASC 2007).  Equal keys imply equal exponents within a module,
+  so the key fields alone decide the order and the identity of a term.
+- Keys are linear in the position and the exponents, and so is packing: a
+  term's int is the packed zero term plus the position times the position's
+  shift plus each exponent times its variable's shift (`Packing.units`).
+  Multiplying by a monomial, moving a term to another position and
+  changing the module kind are int adds, and they keep the order, because
+  module orders are multiplicative.
+- That needs every field of every term met to fit in int64: every term has
+  total degree <= MAX_DEGREE, which bounds its exponents and key fields by
+  2^62 in absolute value.  `Packing.pack` checks every term it builds, and
+  every product or reduction step that would take a term past MAX_DEGREE
+  raises DegreeOverflow first.  The exponent fields are read back by
+  masks: a term's total degree is its variable fields less their biases,
+  reduced mod 2^64 - 1 (the sum of base-2^64 digits), exact because it is
+  below 2^62.
 
-- `canonicalize` takes terms in any order, with repeated keys and any
-  integer coefficients: one `np.lexsort` of the key rows, reversed for
-  descending order, an adjacent-row inequality mask marks the first row of
-  each key, and `np.add.reduceat` sums each run mod p; zero sums are
-  dropped.
-- `merge_sub` (f - g of two canonical arrays) merges the two key lists,
-  taken with one `tolist()` each, in one Python loop with native list
-  comparison, so no key row is compared through numpy scalar indexing.
-  The loop records the output rows as indices into (f; g) with their
-  coefficients, combining equal keys mod p and dropping zero sums; keys
-  and exponents are then one fancy index each.  An empty side returns a
-  copy of the other at once.
+The term-list kernels are named `canonicalize`, `merge_sub` and
+`normal_form_arrays` because the benchmark's per-layer trace
+(`perfbench/spans.py`) wraps them by those names, on these paths: element
+construction, `+` and products call `canonicalize`, `-` calls
+`merge_sub`, and `groebner.normal_form` calls `normal_form_arrays`.  A
+later revision of the benchmark may rename them.
+
+- `canonicalize` takes terms in any order, with repeated ints and any
+  integer coefficients: it sums the coefficients per int in a dict, sorts
+  the ints and drops the sums that vanish mod p.
+- `merge_sub` (f - g) merges the two ascending lists in one Python loop,
+  combining equal ints mod p and dropping zero sums.
 - `reduce_packed` is full reduction against a `Reducers` table by
-  heap-based division on packed terms (Monagan & Pearce, "Polynomial
-  division using dynamic arrays, heaps, and packed exponent vectors",
-  CASC 2007).  `normal_form_arrays` is `pack`, `reduce_packed` and
-  `unpack`; the Buchberger pair loop calls `reduce_packed` itself.
-  - A term is packed into one Python int (`pack`): its negated key fields,
-    then its exponent fields (position first), each biased by 2^63 into
-    64 bits, most significant first.  A biased field lies in [0, 2^64)
-    exactly when the field fits in int64, so the int is a base-2^64
-    numeral and int order is the lexicographic order of the fields: the
-    smallest int is the largest term.  Equal keys imply equal exponents
-    within a module, so the key fields alone decide the order and the
-    identity of a term.  Packing is linear in the fields, so a term times
-    the monomial that takes a reducer's lead to its head h is h + delta,
-    with delta the difference of the packed tail term and the packed lead
-    (the biases cancel).
-  - That needs every field of every term met to fit in int64, the same
-    precondition the numpy term arithmetic has: every term has total
-    degree <= MAX_DEGREE, which bounds its exponents and key fields by
-    2^62 in absolute value.  A step that would take a term past
-    MAX_DEGREE raises DegreeOverflow first.
+  heap-based division (Monagan & Pearce); `normal_form_arrays` runs it on
+  a copy of f's terms.
+  - Packing is linear, so a term times the monomial that takes a
+    reducer's lead to its head h is h + delta, with delta the difference of
+    the packed tail term and the packed lead (the biases cancel).
   - `Reducers` prepares each basis element once, when it is appended from
     its packed terms: its tail as packed shifts, its tail coefficients
     over its lead coefficient (negated mod p), its largest rise in degree
     (tail over lead), and its lead's exponent fields packed without the
     bias, listed under the lead's position.  Only an element with a
-    positive rise costs one degree test per step: homogeneous input never
-    does.
+    positive rise costs one degree test per step.
   - `Reducers.s_pair` seeds the pending terms of the S-polynomial of two
     elements i and j from their tails alone.  L, the packed lcm of the two
     leads, is the lcm shift: a shift d = t - lead of i's tail gives L + d,
@@ -66,12 +68,11 @@ canonical; the term-array kernels below return new canonical arrays.
   - The pending terms sit in a dict of coefficients under a `heapq`
     min-heap of their ints, so the largest term is popped first.  A
     reduction step adds the reducer's tail term by term, one int add, one
-    dict lookup and one product mod p each, and makes no numpy call; it
-    costs O(reducer length * log n), not a pass over the remainder.  A
-    coefficient that sums to 0 keeps its dict entry, and a key keeps its
-    one heap entry until popped: keys only fall, so a popped key never
-    returns.  The remainder comes back packed, largest term first; `unpack`
-    turns a list of packed ints into arrays in one vectorised pass.
+    dict lookup and one product mod p each; it costs O(reducer length *
+    log n), not a pass over the remainder.  A coefficient that sums to 0
+    keeps its dict entry, and a key keeps its one heap entry until popped:
+    keys only fall, so a popped key never returns.  The remainder comes
+    back packed, largest term first.
   - A term is reduced by the first element, by index, whose lead has its
     position and divides it.  Each popped head is tested against the
     leads at its position, in index order, by the packed divisibility
@@ -111,6 +112,8 @@ Gaussian elimination over all S matrices at once; `ranks` counts them.
 """
 
 import heapq
+import struct
+from operator import index, mul
 
 import numpy as np
 
@@ -121,47 +124,123 @@ _I64 = np.int64
 # Exponents are >= 0 and every term has total degree <= MAX_DEGREE, so the
 # exponents, degrees and keys of a product of two terms (an S-pair lcm, a
 # reduction step) fit in int64.  A product that would pass the bound raises
-# DegreeOverflow instead of wrapping.
+# DegreeOverflow instead of spilling into the next field.
 MAX_DEGREE = 2**62 - 1
 
-# A packed term holds 64-bit fields, each biased by 2^63: as int64, the
-# bias flips the sign bit.
+# A packed term holds 64-bit fields, each biased by 2^63.
 _BIAS = 1 << 63
-_SIGN = np.iinfo(_I64).min
 _MASK = (1 << 64) - 1
 
 
-def empty_terms(nexp, nkey):
-    return (
-        np.empty((0, nkey), dtype=_I64),
-        np.empty((0, nexp), dtype=_I64),
-        np.empty((0,), dtype=_I64),
-    )
+class Packing:
+    """The packed encoding of the terms of one kind of module over one ring.
+
+    keys lists the key fields of the position and of each variable x_0,
+    x_1, ... (one tuple each, all of one length): the key of a term is
+    linear in its position and exponents.  zero is the packed zero term
+    (position 0, every exponent 0) and units the packed shift of the
+    position and of each variable, in that order: what adding 1 to that
+    field adds to a term's int.
+    """
+
+    __slots__ = ("zero", "units", "nexp", "top", "low", "guard", "varmask", "var_bias", "_fields")
+
+    def __init__(self, keys):
+        nexp = len(keys)
+        n = len(keys[0]) + nexp
+        self.zero = _BIAS * sum(1 << 64 * f for f in range(n))
+        self.units = tuple(
+            sum(f << 64 * (n - 1 - i) for i, f in enumerate([-k for k in key] + [int(c == v) for v in range(nexp)]))
+            for c, key in enumerate(keys)
+        )
+        self.nexp = nexp
+        self.top = 64 * (nexp - 1)  # the position field's shift
+        self.low = (1 << 64 * nexp) - 1  # the exponent fields
+        self.guard = self.low // _MASK << 63  # the top bit of each
+        self.varmask = (1 << self.top) - 1  # the variable fields
+        self.var_bias = (self.varmask // _MASK << 63) % _MASK  # their biases, mod 2^64 - 1
+        self._fields = struct.Struct(f">{nexp}q")
+
+    def pack(self, rank, pos, exps):
+        """The packed int of the term x^exps at position pos of a module of
+        the given rank: the one place a term is built from its fields.
+        Raises ValueError for a position outside [0, rank) or an exponent
+        vector of the wrong length, TypeError for a non-integer entry, and
+        DegreeOverflow for a negative exponent or a total degree above
+        MAX_DEGREE."""
+        exps = [index(e) for e in exps]
+        if len(exps) != self.nexp - 1:
+            raise ValueError(f"exponent vector {tuple(exps)} has {len(exps)} entries, not {self.nexp - 1}")
+        pos = index(pos)
+        if not 0 <= pos < rank:
+            raise ValueError(f"position {pos} outside a module of rank {rank}")
+        if min(exps, default=0) < 0:
+            raise DegreeOverflow(f"negative exponent in {tuple(exps)}")
+        degree = sum(exps)
+        if degree > MAX_DEGREE:
+            raise DegreeOverflow(f"total degree {degree} exceeds the bound 2^62 - 1 of the 64-bit term fields")
+        return self.zero + pos * self.units[0] + sum(map(mul, exps, self.units[1:]))
+
+    def decode(self, h):
+        """(position, exponent tuple) of a packed term."""
+        pos, *exps = self._fields.unpack(((h & self.low) ^ self.guard).to_bytes(8 * self.nexp, "big"))
+        return pos, tuple(exps)
+
+    def position(self, h):
+        """Module position of a packed term."""
+        return ((h >> self.top) & _MASK) - _BIAS
+
+    def degree(self, h):
+        """Total degree of a packed term, position left out: the variable
+        fields summed mod 2^64 - 1, less their biases."""
+        return (h & self.varmask) % _MASK - self.var_bias
 
 
-def canonicalize(keys, exps, coeffs, p):
-    """Sort terms by key (descending), combine duplicates, drop zeros mod p."""
-    coeffs = np.asarray(coeffs, dtype=_I64) % p
-    keys = np.asarray(keys, dtype=_I64)
-    exps = np.asarray(exps, dtype=_I64)
-    n = len(coeffs)
-    if n == 0:
-        return keys.reshape(0, keys.shape[-1] if keys.ndim == 2 else 0), exps.reshape(
-            0, exps.shape[-1] if exps.ndim == 2 else 0
-        ), coeffs
-    keys = keys.reshape(n, -1)
-    exps = exps.reshape(n, -1)
-    # lexsort's last key is the primary one; its ascending order, reversed,
-    # puts the rows in descending order
-    idx = np.lexsort(keys.T[::-1])[::-1]
-    sk = keys[idx]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (sk[1:] != sk[:-1]).any(axis=1)
-    starts = first.nonzero()[0]
-    c = np.add.reduceat(coeffs[idx], starts) % p
-    keep = c.nonzero()[0]
-    rows = idx[starts[keep]]
-    return keys[rows], exps[rows], c[keep]
+def canonicalize(packed, coeffs, p):
+    """Terms in any order, with repeats and any integer coefficients, as
+    canonical lists: ascending ints, coefficients summed mod p, zero sums
+    dropped."""
+    coef = {}
+    get = coef.get
+    for h, c in zip(packed, coeffs):
+        coef[h] = get(h, 0) + c
+    out, out_c = [], []
+    for h in sorted(coef):
+        c = coef[h] % p
+        if c:
+            out.append(h)
+            out_c.append(c)
+    return out, out_c
+
+
+def merge_sub(f, fc, g, gc, p):
+    """f - g for canonical term lists; the result is canonical and shares
+    no list with the inputs."""
+    m1, m2 = len(f), len(g)
+    out, oc = [], []
+    i = j = 0
+    while i < m1 and j < m2:
+        x, y = f[i], g[j]
+        if x < y:
+            out.append(x)
+            oc.append(fc[i])
+            i += 1
+        elif x > y:
+            out.append(y)
+            oc.append(p - gc[j])
+            j += 1
+        else:
+            c = (fc[i] - gc[j]) % p
+            if c:
+                out.append(x)
+                oc.append(c)
+            i += 1
+            j += 1
+    out += f[i:]
+    oc += fc[i:]
+    out += g[j:]
+    oc += [p - c for c in gc[j:]]
+    return out, oc
 
 
 def pivots(stack, p):
@@ -197,56 +276,10 @@ def ranks(stack, p):
     return pivots(stack, p).sum(axis=1, dtype=_I64)
 
 
-def merge_sub(k1, e1, c1, k2, e2, c2, p):
-    """f - g for canonical term arrays; the result is canonical.
-
-    One Python merge of the two sorted key lists (native list comparison)
-    records the output rows as indices into (f; g), with their
-    coefficients; the key and exponent arrays are then one fancy index
-    each into the concatenated inputs.
-    """
-    m1, m2 = len(c1), len(c2)
-    if not m2:
-        return k1.copy(), e1.copy(), c1.copy()
-    if not m1:
-        return k2.copy(), e2.copy(), p - c2
-    a, b = k1.tolist(), k2.tolist()
-    ca, cb = c1.tolist(), c2.tolist()
-    order, oc = [], []
-    i = j = 0
-    while i < m1 and j < m2:
-        x, y = a[i], b[j]
-        if x > y:
-            order.append(i)
-            oc.append(ca[i])
-            i += 1
-        elif x < y:
-            order.append(m1 + j)
-            oc.append(p - cb[j])
-            j += 1
-        else:
-            c = (ca[i] - cb[j]) % p
-            if c:
-                order.append(i)
-                oc.append(c)
-            i += 1
-            j += 1
-    order.extend(range(i, m1))
-    oc.extend(ca[i:])
-    order.extend(range(m1 + j, m1 + m2))
-    oc.extend([p - c for c in cb[j:]])
-    idx = np.array(order, dtype=np.intp)
-    return (
-        np.concatenate((k1, k2))[idx],
-        np.concatenate((e1, e2))[idx],
-        np.array(oc, dtype=_I64),
-    )
-
-
 class Reducers:
-    """Basis elements prepared for reduction, in index order; `append` adds
-    one nonzero element, given as its packed terms (`pack`), its exponent
-    rows and its coefficients (a list, any lead coefficient).
+    """Basis elements prepared for reduction, in index order, for terms of
+    one `Packing`; `append` adds one nonzero element, given as its packed
+    terms and its coefficients (any lead coefficient).
 
     Per element the table holds its tail as packed shifts (a tail term's
     packed int minus the lead's), its tail coefficients over its lead
@@ -255,24 +288,25 @@ class Reducers:
     lead's position.
     """
 
-    __slots__ = ("tails", "coeffs", "rises", "leads")
+    __slots__ = ("packing", "tails", "coeffs", "rises", "leads")
 
-    def __init__(self):
+    def __init__(self, packing):
+        self.packing = packing
         self.tails, self.coeffs, self.rises = [], [], []
         self.leads = {}  # position -> [(index, packed lead exponents)]
 
     def __len__(self):
         return len(self.tails)
 
-    def append(self, packed, exps, coeffs, p):
+    def append(self, packed, coeffs, p):
+        P = self.packing
         lead = packed[0]
-        low, guard = _exponent_masks(exps.shape[1])
-        self.leads.setdefault(int(exps[0, 0]), []).append((len(self.tails), (lead & low) - guard))
+        self.leads.setdefault(P.position(lead), []).append((len(self.tails), (lead & P.low) - P.guard))
         self.tails.append([t - lead for t in packed[1:]])
         q = pow(coeffs[0], -1, p)
         self.coeffs.append([p - c * q % p for c in coeffs[1:]])
-        d = np.add.reduce(exps[:, 1:], axis=1)
-        self.rises.append(int(np.maximum.reduce(d) - d[0]))
+        v = P.varmask
+        self.rises.append(max([(h & v) % _MASK for h in packed]) - (lead & v) % _MASK)
 
     def s_pair(self, i, j, lcm, degree, p):
         """The S-polynomial of elements i and j, each over its lead
@@ -284,7 +318,7 @@ class Reducers:
         if top > MAX_DEGREE:
             raise DegreeOverflow(
                 f"S-pair reaches total degree {top}, above the bound 2^62 - 1 "
-                "of the int64 term arrays"
+                "of the 64-bit term fields"
             )
         # the leads cancel; the tail of i comes in with the sign flipped
         coef = {lcm + d: p - x for d, x in zip(self.tails[i], self.coeffs[i])}
@@ -295,48 +329,7 @@ class Reducers:
         return sorted(coef), coef  # ascending, so a heap
 
 
-def _exponent_masks(nexp):
-    """(the exponent fields of a packed int, the top bit of each)."""
-    low = (1 << 64 * nexp) - 1
-    return low, low // _MASK << 63
-
-
-def pack(keys, exps):
-    """The packed ints of the terms (rows) of canonical arrays, in order.
-
-    A row's fields go into a buffer least significant first, so that one
-    little-endian read of the row is its packed int."""
-    n, nexp = exps.shape
-    fields = np.empty((n, nexp + keys.shape[1]), dtype=_I64)
-    fields[:, :nexp] = exps[:, ::-1]
-    np.negative(keys[:, ::-1], out=fields[:, nexp:])
-    fields ^= _SIGN
-    raw = fields.astype("<i8", copy=False).tobytes()
-    width = 8 * fields.shape[1]
-    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-
-
-def unit_shifts(key_rows, nexp):
-    """The packed shift of each variable: what multiplying a term by x_v
-    adds to its packed int, for v = 0 .. nexp - 2.  key_rows maps exponent
-    rows (position first) to their key rows, linearly.  Packing is linear
-    in the fields, so it is the packed int of x_v at position 0 less that
-    of the zero term."""
-    rows = np.eye(nexp, dtype=_I64)
-    rows[0, 0] = 0  # the zero term, then x_0, x_1, ...
-    zero, *units = pack(key_rows(rows), rows)
-    return [u - zero for u in units]
-
-
-def unpack(packed, nkey, nexp):
-    """The (keys, exps) arrays of packed ints."""
-    width = 8 * (nkey + nexp)
-    raw = b"".join([h.to_bytes(width, "little") for h in packed])
-    fields = np.frombuffer(raw, dtype="<i8").reshape(len(packed), nkey + nexp) ^ _SIGN
-    return -fields[:, : nexp - 1 : -1], fields[:, nexp - 1 :: -1].copy()
-
-
-def reduce_packed(heap, coef, reducers, nexp, p):
+def reduce_packed(heap, coef, reducers, p):
     """Full normal form of pending packed terms against a Reducers table.
 
     heap is a heap of the packed ints that key coef, their coefficients
@@ -346,8 +339,8 @@ def reduce_packed(heap, coef, reducers, nexp, p):
     DegreeOverflow where a reduction step would pass MAX_DEGREE.
     """
     tails, coeffs, rises, leads = reducers.tails, reducers.coeffs, reducers.rises, reducers.leads
-    low, guard = _exponent_masks(nexp)
-    top = 64 * (nexp - 1)  # the position field's shift
+    P = reducers.packing
+    low, guard, top, v, bias = P.low, P.guard, P.top, P.varmask, P.var_bias
     # a coefficient that sums to 0 keeps its entry.  A key is in `coef`
     # exactly while it has its one heap entry: keys only fall, so a popped
     # key never returns
@@ -369,11 +362,11 @@ def reduce_packed(heap, coef, reducers, nexp, p):
             out_c.append(c)
             continue
         if rises[j] > 0:
-            degree = sum(((e >> s) & _MASK) - _BIAS for s in range(0, top, 64)) + rises[j]
+            degree = (h & v) % _MASK - bias + rises[j]
             if degree > MAX_DEGREE:
                 raise DegreeOverflow(
                     f"reduction step reaches total degree {degree}, "
-                    "above the bound 2^62 - 1 of the int64 term arrays"
+                    "above the bound 2^62 - 1 of the 64-bit term fields"
                 )
         # subtract c * (the tail over the lead coefficient), shifted by h
         for d, x in zip(tails[j], coeffs[j]):
@@ -387,18 +380,15 @@ def reduce_packed(heap, coef, reducers, nexp, p):
     return out, out_c
 
 
-def normal_form_arrays(fk, fe, fc, reducers, p):
-    """Full normal form of f against the elements of a Reducers table, by
-    `reduce_packed`.  Returns canonical term arrays of the remainder;
-    raises DegreeOverflow where a reduction step would pass MAX_DEGREE."""
-    if not len(reducers) or not len(fc):
-        return fk.copy(), fe.copy(), fc.copy()
-    nkey, nexp = fk.shape[1], fe.shape[1]
-    heap = pack(fk, fe)  # ascending, so already a heap
-    out, out_c = reduce_packed(heap, dict(zip(heap, fc.tolist())), reducers, nexp, p)
-    if not out:
-        return empty_terms(nexp, nkey)
-    return (*unpack(out, nkey, nexp), np.array(out_c, dtype=_I64))
+def normal_form_arrays(packed, coeffs, reducers, p):
+    """Full normal form of f, given as canonical term lists, against the
+    elements of a Reducers table, by `reduce_packed`.  Returns the
+    remainder's canonical term lists; raises DegreeOverflow where a
+    reduction step would pass MAX_DEGREE."""
+    if not len(reducers) or not packed:
+        return packed, coeffs
+    heap = list(packed)  # ascending, so already a heap
+    return reduce_packed(heap, dict(zip(heap, coeffs)), reducers, p)
 
 
 def backend_name():

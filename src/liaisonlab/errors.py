@@ -25,7 +25,7 @@ class PrimeCheckFailed(LiaisonError):
 
 class DegreeOverflow(LiaisonError):
     """A negative exponent, or a total degree above ring.MAX_DEGREE, where
-    the int64 term arrays would wrap."""
+    the 64-bit fields of a packed term would overflow."""
 
     code = "degree-overflow"
 

@@ -15,19 +15,17 @@ deterministic for a fixed input ideal regardless of generator order.
 
 Reduction goes through a `_kernels.Reducers` table, which prepares each
 basis element once; a `GroebnerBasis` builds its table when first used.
-The loop keeps one table and works on packed terms: an S-pair is seeded
-from the two elements' table tails, shifted by the packed lcm of their
-leads (`Reducers.s_pair`), and reduced by `_kernels.reduce_packed`; a
-remainder comes back packed, is made monic on its coefficient list and
-is appended to the table from its packed ints.  Only what leaves the loop
-is unpacked: each basis element and each recorded syzygy, once.  The pair
-bookkeeping is plain Python on the basis' leads, kept per position as
-exponent tuples with their packed ints, and makes no numpy call per pair:
+Elements hold their terms packed (see `ring`), so the loop keeps one table
+and hands terms to the kernels as they stand: an S-pair is seeded from the
+two elements' table tails, shifted by the packed lcm of their leads
+(`Reducers.s_pair`), and reduced by `_kernels.reduce_packed`; a remainder
+comes back packed, is made monic on its coefficient list and joins the
+basis and the table as it is.  The pair bookkeeping is plain Python on the
+basis' leads, kept per position as exponent tuples with their packed ints:
 an admission pairs the new element with the leads at its position only,
 builds each lcm as a tuple and packs it as the new lead's packed int plus
-the unit shift of each variable it rises in (packing is linear,
-`_kernels.unit_shifts`), and a popped pair scans the same leads for the
-chain criterion.
+the unit shift of each variable it rises in (packing is linear), and a
+popped pair scans the same leads for the chain criterion.
 
 `minimal_generators` is one run of the loop, stopped after its last
 input: the generators it does not report redundant are a minimal
@@ -53,15 +51,9 @@ import heapq
 import math
 from operator import le
 
-import numpy as np
-
 from . import _kernels as K
 from .errors import RingMismatch
 from .ring import FreeModule
-
-_I64 = np.int64
-
-_all = np.logical_and.reduce
 
 
 class GroebnerBasis:
@@ -103,16 +95,16 @@ class GroebnerBasis:
 
 def _reducers(elements):
     """A reducer table of nonzero elements, in order."""
-    table = K.Reducers()
+    table = K.Reducers(elements[0].module.packing)
     for g in elements:
-        table.append(K.pack(g.keys, g.exps), g.exps, g.coeffs.tolist(), g.ring.p)
+        table.append(g.packed, g.coeffs, g.ring.p)
     return table
 
 
 def _reduce(f, table):
     if not len(table):
         return f
-    return f._wrap(K.normal_form_arrays(f.keys, f.exps, f.coeffs, table, f.ring.p))
+    return f._wrap(*K.normal_form_arrays(f.packed, f.coeffs, table, f.ring.p))
 
 
 def normal_form(f, G):
@@ -131,8 +123,9 @@ def normal_form(f, G):
 
 
 def _admission_key(g):
-    """(degree, leading key): the order in which the pair loop takes inputs."""
-    return g.degree, tuple(g.keys[0].tolist())
+    """(degree, leading key): the order in which the pair loop takes inputs.
+    A larger key packs to a smaller int."""
+    return g.degree, -g.packed[0]
 
 
 def buchberger(gens):
@@ -173,33 +166,31 @@ def _pair_loop(gens, boundary, top=math.inf):
     or to a recorded syzygy.
     """
     module = gens[0].module
-    p, nkey, nexp = module.ring.p, module.keylen, 1 + module.ring.nvars
-    twists = module.twists
+    p, twists, packing = module.ring.p, module.twists, module.packing
     basis, syzygies, redundant = [], [], []
-    table = K.Reducers()
+    table = K.Reducers(packing)
     # the basis' leads by position: [(index, exponent tuple)]
     leads = {}
-    unit = K.unit_shifts(module.key_rows, nexp)
+    unit = packing.units[1:]
     is_ring = module.kind == "ring"
     pending = set()
     heap = []
 
     def reduce(heap, coef):
-        return K.reduce_packed(heap, coef, table, nexp, p)
+        return K.reduce_packed(heap, coef, table, p)
 
-    def admit(packed, coeffs, keys, exps):
-        """Take a nonzero remainder: its packed terms, coefficients, and
-        key and exponent arrays."""
-        pos = int(exps[0, 0])
+    def admit(packed, coeffs):
+        """Take a nonzero remainder: its packed terms and coefficients."""
+        pos, lead = packing.decode(packed[0])
         if pos >= boundary:
-            syzygies.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
+            syzygies.append(gens[0]._wrap(packed, coeffs))
             return
         q = pow(coeffs[0], -1, p)
         coeffs = [c * q % p for c in coeffs]
         j = len(basis)
-        basis.append(gens[0]._wrap((keys, exps, np.array(coeffs, dtype=_I64))))
-        table.append(packed, exps, coeffs, p)
-        lead, packed_lead = tuple(exps[0, 1:].tolist()), packed[0]
+        basis.append(gens[0]._wrap(packed, coeffs))
+        table.append(packed, coeffs, p)
+        packed_lead = packed[0]
         same = leads.setdefault(pos, [])
         # pairs (i, j) with a lead at the same position, less those the
         # product criterion drops; ring modules only: a tracked run is POT,
@@ -232,24 +223,23 @@ def _pair_loop(gens, boundary, top=math.inf):
                 continue
             packed, coeffs = reduce(*table.s_pair(i, j, -neg_lcm, d - twists[pos], p))
             if packed:
-                admit(packed, coeffs, *K.unpack(packed, nkey, nexp))
+                admit(packed, coeffs)
 
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     for i in sorted(live, key=lambda i: _admission_key(gens[i])):
         g = gens[i]
         pop_pairs(g.degree)
-        packed, coeffs = K.pack(g.keys, g.exps), g.coeffs.tolist()
-        arrays = g.keys, g.exps
+        packed, coeffs = g.packed, g.coeffs
         # reduction keeps a lead that no basis lead divides, and the basis
         # is not interreduced, so such an input is admitted as it stands
-        pos, *lead = g.exps[0].tolist()
+        pos, lead = packing.decode(packed[0])
         if any(all(map(le, other, lead)) for _, other in leads.get(pos, ())):
-            packed, coeffs = reduce(packed, dict(zip(packed, coeffs)))
+            heap_in = list(packed)  # ascending, so a heap; reduction uses it up
+            packed, coeffs = reduce(heap_in, dict(zip(heap_in, coeffs)))
             if not packed:
                 redundant.append(i)
                 continue
-            arrays = K.unpack(packed, nkey, nexp)
-        admit(packed, coeffs, *arrays)
+        admit(packed, coeffs)
     pop_pairs(top)
     return basis, syzygies, redundant
 
@@ -279,22 +269,24 @@ def interreduce(elems):
     if not elems:
         return []
     # keep only elements with minimal leading terms; of equal ones, the first
-    leads = np.array([g.exps[0] for g in elems])
-    keep = []
-    for i, lt in enumerate(leads):
-        divides = (leads[:, 0] == lt[0]) & _all(leads[:, 1:] <= lt[1:], axis=1)
-        divides[i:] &= np.logical_or.reduce(leads[i:] != lt, axis=1)
-        if not divides.any():
-            keep.append(elems[i])
+    leads = [g.lt()[:2] for g in elems]
+    keep = [
+        g
+        for i, (g, (pos, lt)) in enumerate(zip(elems, leads))
+        if not any(
+            q == pos and all(map(le, m, lt)) and (j < i or m != lt)
+            for j, (q, m) in enumerate(leads)
+            if j != i
+        )
+    ]
     # A tail term is below its own leading term, so no element reduces
     # itself; the leads stay, so one pass gives the unique reduced basis.
     G = GroebnerBasis(keep[0].module, keep)
     out = [
-        g._wrap((g.keys[:1], g.exps[:1], g.coeffs[:1]))
-        + normal_form(g._wrap((g.keys[1:], g.exps[1:], g.coeffs[1:])), G)
+        g._wrap(g.packed[:1], g.coeffs[:1]) + normal_form(g._wrap(g.packed[1:], g.coeffs[1:]), G)
         for g in keep
     ]
-    out.sort(key=lambda g: tuple(int(x) for x in g.keys[0]), reverse=True)
+    out.sort(key=lambda g: g.packed[0])  # largest lead first
     return out
 
 
@@ -326,7 +318,7 @@ def syzygies_of(gens, source=None):
     if live:
         r, _, syzygies = _augmented_basis([gens[i] for i in live])
         # tag position r + j is generator live[j]; the F positions stay unused
-        positions = np.concatenate([np.arange(-r, 0), live])
+        positions = [*range(-r, 0), *live]
         out += [source.rehome(v, positions) for v in syzygies]
     return out
 
@@ -341,11 +333,11 @@ def lift_coordinates(gens, targets):
     """
     r, gb, _ = _augmented_basis(gens)
     coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
-    positions = np.arange(gb.module.rank) - r  # tag position r + i is coordinate i
+    positions = range(-r, gb.module.rank - r)  # tag position r + i is coordinate i
     out = []
     for w in targets:
         lifted = normal_form(gb.module.rehome(w), gb)
-        if (lifted.exps[:, 0] < r).any():
+        if not lifted.is_zero and lifted.lt()[0] < r:  # POT: the lead has the least position
             raise ValueError("target is not in the span of the generators")
         out.append(coord.rehome(lifted, positions).scale(-1))
     return out

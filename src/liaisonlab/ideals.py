@@ -79,7 +79,7 @@ class Ideal:
 
     def lt_exps(self):
         """Leading-term monomial exponents of the reduced basis."""
-        return [tuple(int(x) for x in g.exps[0, 1:]) for g in self.gb]
+        return [g.lt()[1] for g in self.gb]
 
     def __eq__(self, other):
         return (
@@ -183,7 +183,7 @@ class Ideal:
         gb = buchberger(gens)
         out = []
         for g in gb:
-            if (g.exps[:, 1 : 1 + len(kill)] == 0).all():
+            if not any(any(e[: len(kill)]) for _, e, _ in g.terms()):
                 out.append(
                     self.ring.poly(
                         {tuple(e[inv[i]] for i in range(n)): c for _, e, c in g.terms()}

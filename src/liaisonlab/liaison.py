@@ -18,6 +18,7 @@ from .resolution import (
     classify,
     deficiency_table,
     dual_kernel,
+    dual_kernel_numerator,
     minimal_free_resolution,
     submodule_numerator,
 )
@@ -304,8 +305,7 @@ def mapping_cone_shapes(rec):
         return tuple(s - a for a in tws)
 
     # N-type of J: 0 -> F1*(-s) -> D_{c-1} + F2*(-s) -> ... -> D_1 + E*(-s) -> J
-    dualE, Egens = dual_kernel(FI, cod)
-    e_numer = _shift_numer(submodule_numerator(dualE, Egens), s)
+    e_numer = _shift_numer(dual_kernel_numerator(FI, cod), s)
     stages = [
         {
             "twists": dtw.get(1, ()),

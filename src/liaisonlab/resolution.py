@@ -14,12 +14,12 @@ off directly.
 
 Everything dual goes through two steps: the transpose of a differential
 (`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
-kernel of a transposed differential (`dual_kernel`).  Ext modules, their
-Hilbert numerators, canonical modules and the mapping-cone shapes of
-`liaison` are all assembled from these.
+kernel of a transposed differential (`dual_kernel`).  Ext modules,
+canonical modules and the mapping-cone shapes of `liaison` are assembled
+from these.  Hilbert numerators need no kernel: in each degree a kernel's
+dimension is its source's less its image's, and an image's numerator is
+read off the leading terms of the transposed columns.
 """
-
-import numpy as np
 
 from .errors import NotCM, UnitIdeal, WrongCodim
 from .groebner import buchberger, lift_coordinates, minimal_generators, syzygies_of
@@ -280,14 +280,28 @@ def _numerator_difference(a, b):
     return {k: v for k, v in ((k, a.get(k, 0) - b.get(k, 0)) for k in set(a) | set(b)) if v}
 
 
+def _image_numerator(res, k):
+    """Numerator of HS(im d_k^T) inside F_k^*; {} when k is outside
+    1..length (no such map)."""
+    if not 1 <= k <= res.length:
+        return {}
+    return submodule_numerator(*res.dual_columns(k))
+
+
+def dual_kernel_numerator(res, k):
+    """Numerator of HS(ker d_{k+1}^T), the module `dual_kernel` generates,
+    with no kernel computed: in each degree the kernel's dimension is that
+    of F_k^* less that of the image of d_{k+1}^T (rank and nullity)."""
+    return _numerator_difference(free_numerator(res.free_module(k).dual().twists), _image_numerator(res, k + 1))
+
+
 def ext_numerator(module, i):
-    """Series numerator of Ext^i(M, R) = ker d_{i+1}^T / im d_i^T."""
+    """Series numerator of Ext^i(M, R) = ker d_{i+1}^T / im d_i^T, i.e.
+    HS(F_i^*) - HS(im d_{i+1}^T) - HS(im d_i^T)."""
     res = module.resolution
     if i < 0 or i > res.length:
         return {}
-    dual, ker = dual_kernel(res, i)
-    im = res.dual_columns(i)[1] if i >= 1 else []
-    return _numerator_difference(submodule_numerator(dual, ker), submodule_numerator(dual, im))
+    return _numerator_difference(dual_kernel_numerator(res, i), _image_numerator(res, i))
 
 
 def _lead_numerator(F, gens):
@@ -295,7 +309,7 @@ def _lead_numerator(F, gens):
     Groebner basis of the gens."""
     if not gens:
         return free_numerator(F.twists)
-    lts = [(int(g.exps[0, 0]), tuple(int(x) for x in g.exps[0, 1:])) for g in buchberger(gens)]
+    lts = [g.lt()[:2] for g in buchberger(gens)]
     return quotient_numerator(F.twists, lts, F.ring.nvars)
 
 
@@ -419,8 +433,8 @@ def tensor_presentation(M, N):
     )
     F = FreeModule(ring, twists, kind="pot")
     # generator e_i (x) f_j sits at position i * rn + j
-    rels = [F.rehome(a, np.arange(rm) * rn + j) for a in M.relations for j in range(rn)]
-    rels += [F.rehome(b, i * rn + np.arange(rn)) for i in range(rm) for b in N.relations]
+    rels = [F.rehome(a, range(j, rm * rn, rn)) for a in M.relations for j in range(rn)]
+    rels += [F.rehome(b, range(i * rn, (i + 1) * rn)) for i in range(rm) for b in N.relations]
     return PresentedModule(F, rels)
 
 

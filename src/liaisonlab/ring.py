@@ -1,31 +1,34 @@
 """Exact arithmetic foundation: GF(p), monomial orders, graded polynomials
 and elements of graded free modules.
 
-Everything is immutable after construction.  Term data lives in numpy int64
-arrays (see _kernels); monomial-order keys are additive, so multiplying by a
-monomial is a key shift that preserves sortedness.
+Everything is immutable after construction.  An element holds its terms as
+packed ints in ascending order, largest term first, with a parallel list of
+coefficients (see _kernels).  Monomial-order keys are linear in the
+exponents and so is packing, so every term operation is int arithmetic on
+the module's packing basis: multiplying by a monomial adds its packed
+shift, moving a term to another position adds a multiple of the position's
+shift, and neither re-sorts.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
+from operator import index, lt
 
 import numpy as np
 
 from . import _kernels as K
 from .errors import DegreeOverflow, DivisionByZero, PrimeCheckFailed, RingMismatch, ZeroPolynomial
 
-_I64 = np.int64
-
-# Coefficient products of two residues must fit in int64.
+# Coefficient products of two residues must fit in int64 (dense matrices).
 MAX_PRIME = 2**31
 
-# The degree bound of the int64 term arrays (see _kernels).
+# The degree bound of the 64-bit term fields (see _kernels).
 MAX_DEGREE = K.MAX_DEGREE
 
 
 def check_degree(degree):
     """Raise DegreeOverflow for a total degree past MAX_DEGREE."""
     if degree > MAX_DEGREE:
-        raise DegreeOverflow(f"total degree {degree} exceeds the bound 2^62 - 1 of the int64 term arrays")
+        raise DegreeOverflow(f"total degree {degree} exceeds the bound 2^62 - 1 of the 64-bit term fields")
 
 
 def is_prime(p):
@@ -65,11 +68,12 @@ class PrimeField:
 
 
 class Order:
-    """Monomial order encoded as an additive integer key.
+    """Monomial order given by an integer key that is linear in the
+    exponents.
 
-    Rows of the key matrix compare lexicographically; larger key = larger
-    monomial.  kinds: 'degrevlex', 'lex', 'block(k)' (first k variables form
-    an elimination block, degrevlex inside each block).
+    Keys compare lexicographically; larger key = larger monomial.  kinds:
+    'degrevlex', 'lex', 'block(k)' (first k variables form an elimination
+    block, degrevlex inside each block).
     """
 
     __slots__ = ("kind", "block")
@@ -80,34 +84,14 @@ class Order:
         self.kind = kind
         self.block = int(block)
 
-    def keylen(self, nv):
+    def key(self, e):
+        """The key tuple of the exponent vector e."""
         if self.kind == "degrevlex":
-            return nv + 1
+            return (sum(e), *(-x for x in reversed(e)))
         if self.kind == "lex":
-            return nv
-        return nv + 2
-
-    def keys(self, exps):
-        """exps: int64[m, nv] -> int64[m, keylen]."""
-        exps = np.asarray(exps, dtype=_I64)
-        if exps.ndim == 1:
-            exps = exps[None, :]
-        if self.kind == "degrevlex":
-            return np.concatenate(
-                [exps.sum(axis=1, keepdims=True), -exps[:, ::-1]], axis=1
-            )
-        if self.kind == "lex":
-            return exps.copy()
-        k = self.block
-        return np.concatenate(
-            [
-                exps[:, :k].sum(axis=1, keepdims=True),
-                -exps[:, k - 1 :: -1] if k else exps[:, :0],
-                exps[:, k:].sum(axis=1, keepdims=True),
-                -exps[:, : k - 1 : -1],
-            ],
-            axis=1,
-        )
+            return tuple(e)
+        head, tail = e[: self.block], e[self.block :]
+        return (sum(head), *(-x for x in reversed(head)), sum(tail), *(-x for x in reversed(tail)))
 
     def __eq__(self, other):
         return (
@@ -129,7 +113,7 @@ LEX = Order("lex")
 class Ring:
     """K[x_0..x_{nvars-1}] over GF(p) with a fixed monomial order."""
 
-    __slots__ = ("nvars", "field", "order", "names", "_mod")
+    __slots__ = ("nvars", "field", "order", "names", "_mod", "_packings")
 
     def __init__(self, nvars, p=32003, order=None, names=None):
         self.nvars = int(nvars)
@@ -139,6 +123,7 @@ class Ring:
         if len(self.names) != self.nvars:
             raise ValueError("wrong number of variable names")
         self._mod = None
+        self._packings = {}
 
     @property
     def p(self):
@@ -149,6 +134,18 @@ class Ring:
         if self._mod is None:
             self._mod = FreeModule(self, (0,), kind="ring")
         return self._mod
+
+    def _packing(self, kind):
+        """The term encoding of this ring's modules of a kind, built once.
+        A POT key is -position followed by the ring key."""
+        if kind not in self._packings:
+            nv = self.nvars
+            # the ring keys of the position (no variable), then of x_0, x_1, ...
+            keys = [self.order.key([int(v == c) for v in range(nv)]) for c in range(-1, nv)]
+            if kind == "pot":
+                keys = [(-1, *keys[0])] + [(0, *k) for k in keys[1:]]
+            self._packings[kind] = K.Packing(keys)
+        return self._packings[kind]
 
     def __eq__(self, other):
         return (
@@ -169,8 +166,8 @@ class Ring:
         """terms: {exps tuple: coeff} or iterable of (exps, coeff)."""
         if isinstance(terms, dict):
             terms = terms.items()
-        rows = [((0,) + tuple(e), c) for e, c in terms]
-        return Polynomial(self.as_module, _tuples_to_arrays(self.as_module, rows))
+        module = self.as_module
+        return Polynomial(module, *module._canonical((0, e, c) for e, c in terms))
 
     def zero(self):
         return self.poly({})
@@ -217,53 +214,50 @@ class Ring:
 class FreeModule:
     """Graded free module over a Ring: direct sum of R(-a_i).
 
-    The module order is an additive key whose ring part sits in columns
-    `ring_cols`.  kinds:
+    kinds:
       ring      rank 1, plain ring order
       pot       position-over-term (e_0 > e_1 > ...), ring order inside:
                 the key is -position followed by the ring key
+    Twists do not enter the order, so every module of a kind over a ring
+    shares one packing basis.
     """
 
-    __slots__ = ("ring", "twists", "kind", "keylen", "ring_cols")
+    __slots__ = ("ring", "twists", "kind", "packing")
 
     def __init__(self, ring, twists, kind="pot"):
         self.ring = ring
         self.twists = tuple(int(t) for t in twists)
-        self.kind = kind
-        rk = ring.order.keylen(ring.nvars)
-        if kind == "ring":
-            if len(self.twists) != 1:
-                raise ValueError("ring module has rank 1")
-            self.ring_cols = slice(0, rk)
-        elif kind == "pot":
-            self.ring_cols = slice(1, rk + 1)
-        else:
+        if kind not in ("ring", "pot"):
             raise ValueError(kind)
-        self.keylen = self.ring_cols.stop
+        if kind == "ring" and len(self.twists) != 1:
+            raise ValueError("ring module has rank 1")
+        self.kind = kind
+        self.packing = ring._packing(kind)
 
     @property
     def rank(self):
         return len(self.twists)
 
-    def key_rows(self, exps):
-        """exps int64[m, 1+nv] (column 0 = position) -> key matrix."""
-        exps = np.asarray(exps, dtype=_I64)
-        keys = np.zeros((len(exps), self.keylen), dtype=_I64)
-        keys[:, self.ring_cols] = self.ring.order.keys(exps[:, 1:])
-        if self.kind == "pot":
-            keys[:, 0] = -exps[:, 0]
-        return keys
+    def _canonical(self, terms):
+        """Canonical term lists of (position, exps, coeff) triples; every
+        term is checked as it is packed."""
+        pack, rank, p = self.packing.pack, self.rank, self.ring.p
+        packed, coeffs = [], []
+        for pos, e, c in terms:
+            packed.append(pack(rank, pos, e))
+            coeffs.append(index(c) % p)
+        return K.canonicalize(packed, coeffs, p)
 
     def element(self, terms):
         """terms: {(pos, exps tuple): coeff} or iterable of ((pos,)+exps, c)."""
         if isinstance(terms, dict):
-            rows = [((pos,) + tuple(e), c) for (pos, e), c in terms.items()]
+            terms = ((pos, e, c) for (pos, e), c in terms.items())
         else:
-            rows = [(tuple(t), c) for t, c in terms]
-        return Element(self, _tuples_to_arrays(self, rows))
+            terms = ((t[0], t[1:], c) for t, c in terms)
+        return Element(self, *self._canonical(terms))
 
     def zero(self):
-        return self.element({})
+        return Element(self, [], [])
 
     def gen(self, i):
         return self.element({(i, (0,) * self.ring.nvars): 1})
@@ -273,14 +267,12 @@ class FreeModule:
         return self.rehome(f, (pos,))
 
     def component(self, v, pos):
-        """Ring polynomial sitting at position pos of v."""
-        mask = v.exps[:, 0] == pos
-        exps = v.exps[mask].copy()
-        exps[:, 0] = 0
-        rm = self.ring.as_module
-        keys = rm.key_rows(exps)
-        order = np.lexsort(keys.T[::-1])[::-1]
-        return Polynomial(rm, (keys[order], exps[order], v.coeffs[mask][order].copy()))
+        """Ring polynomial sitting at position pos of v: its terms there, each
+        moved to position 0 of the ring module by one subtract."""
+        P, rm = self.packing, self.ring.as_module
+        at, d = P.position, P.zero - rm.packing.zero + pos * P.units[0]
+        terms = [(h - d, c) for h, c in zip(v.packed, v.coeffs) if at(h) == pos]
+        return Polynomial(rm, [h for h, _ in terms], [c for _, c in terms])
 
     def dual(self):
         """F^* = Hom(F, R): the POT module with negated twists."""
@@ -293,20 +285,30 @@ class FreeModule:
         Source position j goes to positions[j] (to j when positions is
         None).  A POT key is the ring key with -position in front and
         twists do not enter it, so a strictly increasing map keeps the term
-        order: only the positions change and nothing is re-sorted.
+        order: each term moves by one int add and nothing is re-sorted.
         """
         if self.kind != "pot" or v.ring != self.ring:
             raise RingMismatch("rehome needs a POT target over the same ring")
-        exps = v.exps.copy()
-        if positions is not None:
-            positions = np.asarray(positions, dtype=_I64)
-            if len(positions) != v.module.rank or (np.diff(positions) <= 0).any():
-                raise ValueError("positions must map every source position, strictly increasing")
-            exps[:, 0] = positions[v.exps[:, 0]]
-        if len(exps) and (exps[-1, 0] >= self.rank or exps[0, 0] < 0):
+        src = v.module
+        same = positions is None and src.kind == self.kind
+        if positions is None:
+            positions = range(src.rank)
+        elif len(positions) != src.rank or not all(map(lt, positions, positions[1:])):
+            raise ValueError("positions must map every source position, strictly increasing")
+        if v.is_zero:
+            return self.zero()
+        P, Q = self.packing, src.packing
+        if positions[Q.position(v.packed[0])] < 0 or positions[Q.position(v.packed[-1])] >= self.rank:
             raise ValueError("rehome: a term lands outside the target module")
-        keys = np.concatenate([-exps[:, :1], v.keys[:, v.module.ring_cols]], axis=1)
-        return Element(self, (keys, exps, v.coeffs.copy()))
+        if same:
+            packed = v.packed  # the same terms
+        else:
+            # terms sit in runs by position, and each run moves by one shift
+            packed = []
+            for j, run in groupby(v.packed, Q.position):
+                d = P.zero - Q.zero + positions[j] * P.units[0] - j * Q.units[0]
+                packed += [h + d for h in run]
+        return Element(self, packed, v.coeffs)
 
     def transpose(self, columns):
         """Transpose of d : F -> G (F this module) given by the columns
@@ -321,18 +323,15 @@ class FreeModule:
         if G.kind != "pot" or len(columns) != self.rank:
             raise ValueError("transpose needs one column per generator, in a POT module")
         dual = self.dual()
-        col = np.concatenate([np.full(len(v), c, dtype=_I64) for c, v in enumerate(columns)])
-        keys = np.concatenate([v.keys for v in columns])
-        exps = np.concatenate([v.exps for v in columns])
-        coeffs = np.concatenate([v.coeffs for v in columns])
-        out = []
-        for r in range(G.rank):
-            mask = exps[:, 0] == r
-            k, e = keys[mask], exps[mask]
-            k[:, 0] = -col[mask]
-            e[:, 0] = col[mask]
-            out.append(Element(dual, (k, e, coeffs[mask])))
-        return dual, out
+        at, s = G.packing.position, G.packing.units[0]
+        packed = [[] for _ in range(G.rank)]
+        coeffs = [[] for _ in range(G.rank)]
+        for c, v in enumerate(columns):
+            for h, x in zip(v.packed, v.coeffs):
+                r = at(h)
+                packed[r].append(h + (c - r) * s)
+                coeffs[r].append(x)
+        return dual, [Element(dual, a, b) for a, b in zip(packed, coeffs)]
 
     def __eq__(self, other):
         if self is other:
@@ -348,28 +347,17 @@ class FreeModule:
         return f"Free({self.ring!r}, twists={self.twists}, {self.kind})"
 
 
-def _tuples_to_arrays(module, rows):
-    nv = module.ring.nvars
-    if not rows:
-        return K.empty_terms(1 + nv, module.keylen)
-    for t, _ in rows:
-        if min(t[1:], default=0) < 0:
-            raise DegreeOverflow(f"negative exponent in {tuple(t[1:])}")
-        check_degree(sum(t[1:]))
-    exps = np.array([t for t, _ in rows], dtype=_I64).reshape(len(rows), 1 + nv)
-    coeffs = np.array([c % module.ring.p for _, c in rows], dtype=_I64)
-    keys = module.key_rows(exps)
-    return K.canonicalize(keys, exps, coeffs, module.ring.p)
-
-
 class Element:
-    """Element of a graded free module (immutable term arrays)."""
+    """Element of a graded free module: its terms as packed ints in
+    ascending order (largest term first) and their coefficients in [1, p),
+    two parallel lists that are never changed after construction."""
 
-    __slots__ = ("module", "keys", "exps", "coeffs")
+    __slots__ = ("module", "packed", "coeffs")
 
-    def __init__(self, module, arrays):
+    def __init__(self, module, packed, coeffs):
         self.module = module
-        self.keys, self.exps, self.coeffs = arrays
+        self.packed = packed
+        self.coeffs = coeffs
 
     # -- basic queries -------------------------------------------------
     @property
@@ -378,57 +366,44 @@ class Element:
 
     @property
     def is_zero(self):
-        return len(self.coeffs) == 0
+        return not self.coeffs
 
     def __len__(self):
         return len(self.coeffs)
 
     def terms(self):
-        for i in range(len(self.coeffs)):
-            yield (
-                int(self.exps[i, 0]),
-                tuple(int(x) for x in self.exps[i, 1:]),
-                int(self.coeffs[i]),
-            )
+        decode = self.module.packing.decode
+        for h, c in zip(self.packed, self.coeffs):
+            yield (*decode(h), c)
 
     def coordinates(self, index):
         """Dense int64 coefficient vector in the columns of index, a
         {(pos, exps): column} map that names every term of the element;
         ring elements sit at pos 0."""
-        v = np.zeros(len(index), dtype=_I64)
+        v = np.zeros(len(index), dtype=np.int64)
         v[[index[pos, e] for pos, e, _ in self.terms()]] = self.coeffs
         return v
 
     def lt(self):
         if self.is_zero:
             raise ZeroPolynomial("leading term of 0")
-        return (
-            int(self.exps[0, 0]),
-            tuple(int(x) for x in self.exps[0, 1:]),
-            int(self.coeffs[0]),
-        )
+        return (*self.module.packing.decode(self.packed[0]), self.coeffs[0])
 
     def lc(self):
         return self.lt()[2]
-
-    def term_degree(self, i):
-        return int(self.exps[i, 1:].sum()) + self.module.twists[int(self.exps[i, 0])]
 
     @property
     def degree(self):
         """Degree of the leading term (= total degree when homogeneous)."""
         if self.is_zero:
             raise ZeroPolynomial("degree of 0")
-        return self.term_degree(0)
+        P, h = self.module.packing, self.packed[0]
+        return P.degree(h) + self.module.twists[P.position(h)]
 
     @property
     def is_homogeneous(self):
-        if self.is_zero:
-            return True
-        degs = self.exps[:, 1:].sum(axis=1) + np.array(self.module.twists, dtype=_I64)[
-            self.exps[:, 0]
-        ]
-        return bool((degs == degs[0]).all())
+        P, twists = self.module.packing, self.module.twists
+        return len({P.degree(h) + twists[P.position(h)] for h in self.packed}) <= 1
 
     # -- arithmetic ----------------------------------------------------
     def _chk(self, other):
@@ -437,32 +412,21 @@ class Element:
 
     def __add__(self, other):
         self._chk(other)
-        return self._wrap(
-            K.canonicalize(
-                np.concatenate([self.keys, other.keys]),
-                np.concatenate([self.exps, other.exps]),
-                np.concatenate([self.coeffs, other.coeffs]),
-                self.ring.p,
-            )
-        )
+        return self._wrap(*K.canonicalize(self.packed + other.packed, self.coeffs + other.coeffs, self.ring.p))
 
     def __sub__(self, other):
         self._chk(other)
-        return self._wrap(
-            K.merge_sub(
-                self.keys, self.exps, self.coeffs, other.keys, other.exps, other.coeffs,
-                self.ring.p,
-            )
-        )
+        return self._wrap(*K.merge_sub(self.packed, self.coeffs, other.packed, other.coeffs, self.ring.p))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c):
-        c = int(c) % self.ring.p
+        p = self.ring.p
+        c = int(c) % p
         if c == 0:
-            return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
-        return self._wrap((self.keys.copy(), self.exps.copy(), (self.coeffs * c) % self.ring.p))
+            return self._wrap([], [])
+        return self._wrap(self.packed, [x * c % p for x in self.coeffs])
 
     def monic(self):
         if self.is_zero:
@@ -471,47 +435,43 @@ class Element:
 
     def _top_degree(self):
         """Largest total degree of a term, twists left out (0 for zero)."""
-        return int(self.exps[:, 1:].sum(axis=1).max()) if len(self.coeffs) else 0
+        return max(map(self.module.packing.degree, self.packed), default=0)
 
     def mono_mul(self, exps, c=1):
-        """Multiply by c * monomial; keys shift additively, no re-sort."""
-        c = int(c) % self.ring.p
+        """Multiply by c * monomial: one int add per term, no re-sort."""
+        P = self.ring.as_module.packing
+        m = P.pack(1, 0, exps)
+        p = self.ring.p
+        c = int(c) % p
         if c == 0 or self.is_zero:
-            return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
-        check_degree(self._top_degree() + sum(int(x) for x in exps))
-        e = np.zeros((1, self.exps.shape[1]), dtype=_I64)
-        e[0, 1:] = exps
-        dk = np.zeros((1, self.module.keylen), dtype=_I64)
-        dk[:, self.module.ring_cols] = self.ring.order.keys(e[:, 1:])
-        return self._wrap(
-            (self.keys + dk, self.exps + e, (self.coeffs * c) % self.ring.p)
-        )
+            return self._wrap([], [])
+        check_degree(self._top_degree() + P.degree(m))
+        d = m - P.zero
+        return self._wrap([h + d for h in self.packed], [x * c % p for x in self.coeffs])
 
     def poly_mul(self, f):
-        """Multiply by a ring polynomial."""
+        """Multiply by a ring polynomial: every product of two terms is one
+        int add, then one canonicalize sorts and combines them."""
         if f.ring != self.ring:
             raise RingMismatch("polynomial from another ring")
         if f.is_zero or self.is_zero:
-            return self._wrap(K.empty_terms(self.exps.shape[1], self.keys.shape[1]))
+            return self._wrap([], [])
         check_degree(self._top_degree() + f._top_degree())
-        m, n = len(self.coeffs), len(f.coeffs)
-        de = f.exps[:, 1:]
-        exps = np.repeat(self.exps, n, axis=0)
-        exps[:, 1:] += np.tile(de, (m, 1))
-        coeffs = (np.repeat(self.coeffs, n) * np.tile(f.coeffs, m)) % self.ring.p
-        keys = self.module.key_rows(exps)
-        return self._wrap(K.canonicalize(keys, exps, coeffs, self.ring.p))
+        z = f.module.packing.zero
+        shifts = [g - z for g in f.packed]
+        packed = [h + d for h in self.packed for d in shifts]
+        coeffs = [a * b for a in self.coeffs for b in f.coeffs]
+        return self._wrap(*K.canonicalize(packed, coeffs, self.ring.p))
 
-    def _wrap(self, arrays):
-        cls = type(self)
-        return cls(self.module, arrays)
+    def _wrap(self, packed, coeffs):
+        return type(self)(self.module, packed, coeffs)
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
             and self.module == other.module
-            and np.array_equal(self.exps, other.exps)
-            and np.array_equal(self.coeffs, other.coeffs)
+            and self.packed == other.packed
+            and self.coeffs == other.coeffs
         )
 
     def __repr__(self):
@@ -525,7 +485,7 @@ class Element:
 
 
 class Polynomial(Element):
-    """Ring element: module is ring.as_module, position column is 0."""
+    """Ring element: module is ring.as_module, position 0."""
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -556,7 +516,7 @@ class Polynomial(Element):
     def exps_tuple(self):
         if not self.is_monomial:
             raise ValueError("not a monomial")
-        return tuple(int(x) for x in self.exps[0, 1:])
+        return self.lt()[1]
 
     def __repr__(self):
         if self.is_zero:

@@ -32,8 +32,9 @@ def test_ci_groebner_basis(R4):
     # every S-polynomial reduces to zero (Groebner property, exhaustively)
     for i, gi in enumerate(G):
         for gj in G.elements[i + 1 :]:
-            lcm = np.maximum(gi.exps[0, 1:], gj.exps[0, 1:])
-            s = gi.mono_mul(lcm - gi.exps[0, 1:]) - gj.mono_mul(lcm - gj.exps[0, 1:])
+            (_, ei, _), (_, ej, _) = gi.lt(), gj.lt()
+            lcm = np.maximum(ei, ej)
+            s = gi.mono_mul(lcm - ei) - gj.mono_mul(lcm - ej)
             assert normal_form(s, G).is_zero
 
 

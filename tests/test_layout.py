@@ -35,6 +35,22 @@ def test_no_private_name_imported_from_a_sibling_module():
     assert offenders == []
 
 
+def test_only_the_term_modules_read_element_terms():
+    """An Element holds its terms as packed ints (`packed`) with their
+    coefficients (`coeffs`), in its module's encoding (`packing`).  Only
+    ring, _kernels and groebner know that encoding; every other module
+    reads terms through `lt()` and `terms()`."""
+    storage = {"packed", "coeffs", "packing"}
+    offenders = [
+        f"{path.name}:{node.lineno}: .{node.attr}"
+        for path in sorted(PKG.glob("*.py"))
+        if path.name not in ("ring.py", "_kernels.py", "groebner.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in storage
+    ]
+    assert offenders == []
+
+
 def test_every_public_function_has_a_caller():
     """A public module-level function, or a public method of a module-level
     class, must be named somewhere in src, tests or perfbench outside its

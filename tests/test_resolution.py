@@ -13,14 +13,19 @@ from liaisonlab.resolution import (
     classify,
     deficiency_hf,
     deficiency_table,
+    dual_kernel,
+    dual_kernel_numerator,
     e_type_resolution,
     ext_module,
     ext_numerator,
+    ideal_module,
     is_acm,
     minimal_free_resolution,
     minimal_generators,
     quotient_module,
     self_duality_check,
+    submodule_numerator,
+    tensor_presentation,
 )
 from liaisonlab.ring import FreeModule, Ring
 
@@ -253,6 +258,39 @@ def test_ext_vanishing_above_pd(R4):
     assert ext_numerator(M, R4.nvars) == {}  # Ext^{n+1} = 0 for dim > 0
 
 
+def _difference(a, b):
+    out = {k: a.get(k, 0) - b.get(k, 0) for k in set(a) | set(b)}
+    return {k: v for k, v in out.items() if v}
+
+
+def test_ext_numerator_matches_the_dual_kernel(R4, R5):
+    """HS(Ext^i) by rank and nullity, with no kernel computed, equals the
+    numerator of the generated kernel ker d_{i+1}^T (`dual_kernel`) less
+    that of im d_i^T, for every i from -1 to length + 1: on K (x) I of the
+    rational normal quartic, R/I of the quartic, the twisted cubic and a
+    non-CM double line in P^3."""
+    z = R5.gens()
+    quartic = PolyMatrix(R5, [[z[0], z[1], z[2], z[3]], [z[1], z[2], z[3], z[4]]]).maximal_minors()
+    x0, x1, x2, x3 = R4.gens()
+    cubic = PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]]).maximal_minors()
+    double_line = Ideal(R4, [x0 ** 2, x0 * x1, x1 ** 2, x0 * x2 ** 2 - x1 * x3 ** 2])
+    modules = [
+        tensor_presentation(canonical_module(quartic), ideal_module(quartic)),
+        quotient_module(quartic),
+        quotient_module(cubic),
+        quotient_module(double_line),
+    ]
+    for M in modules:
+        res = M.resolution
+        for i in range(-1, res.length + 2):
+            want = {}
+            if 0 <= i <= res.length:
+                kernel = submodule_numerator(*dual_kernel(res, i))
+                assert dual_kernel_numerator(res, i) == kernel
+                want = _difference(kernel, submodule_numerator(*res.dual_columns(i)) if i >= 1 else {})
+            assert ext_numerator(M, i) == want
+
+
 def test_ci_invariant_ci_vanishes(R5, rng):
     f = [R5.random_poly(1, rng), R5.random_poly(1, rng), R5.random_poly(2, rng)]
     I = Ideal(R5, f)
@@ -299,7 +337,6 @@ def test_transpose_is_an_involution(R4, R5):
                     assert dual.component(t, c) == G.component(v, r)
             _, back = G.dual().transpose(tcols)
             assert back == cols
-            assert all(np.array_equal(a.keys, b.keys) for a, b in zip(back, cols))
 
 
 def test_ext_module_presentation(R4):
@@ -373,7 +410,7 @@ def _dense_minimal_generators(gens):
     key) order; a generator is kept when its row is a pivot."""
     elems = sorted(
         (g for g in gens if not g.is_zero),
-        key=lambda g: (g.degree, tuple(int(x) for x in g.keys[0])),
+        key=lambda g: (g.degree, -g.lt()[0], g.ring.order.key(g.lt()[1])),
     )
     kept = []
     for d in sorted({g.degree for g in elems}):
@@ -413,11 +450,12 @@ def generator_lists(draw, F):
             gens.append(g)
         elif kind == "s-poly" and len(earlier) > 1:
             a, b = draw(st.permutations(earlier))[:2]
-            lcm = np.maximum(a.exps[0, 1:], b.exps[0, 1:])
-            if a.exps[0, 0] == b.exps[0, 0] and a.degree + int((lcm - a.exps[0, 1:]).sum()) <= 3:
+            (pa, ea, _), (pb, eb, _) = a.lt(), b.lt()
+            lcm = np.maximum(ea, eb)
+            if pa == pb and a.degree + int((lcm - ea).sum()) <= 3:
                 gens.append(
-                    a.mono_mul(lcm - a.exps[0, 1:], ring.field.inv(a.lc()))
-                    - b.mono_mul(lcm - b.exps[0, 1:], ring.field.inv(b.lc()))
+                    a.mono_mul(lcm - ea, ring.field.inv(a.lc()))
+                    - b.mono_mul(lcm - eb, ring.field.inv(b.lc()))
                 )
         elif kind == "zero":
             gens.append(F.zero())

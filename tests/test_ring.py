@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import monomial_key
 
 from liaisonlab.errors import (
     DegreeOverflow,
@@ -79,24 +80,78 @@ def monomials(draw, nv=4, maxdeg=6):
     )
 
 
+def _packed(order, e, pos=0, kind="ring"):
+    F = FreeModule(Ring(len(e), 32003, order), (0,) * (pos + 1), kind=kind)
+    return F.packing.pack(F.rank, pos, e)
+
+
 @given(monomials(), monomials(), monomials())
 @settings(max_examples=300, deadline=None)
 def test_order_multiplicative(u, v, w):
-    """u < v implies uw < vw for every order we ship."""
+    """u < v implies uw < vw for every order we ship: multiplying by w adds
+    one shift to both packed ints, which keeps their order."""
+    uw, vw = tuple(a + c for a, c in zip(u, w)), tuple(b + c for b, c in zip(v, w))
     for order in (Order("degrevlex"), Order("lex"), Order("block", 2)):
-        ku, kv = order.keys(np.array([u, v]))
-        kuw, kvw = order.keys(np.array([tuple(a + c for a, c in zip(u, w)),
-                                        tuple(b + c for b, c in zip(v, w))]))
-        cmp1 = _cmp(ku, kv)
-        cmp2 = _cmp(kuw, kvw)
-        assert cmp1 == cmp2
+        pu, pv, puw, pvw = (_packed(order, e) for e in (u, v, uw, vw))
+        assert puw - pu == pvw - pv
+        assert (pu > pv) - (pu < pv) == (puw > pvw) - (puw < pvw)
 
 
-def _cmp(a, b):
-    for x, y in zip(a, b):
-        if x != y:
-            return 1 if x > y else -1
-    return 0
+def _block_key(k):
+    """block(k), written out: degrevlex on the first k variables, then
+    degrevlex on the rest."""
+
+    def key(e):
+        head, tail = e[:k], e[k:]
+        return (sum(head), tuple(-x for x in reversed(head)), sum(tail), tuple(-x for x in reversed(tail)))
+
+    return key
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), monomials(maxdeg=4)), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_packed_ints_sort_in_the_reference_order(terms):
+    """Ascending packed ints are the terms in descending order: sympy's
+    grevlex and lex keys and a written-out block(2) key for ring terms,
+    and, in a POT module, position first (e_0 > e_1 > ...)."""
+    for order, key in (
+        (Order("degrevlex"), monomial_key("grevlex")),
+        (Order("lex"), monomial_key("lex")),
+        (Order("block", 2), _block_key(2)),
+    ):
+        monos = sorted({e for _, e in terms}, key=key, reverse=True)
+        assert sorted(monos, key=lambda e: _packed(order, e)) == monos
+        pot = sorted(set(terms), key=lambda t: (-t[0], key(t[1])), reverse=True)
+        assert sorted(pot, key=lambda t: _packed(order, t[1], t[0], "pot")) == pot
+
+
+R3 = Ring(3, 32003)
+F3 = FreeModule(R3, (0, 1))
+
+
+@pytest.mark.parametrize(
+    "builds, error",
+    [
+        # one exponent for three variables, or two: none is broadcast or
+        # truncated
+        ([lambda: R3.var(0).mono_mul([2]), lambda: R3.poly({(1, 0): 1})], ValueError),
+        ([lambda: R3.var(0).mono_mul((1, -1, 0)), lambda: R3.poly({(0, -1, 2): 1})], DegreeOverflow),
+        ([lambda: R3.poly({(1.5, 0, 0): 1}), lambda: R3.var(0).mono_mul((0.5, 0, 0))], TypeError),
+        # positions outside [0, rank), in both input forms
+        (
+            [lambda: F3.element({(-1, (1, 0, 0)): 1}), lambda: F3.element({(2, (1, 0, 0)): 1}),
+             lambda: F3.element([((2, 1, 0, 0), 1)])],
+            ValueError,
+        ),
+    ],
+    ids=["length", "negative", "non-integer", "position"],
+)
+def test_terms_are_checked_where_they_are_built(builds, error):
+    """The one term builder checks every exponent vector and position."""
+    for build in builds:
+        with pytest.raises(error):
+            build()
+    assert F3.element({(1, (1, 0, 0)): 1}).degree == 2
 
 
 def test_homogeneous_products():
@@ -202,7 +257,7 @@ def test_rehome_matches_the_term_rebuild():
             rebuilt = target.element({(move[pos], e): c for pos, e, c in v.terms()})
             moved = target.rehome(v, positions)
             assert moved.module is target
-            assert moved == rebuilt and np.array_equal(moved.keys, rebuilt.keys)
+            assert moved == rebuilt
     with pytest.raises(ValueError):
         FreeModule(R, (0,) * 4, kind="pot").rehome(_random_element(src, rng), (2, 1, 3))
 
