@@ -18,9 +18,10 @@ A (module) polynomial is held as two parallel lists:
 - Keys are linear in the position and the exponents, and so is packing: a
   term's int is the packed zero term plus the position times the position's
   shift plus each exponent times its variable's shift (`Packing.units`).
-  Multiplying by a monomial, moving a term to another position and
-  changing the module kind are int adds, and they keep the order, because
-  module orders are multiplicative.
+  Multiplying by a monomial and moving a term to another position are int
+  adds, and they keep the order, because module orders are
+  multiplicative.  Each ring has one packing, shared by all its modules:
+  a ring polynomial is an element of the rank-1 module at twist 0.
 - That needs every field of every term met to fit in int64: every term has
   total degree <= MAX_DEGREE, which bounds its exponents and key fields by
   2^62 in absolute value.  `Packing.pack` checks every term it builds, and
@@ -133,7 +134,7 @@ _MASK = (1 << 64) - 1
 
 
 class Packing:
-    """The packed encoding of the terms of one kind of module over one ring.
+    """The packed encoding of the terms of every module over one ring.
 
     keys lists the key fields of the position and of each variable x_0,
     x_1, ... (one tuple each, all of one length): the key of a term is

@@ -464,7 +464,7 @@ def run(session, command, args, seed, window):
         return {"command": "sum-linked", "result": out.canonical_strings(), **_betti_json(out)}
     if command == "aci-gor":
         c = session.get(args.ci, ("ideal",))
-        c = complete_intersection(c.gens_or_gb())
+        c = complete_intersection(c.gens)
         J = aci_gorenstein(c, session.get(args.ideal, ("ideal",)))
         return {"command": "aci-gor", "result": J.canonical_strings(), **_betti_json(J)}
     if command == "cb-check":

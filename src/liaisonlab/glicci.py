@@ -65,7 +65,7 @@ class GlicciCertificate:
                     return False
             elif step["kind"] == "bdl":
                 rebuilt = step["j_cm"] + Ideal(
-                    cur.ring, [step["f"] * g for g in step["to"].gens_or_gb()]
+                    cur.ring, [step["f"] * g for g in step["to"].gens]
                 )
                 if rebuilt != cur:
                     return False
@@ -419,7 +419,7 @@ def stable_decompose(J):
         ring,
         lin_polys
         + [ring.monomial(e) for e in layers[0].lt_exps()]
-        + [xl * g for g in residual.gens_or_gb()],
+        + [xl * g for g in residual.gens],
     )
     if rebuilt != J:
         raise LayerChainBroken("reconstruction J = I_0 R + x_l I' failed")
@@ -491,7 +491,7 @@ def glicci_descent(J):
         j_cm = Ideal(ring, lin_polys + lifted)
         if not dec.residual.contains_ideal(j_cm):
             raise StepIdentityFailed("lambda(I_0) R is not inside the residual")
-        rebuilt = j_cm + Ideal(ring, [xl * g for g in dec.residual.gens_or_gb()])
+        rebuilt = j_cm + Ideal(ring, [xl * g for g in dec.residual.gens])
         if rebuilt != cur:
             raise StepIdentityFailed("J = lambda(I_0) R + x_l I' failed")
         tilde, report = basic_double_link(j_cm, dec.residual, xl, check_cohomology=False)

@@ -81,7 +81,7 @@ def aci_gorenstein(c, I):
         raise NotACI(f"I needs exactly codim+1 = {cod + 1} minimal generators, has {ngens}")
     if I.codimension() != cod:
         raise NotACI("codimension mismatch")
-    if not any((c + Ideal(I.ring, [f])) == I for f in I.gens_or_gb()):
+    if not any((c + Ideal(I.ring, [f])) == I for f in I.gens):
         raise NotACI("I is not c plus one extra generator")
     rec = direct_link(c, I)
     J = rec.J

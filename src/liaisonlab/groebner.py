@@ -9,9 +9,10 @@ that truncated basis, and one whose normal form is zero is reported as
 redundant; an input whose lead no basis lead divides keeps that lead, so
 it is admitted as it stands, unreduced.  Pairs are taken by true degree
 (twists included), smallest lcm first, and pruned by Buchberger's product
-criterion (ring case) and the chain criterion (Gebauer-Moeller, JSC 6,
-1988).  `buchberger` returns the canonical reduced basis,
-deterministic for a fixed input ideal regardless of generator order.
+criterion (rank 1, the ring up to a twist) and the chain criterion
+(Gebauer-Moeller, JSC 6, 1988).  `buchberger` returns the canonical
+reduced basis, deterministic for a fixed input ideal regardless of
+generator order.
 
 Reduction goes through a `_kernels.Reducers` table, which prepares each
 basis element once; a `GroebnerBasis` builds its table when first used.
@@ -172,7 +173,7 @@ def _pair_loop(gens, boundary, top=math.inf):
     # the basis' leads by position: [(index, exponent tuple)]
     leads = {}
     unit = packing.units[1:]
-    is_ring = module.kind == "ring"
+    product_criterion = module.rank == 1  # the ring, up to a twist
     pending = set()
     heap = []
 
@@ -193,13 +194,13 @@ def _pair_loop(gens, boundary, top=math.inf):
         packed_lead = packed[0]
         same = leads.setdefault(pos, [])
         # pairs (i, j) with a lead at the same position, less those the
-        # product criterion drops; ring modules only: a tracked run is POT,
-        # where it would drop Koszul syzygies.  Heap key: the pair's true
-        # degree (the lcm's degree plus the twist of its position), then
-        # the lcm's negated packed int, which orders the lcms as their
-        # module keys do
+        # product criterion drops; rank-1 modules only: a tracked run has
+        # rank >= 2, where it would drop Koszul syzygies.  Heap key: the
+        # pair's true degree (the lcm's degree plus the twist of its
+        # position), then the lcm's negated packed int, which orders the
+        # lcms as their module keys do
         for i, other in same:
-            if is_ring and not any(map(min, other, lead)):
+            if product_criterion and not any(map(min, other, lead)):
                 continue
             lcm = tuple(map(max, other, lead))
             packed_lcm = packed_lead + sum((m - e) * u for m, e, u in zip(lcm, lead, unit))
@@ -297,7 +298,7 @@ def _augmented_basis(gens):
     coordinates, and the tag-led remainders, which generate the syzygies."""
     module = gens[0].module
     r = module.rank
-    big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens), kind="pot")
+    big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens))
     basis, syzygies, _ = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r)
     return r, GroebnerBasis(big, basis), syzygies
 
@@ -305,14 +306,14 @@ def _augmented_basis(gens):
 def syzygies_of(gens, source=None):
     """Generators of the kernel of source -> F, e_i -> gens[i].
 
-    source defaults to the POT module twisted by the degrees of gens; it
+    source defaults to the module twisted by the degrees of gens; it
     must be given when some gens[i] is zero, and then e_i is a generator.
     The generators are the recorded syzygies of one pair loop, not a
     Groebner basis.
     """
     gens = list(gens)
     if source is None:
-        source = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
+        source = FreeModule(gens[0].ring, tuple(g.degree for g in gens))
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     out = [source.gen(i) for i, g in enumerate(gens) if g.is_zero]
     if live:
@@ -332,7 +333,7 @@ def lift_coordinates(gens, targets):
     Raises if a target is not a member.
     """
     r, gb, _ = _augmented_basis(gens)
-    coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens), kind="pot")
+    coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens))
     positions = range(-r, gb.module.rank - r)  # tag position r + i is coordinate i
     out = []
     for w in targets:
@@ -357,7 +358,7 @@ def annihilator(v, relations):
     if any(g.module != v.module for g in relations):
         raise RingMismatch("relations from another module")
     r = v.module.rank
-    big = FreeModule(v.ring, v.module.twists + (v.degree,), kind="pot")
+    big = FreeModule(v.ring, v.module.twists + (v.degree,))
     gens = [big.rehome(v) + big.gen(r)] + [big.rehome(g) for g in relations]
     _, syzygies, _ = _pair_loop(gens, r)
     return [big.component(h, r) for h in syzygies]

@@ -72,10 +72,7 @@ class Ideal:
         return normal_form(f, self.gb).is_zero
 
     def contains_ideal(self, other):
-        return all(self.contains(g) for g in other.gens_or_gb())
-
-    def gens_or_gb(self):
-        return list(self.gens) if self.gens else list(self.gb)
+        return all(self.contains(g) for g in other.gens)
 
     def lt_exps(self):
         """Leading-term monomial exponents of the reduced basis."""
@@ -101,15 +98,15 @@ class Ideal:
 
     def __add__(self, other):
         self._chk(other)
-        return Ideal(self.ring, self.gens_or_gb() + other.gens_or_gb())
+        return Ideal(self.ring, self.gens + other.gens)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            return Ideal(self.ring, [g * other for g in self.gens_or_gb()])
+            return Ideal(self.ring, [g * other for g in self.gens])
         self._chk(other)
         return Ideal(
             self.ring,
-            [f * g for f in self.gens_or_gb() for g in other.gens_or_gb()],
+            [f * g for f in self.gens for g in other.gens],
         )
 
     __rmul__ = __mul__
@@ -179,7 +176,7 @@ class Ideal:
                 {tuple(e[old] for old in perm): c for _, e, c in f.terms()}
             )
 
-        gens = [fwd(g) for g in self.gens_or_gb()]
+        gens = [fwd(g) for g in self.gens]
         gb = buchberger(gens)
         out = []
         for g in gb:
@@ -229,9 +226,9 @@ def _colon_of_parts(ring, parts):
     """The intersection of the colon ideals I_k : f_k over (I_k, f_k) in
     parts: the annihilator of v = sum f_k e_k modulo the relations g e_k,
     g in I_k, with e_k twisted by -deg f_k so that v has degree 0."""
-    F = FreeModule(ring, tuple(-f.degree for _, f in parts), kind="pot")
+    F = FreeModule(ring, tuple(-f.degree for _, f in parts))
     v = sum((F.inject(f, k) for k, (_, f) in enumerate(parts)), F.zero())
-    relations = [F.inject(g, k) for k, (I, _) in enumerate(parts) for g in I.gens_or_gb()]
+    relations = [F.inject(g, k) for k, (I, _) in enumerate(parts) for g in I.gens]
     return Ideal(ring, annihilator(v, relations))
 
 

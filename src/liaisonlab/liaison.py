@@ -20,7 +20,6 @@ from .resolution import (
     dual_kernel,
     dual_kernel_numerator,
     minimal_free_resolution,
-    submodule_numerator,
 )
 from .ring import FreeModule
 
@@ -161,7 +160,7 @@ def basic_double_link(J, I, f, check_cohomology=True):
     if not J.colon_poly(f) == J:
         raise PreconditionFailed("f is a zero divisor modulo J: J : f != J")
     d = f.degree
-    tilde = J + Ideal(I.ring, [f * g for g in I.gens_or_gb()])
+    tilde = J + Ideal(I.ring, [f * g for g in I.gens])
     report = {"degree_shift": d}
     report["codim_preserved"] = tilde.codimension() == I.codimension()
     hilbert_ok = True
@@ -211,7 +210,7 @@ def liaison_addition(parts):
         raise NotRegularSequence("the multipliers do not form a regular sequence")
     total = Ideal(ring, [])
     for V, F in parts:
-        total = total + Ideal(ring, [F * g for g in V.gens_or_gb()])
+        total = total + Ideal(ring, [F * g for g in V.gens])
     report = {}
     report["saturated"] = total.saturate() == total
     ns = ring.nvars - 1
@@ -330,11 +329,12 @@ def mapping_cone_shapes(rec):
     FJ = minimal_free_resolution(J)
     gtw = {k: FJ.twists(k) for k in range(1, FJ.length + 1)}
     # Hom(E_J^*, R): present E_J^* by the syzygies of its generators, then
-    # take the dual kernel of that presentation
+    # read the numerator of the dual kernel of that presentation, with no
+    # kernel computed
     _, EJgens = dual_kernel(FJ, cod)
-    P = FreeModule(ring, tuple(g.degree for g in EJgens), kind="pot")
+    P = FreeModule(ring, tuple(g.degree for g in EJgens))
     rel = syzygies_of(EJgens, P)
-    pres = [(FreeModule(ring, tuple(r.degree for r in rel), kind="pot"), rel)] if rel else []
+    pres = [(FreeModule(ring, tuple(r.degree for r in rel)), rel)] if rel else []
     estages = [
         {"twists": tuple(dtw.get(1, ())) + tuple(gtw.get(1, ())), "module": None, "numerator": {}}
     ]
@@ -352,7 +352,7 @@ def mapping_cone_shapes(rec):
         {
             "twists": dual_shift(dtw.get(1, ())),
             "module": "N*(-s)",
-            "numerator": submodule_numerator(*dual_kernel(Resolution(P, pres), 0)),
+            "numerator": dual_kernel_numerator(Resolution(P, pres), 0),
         }
     )
     etype = ResolutionShape(estages, "E")

@@ -78,7 +78,7 @@ def resolve(F0, relation_gens):
         if not cur:
             break
         mins = minimal_generators(cur)
-        Fk = FreeModule(ring, tuple(g.degree for g in mins), kind="pot")
+        Fk = FreeModule(ring, tuple(g.degree for g in mins))
         stages.append((Fk, mins))
         cur = [s for s in syzygies_of(mins) if not s.is_zero]
     if cur:
@@ -121,9 +121,7 @@ def quotient_module(ideal):
     """R/I as a presented module (F0 = R at twist 0), built once per ideal,
     so every caller shares its resolution."""
     if ideal._quotient is None:
-        F0 = FreeModule(ideal.ring, (0,), kind="pot")
-        rels = [F0.inject(g, 0) for g in ideal.gens_or_gb()]
-        ideal._quotient = PresentedModule(F0, rels)
+        ideal._quotient = PresentedModule(ideal.ring.as_module, ideal.gens)
     return ideal._quotient
 
 
@@ -339,8 +337,8 @@ def ext_module(module_or_ideal, i):
     res = M.resolution
     ker = dual_kernel(res, i)[1] if 0 <= i <= res.length else []
     if not ker:
-        return PresentedModule(FreeModule(M.ring, (), kind="pot"), [])
-    Q = FreeModule(M.ring, tuple(g.degree for g in ker), kind="pot")
+        return PresentedModule(FreeModule(M.ring, ()), [])
+    Q = FreeModule(M.ring, tuple(g.degree for g in ker))
     rels = syzygies_of(ker, Q)
     if i >= 1:
         rels += lift_coordinates(ker, res.dual_columns(i)[1])
@@ -420,7 +418,7 @@ def canonical_module(ideal):
     res = minimal_free_resolution(ideal)
     dual, cols = res.dual_columns(c)
     n1 = ideal.ring.nvars
-    F = FreeModule(ideal.ring, tuple(a + n1 for a in dual.twists), kind="pot")
+    F = FreeModule(ideal.ring, tuple(a + n1 for a in dual.twists))
     return PresentedModule(F, [F.rehome(v) for v in cols])
 
 
@@ -431,7 +429,7 @@ def tensor_presentation(M, N):
     twists = tuple(
         M.F0.twists[i] + N.F0.twists[j] for i in range(rm) for j in range(rn)
     )
-    F = FreeModule(ring, twists, kind="pot")
+    F = FreeModule(ring, twists)
     # generator e_i (x) f_j sits at position i * rn + j
     rels = [F.rehome(a, range(j, rm * rn, rn)) for a in M.relations for j in range(rn)]
     rels += [F.rehome(b, range(i * rn, (i + 1) * rn)) for i in range(rm) for b in N.relations]

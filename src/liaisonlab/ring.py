@@ -5,9 +5,9 @@ Everything is immutable after construction.  An element holds its terms as
 packed ints in ascending order, largest term first, with a parallel list of
 coefficients (see _kernels).  Monomial-order keys are linear in the
 exponents and so is packing, so every term operation is int arithmetic on
-the module's packing basis: multiplying by a monomial adds its packed
-shift, moving a term to another position adds a multiple of the position's
-shift, and neither re-sorts.
+the ring's one packing basis, which all its modules share: multiplying by
+a monomial adds its packed shift, moving a term to another position adds
+a multiple of the position's shift, and neither re-sorts.
 """
 
 from itertools import combinations_with_replacement, groupby
@@ -113,7 +113,7 @@ LEX = Order("lex")
 class Ring:
     """K[x_0..x_{nvars-1}] over GF(p) with a fixed monomial order."""
 
-    __slots__ = ("nvars", "field", "order", "names", "_mod", "_packings")
+    __slots__ = ("nvars", "field", "order", "names", "packing", "as_module")
 
     def __init__(self, nvars, p=32003, order=None, names=None):
         self.nvars = int(nvars)
@@ -122,30 +122,17 @@ class Ring:
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(nvars))
         if len(self.names) != self.nvars:
             raise ValueError("wrong number of variable names")
-        self._mod = None
-        self._packings = {}
+        # the term encoding of every module over this ring: a key is
+        # -position followed by the ring key.  Packing takes the key of
+        # the position, then of x_0, x_1, ...
+        nv = self.nvars
+        units = [self.order.key([int(v == c) for v in range(nv)]) for c in range(nv)]
+        self.packing = K.Packing([(-1, *self.order.key([0] * nv))] + [(0, *k) for k in units])
+        self.as_module = FreeModule(self, (0,))
 
     @property
     def p(self):
         return self.field.p
-
-    @property
-    def as_module(self):
-        if self._mod is None:
-            self._mod = FreeModule(self, (0,), kind="ring")
-        return self._mod
-
-    def _packing(self, kind):
-        """The term encoding of this ring's modules of a kind, built once.
-        A POT key is -position followed by the ring key."""
-        if kind not in self._packings:
-            nv = self.nvars
-            # the ring keys of the position (no variable), then of x_0, x_1, ...
-            keys = [self.order.key([int(v == c) for v in range(nv)]) for c in range(-1, nv)]
-            if kind == "pot":
-                keys = [(-1, *keys[0])] + [(0, *k) for k in keys[1:]]
-            self._packings[kind] = K.Packing(keys)
-        return self._packings[kind]
 
     def __eq__(self, other):
         return (
@@ -212,27 +199,21 @@ class Ring:
 
 
 class FreeModule:
-    """Graded free module over a Ring: direct sum of R(-a_i).
+    """Graded free module over a Ring: direct sum of R(-a_i), ordered
+    position over term (e_0 > e_1 > ..., the ring order inside): a term's
+    key is -position followed by the ring key.
 
-    kinds:
-      ring      rank 1, plain ring order
-      pot       position-over-term (e_0 > e_1 > ...), ring order inside:
-                the key is -position followed by the ring key
-    Twists do not enter the order, so every module of a kind over a ring
-    shares one packing basis.
+    Twists do not enter the order, so every module over a ring shares the
+    ring's one packing, and the ring itself is the rank-1 module at twist 0
+    (`Ring.as_module`).
     """
 
-    __slots__ = ("ring", "twists", "kind", "packing")
+    __slots__ = ("ring", "twists", "packing")
 
-    def __init__(self, ring, twists, kind="pot"):
+    def __init__(self, ring, twists):
         self.ring = ring
         self.twists = tuple(int(t) for t in twists)
-        if kind not in ("ring", "pot"):
-            raise ValueError(kind)
-        if kind == "ring" and len(self.twists) != 1:
-            raise ValueError("ring module has rank 1")
-        self.kind = kind
-        self.packing = ring._packing(kind)
+        self.packing = ring.packing
 
     @property
     def rank(self):
@@ -263,65 +244,64 @@ class FreeModule:
         return self.element({(i, (0,) * self.ring.nvars): 1})
 
     def inject(self, f, pos):
-        """Place ring polynomial f at position pos of this POT module."""
+        """Place ring polynomial f at position pos of this module."""
         return self.rehome(f, (pos,))
 
     def component(self, v, pos):
         """Ring polynomial sitting at position pos of v: its terms there, each
-        moved to position 0 of the ring module by one subtract."""
-        P, rm = self.packing, self.ring.as_module
-        at, d = P.position, P.zero - rm.packing.zero + pos * P.units[0]
+        moved to position 0 by one subtract."""
+        at, d = self.packing.position, pos * self.packing.units[0]
         terms = [(h - d, c) for h, c in zip(v.packed, v.coeffs) if at(h) == pos]
-        return Polynomial(rm, [h for h, _ in terms], [c for _, c in terms])
+        return Polynomial(self.ring.as_module, [h for h, _ in terms], [c for _, c in terms])
 
     def dual(self):
-        """F^* = Hom(F, R): the POT module with negated twists."""
-        return FreeModule(self.ring, tuple(-t for t in self.twists), kind="pot")
+        """F^* = Hom(F, R): the module with negated twists."""
+        return FreeModule(self.ring, tuple(-t for t in self.twists))
 
     def rehome(self, v, positions=None):
-        """The element v of a POT module (or a ring polynomial), moved into
-        this POT module.
+        """The element v of a module over this ring, moved into this
+        module.
 
         Source position j goes to positions[j] (to j when positions is
-        None).  A POT key is the ring key with -position in front and
-        twists do not enter it, so a strictly increasing map keeps the term
-        order: each term moves by one int add and nothing is re-sorted.
+        None).  A key is the ring key with -position in front and twists do
+        not enter it, so a strictly increasing map keeps the term order:
+        each term moves by one int add and nothing is re-sorted.
         """
-        if self.kind != "pot" or v.ring != self.ring:
-            raise RingMismatch("rehome needs a POT target over the same ring")
+        if v.ring != self.ring:
+            raise RingMismatch("rehome needs a target over the same ring")
         src = v.module
-        same = positions is None and src.kind == self.kind
-        if positions is None:
+        same = positions is None
+        if same:
             positions = range(src.rank)
         elif len(positions) != src.rank or not all(map(lt, positions, positions[1:])):
             raise ValueError("positions must map every source position, strictly increasing")
         if v.is_zero:
             return self.zero()
-        P, Q = self.packing, src.packing
-        if positions[Q.position(v.packed[0])] < 0 or positions[Q.position(v.packed[-1])] >= self.rank:
+        at, unit = self.packing.position, self.packing.units[0]
+        if positions[at(v.packed[0])] < 0 or positions[at(v.packed[-1])] >= self.rank:
             raise ValueError("rehome: a term lands outside the target module")
         if same:
-            packed = v.packed  # the same terms
+            packed = v.packed  # no term moves
         else:
             # terms sit in runs by position, and each run moves by one shift
             packed = []
-            for j, run in groupby(v.packed, Q.position):
-                d = P.zero - Q.zero + positions[j] * P.units[0] - j * Q.units[0]
+            for j, run in groupby(v.packed, at):
+                d = (positions[j] - j) * unit
                 packed += [h + d for h in run]
         return Element(self, packed, v.coeffs)
 
     def transpose(self, columns):
         """Transpose of d : F -> G (F this module) given by the columns
-        d(e_c) in a POT module G.  Returns (F^*, columns of d^T : G^* -> F^*),
+        d(e_c) in a module G.  Returns (F^*, columns of d^T : G^* -> F^*),
         one column per generator of G.
 
-        Row r of d, read in column order, is already in POT order in F^*:
+        Row r of d, read in column order, is already in module order in F^*:
         the column index becomes the position and each column holds its
         row-r terms in ring order.
         """
         G = columns[0].module
-        if G.kind != "pot" or len(columns) != self.rank:
-            raise ValueError("transpose needs one column per generator, in a POT module")
+        if len(columns) != self.rank:
+            raise ValueError("transpose needs one column per generator")
         dual = self.dual()
         at, s = G.packing.position, G.packing.units[0]
         packed = [[] for _ in range(G.rank)]
@@ -340,11 +320,10 @@ class FreeModule:
             isinstance(other, FreeModule)
             and other.ring == self.ring
             and other.twists == self.twists
-            and other.kind == self.kind
         )
 
     def __repr__(self):
-        return f"Free({self.ring!r}, twists={self.twists}, {self.kind})"
+        return f"Free({self.ring!r}, twists={self.twists})"
 
 
 class Element:
@@ -423,7 +402,7 @@ class Element:
 
     def scale(self, c):
         p = self.ring.p
-        c = int(c) % p
+        c = index(c) % p
         if c == 0:
             return self._wrap([], [])
         return self._wrap(self.packed, [x * c % p for x in self.coeffs])
@@ -439,10 +418,10 @@ class Element:
 
     def mono_mul(self, exps, c=1):
         """Multiply by c * monomial: one int add per term, no re-sort."""
-        P = self.ring.as_module.packing
+        P = self.module.packing
         m = P.pack(1, 0, exps)
         p = self.ring.p
-        c = int(c) % p
+        c = index(c) % p
         if c == 0 or self.is_zero:
             return self._wrap([], [])
         check_degree(self._top_degree() + P.degree(m))
@@ -457,7 +436,7 @@ class Element:
         if f.is_zero or self.is_zero:
             return self._wrap([], [])
         check_degree(self._top_degree() + f._top_degree())
-        z = f.module.packing.zero
+        z = self.module.packing.zero
         shifts = [g - z for g in f.packed]
         packed = [h + d for h in self.packed for d in shifts]
         coeffs = [a * b for a in self.coeffs for b in f.coeffs]
@@ -477,11 +456,7 @@ class Element:
     def __repr__(self):
         if self.is_zero:
             return "0"
-        bits = []
-        for pos, e, c in self.terms():
-            s = _term_str(self.ring, e, c)
-            bits.append(f"{s}*e{pos}" if self.module.kind != "ring" else s)
-        return "+".join(bits)
+        return "+".join(f"{_term_str(self.ring, e, c)}*e{pos}" for pos, e, c in self.terms())
 
 
 class Polynomial(Element):

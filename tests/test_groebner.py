@@ -219,7 +219,7 @@ def test_lift_coordinates_identity(R4, rng):
 
 def test_module_buchberger_and_syzygies(R4):
     x0, x1, x2, x3 = R4.gens()
-    F = FreeModule(R4, (0, 0), kind="pot")
+    F = FreeModule(R4, (0, 0))
     v1 = F.inject(x0, 0) + F.inject(x1, 1)
     v2 = F.inject(x1, 0) + F.inject(x2, 1)
     v3 = F.inject(x0 * x2 - x1 ** 2, 0)
@@ -252,8 +252,8 @@ def test_gb_invariant_under_unit_scaling(R4, rng):
 
 def test_syzygies_of_zero_entries_are_unit_vectors(R4):
     x0, x1, x2, x3 = R4.gens()
-    F = FreeModule(R4, (0,), kind="pot")
-    src = FreeModule(R4, (1, 4, 1), kind="pot")
+    F = FreeModule(R4, (0,))
+    src = FreeModule(R4, (1, 4, 1))
     gens = [F.inject(x0, 0), F.zero(), F.inject(x1, 0)]
     syz = syzygies_of(gens, src)
     assert syz[0] == src.gen(1)
@@ -263,7 +263,7 @@ def test_syzygies_of_zero_entries_are_unit_vectors(R4):
         applied = applied + gens[pos].mono_mul(e, c)
     assert applied.is_zero
     # the zero map: every basis vector is a syzygy
-    two = FreeModule(R4, (2, 3), kind="pot")
+    two = FreeModule(R4, (2, 3))
     assert syzygies_of([F.zero(), F.zero()], two) == [two.gen(0), two.gen(1)]
 
 
@@ -283,6 +283,40 @@ def test_lift_coordinates_through_an_unreduced_input():
         targets = [gens[1], x0 * gens[1] + x2**2 * gens[0], x1 * gens[1] - x0**2 * gens[0]]
         coords = lift_coordinates(gens, targets)
         assert all(_apply(c, gens) == f for c, f in zip(coords, targets))
+
+
+# -- the ring up to a twist ---------------------------------------------------
+
+
+@st.composite
+def forms(draw, ring):
+    """A nonzero form of degree 1-3 with 1-4 terms."""
+    monomials = ring.monomials(draw(st.integers(1, 3)))
+    support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4, unique=True))
+    return ring.poly({e: draw(st.integers(1, ring.p - 1)) for e in support})
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_twisted_rank_one_module_matches_the_ring(order):
+    """Ring generators moved into R(-a), a != 0: the pair loop takes the
+    product criterion there as in the ring, and the reduced basis and the
+    minimal generators are the ring's, moved the same way."""
+    ring = Ring(3, 32003, order=LEX if order == "lex" else None)
+    x0, x1, x2 = ring.gens()
+
+    @given(st.sampled_from([-2, -1, 1, 3]), st.lists(forms(ring), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    # coprime leads, whose S-pair the product criterion drops
+    @example(2, [x0**2 + x1 * x2, x1**2 + x0 * x2, x2**3])
+    def check(a, gens):
+        F = FreeModule(ring, (a,))
+        moved = [F.rehome(g) for g in gens]
+        basis = buchberger(moved)
+        assert basis.module == F
+        assert list(basis) == [F.rehome(g) for g in buchberger(gens)]
+        assert minimal_generators(moved) == [F.rehome(g) for g in minimal_generators(gens)]
+
+    check()
 
 
 # -- exactness oracle for syzygies_of ----------------------------------------

@@ -2,10 +2,10 @@
 
 The references work on terms as (position, exponents) rows: a dict sums
 the coefficients per row mod p, drops zeros and sorts the rows by their
-module key (`Order.key`, position first in a POT module), largest first;
+module key (-position, then `Order.key`), largest first;
 only then are the rows packed, by `Packing.pack`, and compared with what
 the kernels return.  `canonicalize` and `merge_sub` are checked that way on
-degrevlex, lex and block keys, ring and position-over-term modules, and
+degrevlex, lex and block keys, modules of rank 1 to 3, and
 p = 2 and p = 2^31 - 1.  `normal_form_arrays` is checked, on the same
 modules, against full reduction in a dict: the largest term first, by the
 first dividing block, with the reducer table built one `append` at a time.
@@ -39,20 +39,18 @@ ORDERS = [("degrevlex", 0), ("lex", 0), ("block", 1), ("block", 2)]
 
 
 @lru_cache(maxsize=None)
-def _module(nv, order, p, kind, rank):
+def _module(nv, order, p, rank):
     ring = Ring(nv, p, Order(*order))
-    return FreeModule(ring, (0,) * rank, kind=kind)
+    return FreeModule(ring, (0,) * rank)
 
 
 @st.composite
 def modules(draw, p):
-    """A ring or position-over-term module over 1-3 variables, in a
-    degrevlex, lex or block order."""
+    """A module of rank 1-3 over 1-3 variables, in a degrevlex, lex or
+    block order."""
     nv = draw(st.integers(1, 3))
     order = draw(st.sampled_from([o for o in ORDERS if o[1] < nv]))
-    kind = draw(st.sampled_from(["ring", "pot"]))
-    rank = 1 if kind == "ring" else draw(st.integers(1, 3))
-    return _module(nv, order, p, kind, rank)
+    return _module(nv, order, p, draw(st.integers(1, 3)))
 
 
 def _coefficients(p):
@@ -74,8 +72,7 @@ def terms(draw, module, p):
 
 
 def _key(module, row):
-    key = module.ring.order.key(row[1:])
-    return (-row[0], *key) if module.kind == "pot" else key
+    return (-row[0], *module.ring.order.key(row[1:]))
 
 
 def _canonical(module, pairs, p):
@@ -137,7 +134,7 @@ def test_merge_sub_matches_dict_reference(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_merge_sub_edge_cases(p):
-    module = _module(3, ("degrevlex", 0), p, "pot", 2)
+    module = _module(3, ("degrevlex", 0), p, 2)
     f_pairs = [((0, 2, 0, 0), 1), ((0, 1, 1, 0), p - 1), ((1, 0, 0, 2), 1)]
 
     def canon(pairs):
@@ -221,7 +218,7 @@ def test_normal_form_arrays_matches_dict_reduction(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_normal_form_arrays_edge_cases(p):
-    module = _module(3, ("lex", 0), p, "ring", 1)
+    module = _module(3, ("lex", 0), p, 1)
 
     def el(*pairs):
         return _canonical(module, [((0, *e), c) for e, c in pairs], p)
@@ -248,13 +245,13 @@ def test_normal_form_arrays_packs_extreme_fields(p):
     rise ends at MAX_DEGREE."""
     big = 2**61
     # x0^(2^61) * x1^(2^60 - 1) -> x1^(2^62 - 1) by x0^(2^61) - x1^(2^61 + 2^60)
-    lex = _module(2, ("lex", 0), p, "ring", 1)
+    lex = _module(2, ("lex", 0), p, 1)
     f = _canonical(lex, [((0, big, 2**60 - 1), 1), ((0, 0, 5), 3)], p)
     block = _canonical(lex, [((0, big, 0), 3), ((0, 0, big + 2**60), 1)], p)
     got = _check_normal_form(lex, f, [block], p)
     assert max(map(lex.packing.degree, got[0])) == K.MAX_DEGREE
-    # block(1) keys (-pos, e0, -e0, e1 + e2, -e2, -e1) of a rank-2 POT module
-    pot = _module(3, ("block", 1), p, "pot", 2)
+    # block(1) keys (-pos, e0, -e0, e1 + e2, -e2, -e1) of a rank-2 module
+    pot = _module(3, ("block", 1), p, 2)
     f = _canonical(pot, [((1, big, 2**60, 3), 1), ((1, big - 1, 2**60 + 1, 3), 3), ((0, 1, big, 2**60), 1)], p)
     blocks = [
         _canonical(pot, [((1, big, 0, 3), 3), ((1, big - 1, 1, 3), 1)], p),
@@ -336,7 +333,7 @@ def test_s_pair_degree_bound(p):
     """An S-pair whose terms reach MAX_DEGREE is exact; one past it raises.
     Under lex, g = x0 + x1^(2^61) has rise 2^61 - 1, and its S-pair with
     x0*x1^k is x1^(k + 2^61), of degree lcm + rise."""
-    lex = _module(2, ("lex", 0), p, "ring", 1)
+    lex = _module(2, ("lex", 0), p, 1)
     g = _canonical(lex, [((0, 1, 0), 1), ((0, 0, 2**61), 1)], p)
     for k in (2**61 - 1, 2**61):
         blocks = [g, _canonical(lex, [((0, 1, k), 1)], p)]

@@ -86,3 +86,23 @@ def test_every_public_function_has_a_caller():
                     if not any(p != path or line not in own for p, line in uses.get(fn.name, [])):
                         unused.append(f"{path.name}:{fn.lineno}: {fn.name}")
     assert unused == []
+
+
+def test_no_unused_imports():
+    """Every name a module imports is read somewhere in that module.
+    `__init__.py` is exempt: its imports are re-exports."""
+    unused = []
+    for path in sorted(PKG.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno}: {name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            for name in [alias.asname or alias.name.split(".")[0]]
+            if name not in read
+        ]
+    assert unused == []

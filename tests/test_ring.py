@@ -80,8 +80,8 @@ def monomials(draw, nv=4, maxdeg=6):
     )
 
 
-def _packed(order, e, pos=0, kind="ring"):
-    F = FreeModule(Ring(len(e), 32003, order), (0,) * (pos + 1), kind=kind)
+def _packed(order, e, pos=0):
+    F = FreeModule(Ring(len(e), 32003, order), (0,) * (pos + 1))
     return F.packing.pack(F.rank, pos, e)
 
 
@@ -122,7 +122,7 @@ def test_packed_ints_sort_in_the_reference_order(terms):
         monos = sorted({e for _, e in terms}, key=key, reverse=True)
         assert sorted(monos, key=lambda e: _packed(order, e)) == monos
         pot = sorted(set(terms), key=lambda t: (-t[0], key(t[1])), reverse=True)
-        assert sorted(pot, key=lambda t: _packed(order, t[1], t[0], "pot")) == pot
+        assert sorted(pot, key=lambda t: _packed(order, t[1], t[0])) == pot
 
 
 R3 = Ring(3, 32003)
@@ -136,7 +136,13 @@ F3 = FreeModule(R3, (0, 1))
         # truncated
         ([lambda: R3.var(0).mono_mul([2]), lambda: R3.poly({(1, 0): 1})], ValueError),
         ([lambda: R3.var(0).mono_mul((1, -1, 0)), lambda: R3.poly({(0, -1, 2): 1})], DegreeOverflow),
-        ([lambda: R3.poly({(1.5, 0, 0): 1}), lambda: R3.var(0).mono_mul((0.5, 0, 0))], TypeError),
+        # a float exponent or coefficient is rejected, never truncated
+        (
+            [lambda: R3.poly({(1.5, 0, 0): 1}), lambda: R3.var(0).mono_mul((0.5, 0, 0)),
+             lambda: R3.var(0).scale(0.5), lambda: R3.var(0).scale(2.7),
+             lambda: R3.var(0).mono_mul((1, 0, 0), 0.5)],
+            TypeError,
+        ),
         # positions outside [0, rank), in both input forms
         (
             [lambda: F3.element({(-1, (1, 0, 0)): 1}), lambda: F3.element({(2, (1, 0, 0)): 1}),
@@ -147,7 +153,8 @@ F3 = FreeModule(R3, (0, 1))
     ids=["length", "negative", "non-integer", "position"],
 )
 def test_terms_are_checked_where_they_are_built(builds, error):
-    """The one term builder checks every exponent vector and position."""
+    """The one term builder checks every exponent vector and position, and
+    every coefficient must be an integer."""
     for build in builds:
         with pytest.raises(error):
             build()
@@ -171,7 +178,7 @@ def test_module_elements():
     R = Ring(3, 32003)
     from liaisonlab.ring import FreeModule
 
-    F = FreeModule(R, (1, 2), kind="pot")
+    F = FreeModule(R, (1, 2))
     v = F.element({(0, (1, 0, 0)): 1, (1, (0, 0, 0)): 3})
     assert v.is_homogeneous and v.degree == 2
     w = F.gen(0)
@@ -179,6 +186,25 @@ def test_module_elements():
     assert v.poly_mul(R.var(1)).degree == 3
     # POT: position 0 dominates
     assert v.lt()[0] == 0
+
+
+def test_one_packing_per_ring():
+    """Modules of every rank and twist over a ring share the ring's one
+    packing, and the ring is the rank-1 module at twist 0: a polynomial
+    moved there is the same element."""
+    for order in (Order("degrevlex"), Order("lex"), Order("block", 1)):
+        R = Ring(3, 32003, order)
+        assert R.as_module.packing is R.packing
+        for twists in ((), (0,), (3,), (0, 0), (1, -2, 5)):
+            assert FreeModule(R, twists).packing is R.packing
+        assert FreeModule(R, (0,)) == R.as_module
+        assert FreeModule(R, (1,)) != R.as_module
+        assert FreeModule(R, (0, 0)) != R.as_module
+        f = R.poly({(2, 0, 1): 3, (0, 1, 2): 5, (1, 1, 1): 7})
+        assert FreeModule(R, (0,)).rehome(f) == f
+        assert FreeModule(R, (0,)).element({(0, e): c for _, e, c in f.terms()}) == f
+        F = FreeModule(R, (1, 0, 2))
+        assert F.component(F.inject(f, 2), 2) == f
 
 
 def test_prime_bound_at_the_int64_edge():
@@ -245,11 +271,11 @@ def _random_element(F, rng):
 def test_rehome_matches_the_term_rebuild():
     R = Ring(4, 32003)
     rng = np.random.default_rng(3)
-    src = FreeModule(R, (1, 0, 2), kind="pot")
+    src = FreeModule(R, (1, 0, 2))
     for target, positions in (
-        (FreeModule(R, (1, 0, 2), kind="pot"), None),
-        (FreeModule(R, (4, 3, 5), kind="pot"), None),
-        (FreeModule(R, (0, 1, 9, 0, 0, 2, 7), kind="pot"), (1, 4, 6)),
+        (FreeModule(R, (1, 0, 2)), None),
+        (FreeModule(R, (4, 3, 5)), None),
+        (FreeModule(R, (0, 1, 9, 0, 0, 2, 7)), (1, 4, 6)),
     ):
         for _ in range(5):
             v = _random_element(src, rng)
@@ -259,7 +285,7 @@ def test_rehome_matches_the_term_rebuild():
             assert moved.module is target
             assert moved == rebuilt
     with pytest.raises(ValueError):
-        FreeModule(R, (0,) * 4, kind="pot").rehome(_random_element(src, rng), (2, 1, 3))
+        FreeModule(R, (0,) * 4).rehome(_random_element(src, rng), (2, 1, 3))
 
 
 @given(
