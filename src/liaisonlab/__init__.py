@@ -5,5 +5,5 @@ descents to complete intersections)."""
 
 __version__ = "0.1.0"
 
-from .ring import Ring, Order, PrimeField, Polynomial  # noqa: F401
+from .ring import Ring, Order, PrimeField  # noqa: F401
 from .ideals import Ideal, PolyMatrix  # noqa: F401

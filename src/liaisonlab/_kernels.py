@@ -11,10 +11,10 @@ A (module) polynomial is held as two parallel lists:
   significant first.  A biased field lies in [0, 2^64) exactly when the
   field fits in int64, so the int is a base-2^64 numeral and int order is
   the lexicographic order of the fields: the smallest int is the largest
-  term, and ascending ints list the terms largest first (Monagan & Pearce,
-  "Polynomial division using dynamic arrays, heaps, and packed exponent
-  vectors", CASC 2007).  Equal keys imply equal exponents within a module,
-  so the key fields alone decide the order and the identity of a term.
+  term, and ascending ints list the terms largest first (packed exponent
+  vectors, Monagan & Pearce, CASC 2007, LNCS 4770).  Equal keys imply
+  equal exponents within a module, so the key fields alone decide the
+  order and the identity of a term.
 - Keys are linear in the position and the exponents, and so is packing: a
   term's int is the packed zero term plus the position times the position's
   shift plus each exponent times its variable's shift (`Packing.units`).

@@ -205,7 +205,7 @@ def _dict_degree(f):
 
 def _dict_mul(f, g, p):
     """Product of two polynomial dicts, past the degree bound an error even
-    when its top terms would cancel, as for `Polynomial` products."""
+    when its top terms would cancel, as for products of ring elements."""
     check_degree(_dict_degree(f) + _dict_degree(g))
     out = {}
     for e1, c1 in f.items():

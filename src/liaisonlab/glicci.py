@@ -31,13 +31,7 @@ from .errors import (
 )
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link
-from .resolution import classify
-
-
-def is_complete_intersection(ideal):
-    cls = classify(ideal)
-    ngens = sum(r for (i, j), r in cls["betti"].entries.items() if i == 0)
-    return ngens == cls["codim"]
+from .resolution import classify, is_complete_intersection
 
 
 class GlicciCertificate:
@@ -448,7 +442,7 @@ def lift_map(mono, level=0):
         raise VariableOutOfRange(f"lifting variable {level} outside the ring")
     if len(mono) != 1:
         raise NotMonomial("lifting map takes a single monomial")
-    exps = mono.exps_tuple()
+    exps = mono.lt()[1]
     if any(exps[i] for i in range(level + 1)):
         raise NotMonomial("monomial must avoid the lifting variable")
     total = sum(exps)

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .groebner import normal_form
 from .ideals import Ideal
-from .resolution import classify
+from .resolution import classify, is_complete_intersection
 
 _I64 = np.int64
 
@@ -37,7 +37,6 @@ def complete_intersection(forms):
         raise NotRegularSequence(
             f"codimension {None if I.is_unit else I.codimension()} != {len(forms)} forms"
         )
-    I.ci_degrees = tuple(sorted(f.degree for f in forms))
     return I
 
 
@@ -68,15 +67,13 @@ def aci_gorenstein(c, I):
     a CI link away from an ACI always lands on a Gorenstein ideal."""
     from .liaison import direct_link
 
-    cc = classify(c)
-    cgens = sum(r for (i, j), r in cc["betti"].entries.items() if i == 0)
-    if not cc["gorenstein"] or cgens != c.codimension():
+    if not is_complete_intersection(c):
         raise NotACI("the link ideal is not a complete intersection")
     cod = c.codimension()
     clsI = classify(I)
     if not clsI["cm"]:
         raise NotACI("I is not Cohen-Macaulay")
-    ngens = sum(r for (i, j), r in clsI["betti"].entries.items() if i == 0)
+    ngens = clsI["betti"].num_generators
     if ngens != cod + 1:
         raise NotACI(f"I needs exactly codim+1 = {cod + 1} minimal generators, has {ngens}")
     if I.codimension() != cod:

@@ -69,17 +69,21 @@ def mono_numerator(gens, nv):
             ]
             na = mono_numerator(plus, nv)
             nb = mono_numerator(colon, nv)
-            res = _poly_add(na, _poly_shift(nb, k))
+            res = add_numerators(na, shift_numerator(nb, k))
     _memo[key] = dict(res)
     return res
 
 
-def _poly_add(a, b):
+def add_numerators(a, b, sign=1):
+    """a + sign * b for series numerators kept as {degree: coefficient}
+    dicts; no zero coefficient is kept."""
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
+        c = out.get(k, 0) + sign * v
+        if c:
+            out[k] = c
+        else:
+            out.pop(k, None)
     return out
 
 
@@ -92,7 +96,8 @@ def _poly_mul(a, b):
     return {k: v for k, v in out.items() if v}
 
 
-def _poly_shift(a, s):
+def shift_numerator(a, s):
+    """The numerator a times t^s: the series of a module twisted by -s."""
     return {k + s: v for k, v in a.items()}
 
 
@@ -237,7 +242,7 @@ def quotient_numerator(twists, lt_terms, nv):
         by_pos[pos].append(tuple(e))
     total = {}
     for i, a in enumerate(twists):
-        total = _poly_add(total, _poly_shift(mono_numerator(by_pos[i], nv), a))
+        total = add_numerators(total, shift_numerator(mono_numerator(by_pos[i], nv), a))
     return total
 
 

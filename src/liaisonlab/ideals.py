@@ -20,7 +20,7 @@ from .errors import (
     UnitIdeal,
 )
 from .groebner import GroebnerBasis, annihilator, buchberger, normal_form
-from .ring import FreeModule, Order, Polynomial, Ring
+from .ring import Element, FreeModule, Order, Ring
 
 
 class Ideal:
@@ -30,14 +30,14 @@ class Ideal:
     homogeneous (the grading is load-bearing everywhere downstream).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_quotient", "ci_degrees")
+    __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_quotient")
 
     def __init__(self, ring, gens):
         self.ring = ring
         gens = tuple(g for g in gens if not g.is_zero)
         for g in gens:
-            if g.ring != ring:
-                raise RingMismatch("generator from another ring")
+            if g.module != ring.as_module:
+                raise RingMismatch(f"generator {g} is not an element of the ring")
             if not g.is_homogeneous:
                 raise NotHomogeneous(f"generator {g} is not homogeneous")
         self.gens = gens
@@ -45,7 +45,6 @@ class Ideal:
         self._codim = None
         self._hilbert = None
         self._quotient = None
-        self.ci_degrees = None
 
     # -- basic structure ----------------------------------------------
     @property
@@ -101,7 +100,7 @@ class Ideal:
         return Ideal(self.ring, self.gens + other.gens)
 
     def __mul__(self, other):
-        if isinstance(other, Polynomial):
+        if isinstance(other, Element):
             return Ideal(self.ring, [g * other for g in self.gens])
         self._chk(other)
         return Ideal(
@@ -137,7 +136,7 @@ class Ideal:
     def colon(self, other):
         """(self : other) = intersection of (self : g) over generators g,
         taken in one n-ary `intersect`."""
-        if isinstance(other, Polynomial):
+        if isinstance(other, Element):
             return self.colon_poly(other)
         self._chk(other)
         if not other.gens:
@@ -250,8 +249,8 @@ class PolyMatrix:
             if len(r) != self.ncols:
                 raise DegenerateMatrix("ragged matrix")
             for f in r:
-                if f.ring != ring:
-                    raise RingMismatch("entry from another ring")
+                if f.module != ring.as_module:
+                    raise RingMismatch(f"entry {f} is not an element of the ring")
                 if not f.is_homogeneous:
                     raise DegenerateMatrix(f"non-homogeneous entry {f}")
         self.row_degs, self.col_degs = self._degree_data()

@@ -11,7 +11,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .groebner import syzygies_of
-from .hilbert import degree_and_genus, free_numerator
+from .hilbert import add_numerators, degree_and_genus, free_numerator, shift_numerator
 from .ideals import Ideal
 from .resolution import (
     Resolution,
@@ -253,16 +253,13 @@ class ResolutionShape:
         self.target = target
 
     def alternating_numerator(self):
+        """The alternating sum of the stage numerators, free part and
+        named module together."""
         total = {}
-        sign = 1
-        for st in self.stages:
-            numer = dict(free_numerator(st["twists"]))
-            for k, v in st.get("numerator", {}).items():
-                numer[k] = numer.get(k, 0) + v
-            for k, v in numer.items():
-                total[k] = total.get(k, 0) + sign * v
-            sign = -sign
-        return {k: v for k, v in total.items() if v}
+        for k, st in enumerate(self.stages):
+            stage = add_numerators(free_numerator(st["twists"]), st.get("numerator", {}))
+            total = add_numerators(total, stage, (-1) ** k)
+        return total
 
     def to_json(self):
         return {
@@ -275,15 +272,6 @@ class ResolutionShape:
                 for st in self.stages
             ],
         }
-
-
-def _ideal_numerator(ideal):
-    """Numerator of HS(I) (the ideal as a module)."""
-    quot = ideal.hilbert().numerator
-    out = {0: 1}
-    for k, v in quot.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
 
 
 def mapping_cone_shapes(rec):
@@ -304,7 +292,7 @@ def mapping_cone_shapes(rec):
         return tuple(s - a for a in tws)
 
     # N-type of J: 0 -> F1*(-s) -> D_{c-1} + F2*(-s) -> ... -> D_1 + E*(-s) -> J
-    e_numer = _shift_numer(dual_kernel_numerator(FI, cod), s)
+    e_numer = shift_numerator(dual_kernel_numerator(FI, cod), s)
     stages = [
         {
             "twists": dtw.get(1, ()),
@@ -357,16 +345,13 @@ def mapping_cone_shapes(rec):
     )
     etype = ResolutionShape(estages, "E")
 
-    target = _ideal_numerator(J)
+    # HS(J) = HS(R) - HS(R/J)
+    target = add_numerators({0: 1}, J.hilbert().numerator, -1)
     checks = {
         "n_type_numerator": ntype.alternating_numerator() == target,
         "e_type_numerator": etype.alternating_numerator() == target,
     }
     return ntype, etype, checks
-
-
-def _shift_numer(numer, s):
-    return {k + s: v for k, v in numer.items()}
 
 
 # -- chains -----------------------------------------------------------------

@@ -23,7 +23,7 @@ read off the leading terms of the transposed columns.
 
 from .errors import NotCM, UnitIdeal, WrongCodim
 from .groebner import buchberger, lift_coordinates, minimal_generators, syzygies_of
-from .hilbert import free_numerator, quotient_numerator, series_hf
+from .hilbert import add_numerators, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
 
 
@@ -167,6 +167,11 @@ class BettiTable:
         return max(j - i for i, j in self.entries) if self.entries else 0
 
     @property
+    def num_generators(self):
+        """Number of minimal generators of the ideal (row 0)."""
+        return sum(r for (i, _), r in self.entries.items() if i == 0)
+
+    @property
     def cm_type(self):
         tail = self.pd - 1
         return sum(r for (i, j), r in self.entries.items() if i == tail)
@@ -196,31 +201,11 @@ class BettiTable:
         return f"Betti({self.entries})"
 
 
-def koszul_betti_entries(degrees):
-    """Graded Betti numbers (ideal-indexed) of a Koszul resolution."""
-    from itertools import combinations
-
-    entries = {}
-    for i in range(1, len(degrees) + 1):
-        for S in combinations(degrees, i):
-            j = sum(S)
-            entries[(i - 1, j)] = entries.get((i - 1, j), 0) + 1
-    return entries
-
-
 def classify(ideal):
     """codim, pd, depth, CM?, CM type, Gorenstein?, reg of the ideal."""
     if ideal.is_unit or ideal.is_zero:
         raise UnitIdeal("classification needs a proper nonzero ideal")
-    if getattr(ideal, "ci_degrees", None):
-        # complete intersections carry their Koszul table, no recomputation
-        B = BettiTable(
-            koszul_betti_entries(ideal.ci_degrees),
-            ideal.ring.nvars,
-            len(ideal.ci_degrees),
-        )
-    else:
-        B = BettiTable.of_ideal(ideal)
+    B = BettiTable.of_ideal(ideal)
     out = {
         "codim": B.codim,
         "pd": B.pd,
@@ -239,6 +224,12 @@ def classify(ideal):
         out["socle_check"] = a - B.codim == s
         out["h_vector_symmetric"] = tuple(hv) == tuple(reversed(hv))
     return out
+
+
+def is_complete_intersection(ideal):
+    """Whether the ideal has as many minimal generators as its codimension."""
+    B = classify(ideal)["betti"]
+    return B.num_generators == B.codim
 
 
 def self_duality_check(ideal_or_betti):
@@ -274,10 +265,6 @@ def dual_kernel(res, k):
     return dual, syzygies_of(res.dual_columns(k + 1)[1], dual)
 
 
-def _numerator_difference(a, b):
-    return {k: v for k, v in ((k, a.get(k, 0) - b.get(k, 0)) for k in set(a) | set(b)) if v}
-
-
 def _image_numerator(res, k):
     """Numerator of HS(im d_k^T) inside F_k^*; {} when k is outside
     1..length (no such map)."""
@@ -290,7 +277,7 @@ def dual_kernel_numerator(res, k):
     """Numerator of HS(ker d_{k+1}^T), the module `dual_kernel` generates,
     with no kernel computed: in each degree the kernel's dimension is that
     of F_k^* less that of the image of d_{k+1}^T (rank and nullity)."""
-    return _numerator_difference(free_numerator(res.free_module(k).dual().twists), _image_numerator(res, k + 1))
+    return add_numerators(free_numerator(res.free_module(k).dual().twists), _image_numerator(res, k + 1), -1)
 
 
 def ext_numerator(module, i):
@@ -299,7 +286,7 @@ def ext_numerator(module, i):
     res = module.resolution
     if i < 0 or i > res.length:
         return {}
-    return _numerator_difference(dual_kernel_numerator(res, i), _image_numerator(res, i))
+    return add_numerators(dual_kernel_numerator(res, i), _image_numerator(res, i), -1)
 
 
 def _lead_numerator(F, gens):
@@ -313,7 +300,7 @@ def _lead_numerator(F, gens):
 
 def submodule_numerator(module, gens):
     """Numerator of HS(S) for the submodule S generated by gens."""
-    return _numerator_difference(free_numerator(module.twists), _lead_numerator(module, gens))
+    return add_numerators(free_numerator(module.twists), _lead_numerator(module, gens), -1)
 
 
 def ext_hf(module, i, degrees):

@@ -1,5 +1,9 @@
-"""Exact arithmetic foundation: GF(p), monomial orders, graded polynomials
-and elements of graded free modules.
+"""Exact arithmetic foundation: GF(p), monomial orders and graded free
+modules, with one element class for them all.
+
+The ring is its own rank-1 free module at twist 0 (`Ring.as_module`), so a
+polynomial is the `Element` of that module; what tells a ring element from
+a module element is its module, not its class.
 
 Everything is immutable after construction.  An element holds its terms as
 packed ints in ascending order, largest term first, with a parallel list of
@@ -154,7 +158,7 @@ class Ring:
         if isinstance(terms, dict):
             terms = terms.items()
         module = self.as_module
-        return Polynomial(module, *module._canonical((0, e, c) for e, c in terms))
+        return Element(module, *module._canonical((0, e, c) for e, c in terms))
 
     def zero(self):
         return self.poly({})
@@ -252,7 +256,7 @@ class FreeModule:
         moved to position 0 by one subtract."""
         at, d = self.packing.position, pos * self.packing.units[0]
         terms = [(h - d, c) for h, c in zip(v.packed, v.coeffs) if at(h) == pos]
-        return Polynomial(self.ring.as_module, [h for h, _ in terms], [c for _, c in terms])
+        return Element(self.ring.as_module, [h for h, _ in terms], [c for _, c in terms])
 
     def dual(self):
         """F^* = Hom(F, R): the module with negated twists."""
@@ -327,9 +331,10 @@ class FreeModule:
 
 
 class Element:
-    """Element of a graded free module: its terms as packed ints in
-    ascending order (largest term first) and their coefficients in [1, p),
-    two parallel lists that are never changed after construction."""
+    """Element of a graded free module, the one element class: a ring
+    element is an Element of `ring.as_module`.  Its terms are packed ints
+    in ascending order (largest term first) with their coefficients in
+    [1, p), two parallel lists that are never changed after construction."""
 
     __slots__ = ("module", "packed", "coeffs")
 
@@ -428,22 +433,54 @@ class Element:
         d = m - P.zero
         return self._wrap([h + d for h in self.packed], [x * c % p for x in self.coeffs])
 
-    def poly_mul(self, f):
-        """Multiply by a ring polynomial: every product of two terms is one
+    def __mul__(self, other):
+        """Scale by an int, or multiply by a ring element (an element of
+        `ring.as_module`) on either side: every product of two terms is one
         int add, then one canonicalize sorts and combines them."""
-        if f.ring != self.ring:
-            raise RingMismatch("polynomial from another ring")
-        if f.is_zero or self.is_zero:
-            return self._wrap([], [])
-        check_degree(self._top_degree() + f._top_degree())
-        z = self.module.packing.zero
+        if isinstance(other, int):
+            return self.scale(other)
+        if not isinstance(other, Element):
+            return NotImplemented
+        ring_module = self.ring.as_module
+        if other.module == ring_module:
+            v, f = self, other
+        elif other.ring != self.ring:
+            raise RingMismatch("elements of different rings")
+        elif self.module == ring_module:
+            v, f = other, self
+        else:
+            return NotImplemented
+        if f.is_zero or v.is_zero:
+            return v._wrap([], [])
+        check_degree(v._top_degree() + f._top_degree())
+        z = v.module.packing.zero
         shifts = [g - z for g in f.packed]
-        packed = [h + d for h in self.packed for d in shifts]
-        coeffs = [a * b for a in self.coeffs for b in f.coeffs]
-        return self._wrap(*K.canonicalize(packed, coeffs, self.ring.p))
+        packed = [h + d for h in v.packed for d in shifts]
+        coeffs = [a * b for a in v.coeffs for b in f.coeffs]
+        return v._wrap(*K.canonicalize(packed, coeffs, self.ring.p))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """The k-th power of a ring element, k a non-negative integer."""
+        if self.module != self.ring.as_module:
+            return NotImplemented
+        k = index(k)
+        if k < 0:
+            raise ValueError(f"negative power {k}")
+        check_degree(self._top_degree() * k)
+        r = self.ring.one()
+        b = self
+        while k > 0:
+            if k & 1:
+                r = r * b
+            k >>= 1
+            if k:
+                b = b * b
+        return r
 
     def _wrap(self, packed, coeffs):
-        return type(self)(self.module, packed, coeffs)
+        return Element(self.module, packed, coeffs)
 
     def __eq__(self, other):
         return (
@@ -456,47 +493,10 @@ class Element:
     def __repr__(self):
         if self.is_zero:
             return "0"
-        return "+".join(f"{_term_str(self.ring, e, c)}*e{pos}" for pos, e, c in self.terms())
-
-
-class Polynomial(Element):
-    """Ring element: module is ring.as_module, position 0."""
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return self.poly_mul(other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        k = int(k)
-        check_degree(self._top_degree() * k)
-        r = self.ring.one()
-        b = self
-        while k > 0:
-            if k & 1:
-                r = r * b
-            k >>= 1
-            if k:
-                b = b * b
-        return r
-
-    @property
-    def is_monomial(self):
-        return len(self.coeffs) == 1
-
-    def exps_tuple(self):
-        if not self.is_monomial:
-            raise ValueError("not a monomial")
-        return self.lt()[1]
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return "+".join(_term_str(self.ring, e, c) for _, e, c in self.terms())
+        ring = self.ring
+        if self.module == ring.as_module:
+            return "+".join(_term_str(ring, e, c) for _, e, c in self.terms())
+        return "+".join(f"{_term_str(ring, e, c)}*e{pos}" for pos, e, c in self.terms())
 
 
 def _term_str(ring, e, c):

@@ -122,8 +122,8 @@ R3_SMALL = Ring(3, 7)
 
 @st.composite
 def expressions(draw, depth=3):
-    """(text, Polynomial) pairs: an expression over GF(7)[x0..x2] and its
-    value by `Polynomial` arithmetic; every operation is parenthesised, so
+    """(text, ring element) pairs: an expression over GF(7)[x0..x2] and its
+    value by ring-element arithmetic; every operation is parenthesised, so
     the text has one reading."""
     R = R3_SMALL
     kinds = ["int", "var"] + (["+", "-", "*", "^", "neg"] if depth else [])

@@ -44,8 +44,28 @@ def test_complete_intersection(R4):
         complete_intersection([x0, x0 * x1])
     c2 = complete_intersection([x0 * x3 - x1 * x2, x0 * x2 - x1 ** 2])
     assert c2.codimension() == 2
-    # tagged complete intersections classify without a resolution
-    assert c2.ci_degrees == (2, 2)
+    assert classify(c2)["betti"].entries == {(0, 2): 2, (1, 4): 1}
+
+
+def _koszul_betti(degrees):
+    """Ideal-indexed Betti numbers of the Koszul complex on forms of the
+    given degrees: beta_{i-1, j} counts the i-subsets of degree sum j."""
+    entries = {}
+    for i in range(1, len(degrees) + 1):
+        for S in combinations(degrees, i):
+            entries[(i - 1, sum(S))] = entries.get((i - 1, sum(S)), 0) + 1
+    return entries
+
+
+@pytest.mark.parametrize("degrees", [(1,), (3,), (1, 2), (2, 2), (2, 3), (1, 2, 2), (2, 2, 3), (1, 1, 2, 2)])
+def test_complete_intersections_resolve_by_the_koszul_formula(R4, degrees):
+    """A homogeneous regular sequence generates minimally, so its Koszul
+    complex is the minimal resolution."""
+    rng = np.random.default_rng(len(degrees) + 10 * sum(degrees))
+    ci = complete_intersection([R4.random_poly(d, rng) for d in degrees])
+    cls = classify(ci)
+    assert cls["betti"].entries == _koszul_betti(degrees)
+    assert cls["codim"] == len(degrees) and cls["gorenstein"]
 
 
 def test_sum_of_linked(R4):

@@ -428,7 +428,7 @@ def test_annihilator_is_exact(twists):
         gb = buchberger(live) if live else []
         for a in ann:
             assert a.module == ring.as_module and a.is_homogeneous
-            assert normal_form(v.poly_mul(a), gb).is_zero
+            assert normal_form(v * a, gb).is_zero
         image = _numerator_sum(
             (1, 0, submodule_numerator(F, relations + [v])),
             (-1, 0, submodule_numerator(F, relations)),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from liaisonlab.errors import DegenerateMatrix, DivisionByZero, RingMismatch, UnitIdeal
 from liaisonlab.ideals import Ideal, PolyMatrix
-from liaisonlab.ring import Ring
+from liaisonlab.ring import FreeModule, Ring
 
 
 def _monomials_upto(R, d):
@@ -323,3 +323,19 @@ def test_saturate_against_sympy(a):
     parts = [_t_free(sI + [1 - T * x], T) for x in X]
     expect = _sympy_intersect(_sympy_intersect(parts[0], parts[1]), parts[2])
     assert _ours(I.saturate()) == _grevlex(expect)
+
+
+def test_ideals_and_matrices_hold_ring_elements_only():
+    """An element of a free module other than the ring is no generator and
+    no matrix entry, whatever its rank or twist."""
+    R = Ring(3, 32003)
+    x0, x1, _ = R.gens()
+    F = FreeModule(R, (0, 0))
+    with pytest.raises(RingMismatch):
+        Ideal(R, [F.inject(x0, 1), F.inject(x1, 0)])
+    for bad in (F.inject(x0, 1), FreeModule(R, (1,)).inject(x0, 0), Ring(3, 7).var(0)):
+        with pytest.raises(RingMismatch):
+            Ideal(R, [bad])
+        with pytest.raises(RingMismatch):
+            PolyMatrix(R, [[bad]])
+    assert Ideal(R, [FreeModule(R, (0,)).rehome(x0)]) == Ideal(R, [x0])

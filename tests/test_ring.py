@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.orderings import monomial_key
 
@@ -11,6 +11,7 @@ from liaisonlab.errors import (
     RingMismatch,
     ZeroPolynomial,
 )
+from liaisonlab.groebner import buchberger
 from liaisonlab.ring import LEX, MAX_DEGREE, FreeModule, Order, PrimeField, Ring
 
 
@@ -53,7 +54,7 @@ def test_poly_mul_identities():
     assert f * x0 == x0 ** 2 * x3 - x0 * x1 * x2
     with pytest.raises(RingMismatch):
         other = Ring(3, 32003)
-        f.poly_mul(other.var(0))
+        f * other.var(0)
 
 
 def _random_poly(R, rng, deg, homogeneous=True):
@@ -183,7 +184,7 @@ def test_module_elements():
     assert v.is_homogeneous and v.degree == 2
     w = F.gen(0)
     assert (v - v).is_zero
-    assert v.poly_mul(R.var(1)).degree == 3
+    assert (v * R.var(1)).degree == 3
     # POT: position 0 dominates
     assert v.lt()[0] == 0
 
@@ -321,3 +322,67 @@ def test_add_mul_properties_hypothesis():
         assert (f * g) * h == f * (g * h)
 
     inner()
+
+
+def test_powers_take_a_non_negative_integer():
+    R = Ring(3, 32003)
+    x0 = R.var(0)
+    assert x0 ** 0 == R.one() and x0 ** 3 == x0 * x0 * x0
+    assert x0 ** np.int64(2) == x0 * x0
+    with pytest.raises(ValueError):
+        x0 ** -1
+    for k in (2.7, 2.0):
+        with pytest.raises(TypeError):
+            x0 ** k
+    # only ring elements have powers
+    with pytest.raises(TypeError):
+        FreeModule(R, (1,)).gen(0) ** 2
+
+
+@st.composite
+def forms(draw, R, maxdeg=3):
+    """A nonzero homogeneous form of R of degree at most maxdeg."""
+    mons = R.monomials(draw(st.integers(0, maxdeg)))
+    coeffs = draw(st.lists(st.integers(0, R.p - 1), min_size=len(mons), max_size=len(mons)))
+    f = R.poly(dict(zip(mons, coeffs)))
+    assume(not f.is_zero)
+    return f
+
+
+def test_one_element_class_for_the_ring():
+    """An element of R.as_module is the same ring element however it was
+    built: it compares, prints, multiplies and raises to powers alike, and
+    multiplies a module element from either side."""
+    R = Ring(3, 32003)
+    x0 = R.var(0)
+    F = FreeModule(R, (1, 0, 2))
+
+    @given(forms(R), st.integers(0, 2), forms(R, maxdeg=1))
+    @settings(max_examples=60, deadline=None)
+    def check(f, k, h):
+        g = f.monic()
+        built = [
+            R.poly({e: c for _, e, c in g.terms()}),
+            R.as_module.rehome(g),
+            FreeModule(R, (0,)).rehome(g),
+            F.component(F.inject(g, k), k),
+            buchberger([f])[0],
+        ]
+        for b in built:
+            assert b == g
+            assert repr(b) == repr(g) and "*e" not in repr(b)
+            assert b * x0 == g * x0 == x0 * b
+            assert b ** 2 == g * g
+        v = F.inject(g, k) + F.gen((k + 1) % 3)
+        assert v * h == h * v == F.inject(g * h, k) + F.inject(h, (k + 1) % 3)
+        assert 3 * v == v * 3 == v.scale(3)
+        assert f"*e{k}" in repr(v)
+
+    check()
+    v = F.gen(0)
+    with pytest.raises(TypeError):
+        v * v
+    with pytest.raises(TypeError):
+        v * 1.5
+    with pytest.raises(RingMismatch):
+        v * Ring(3, 7).var(0)
