@@ -278,9 +278,9 @@ def wlp_check(I, rng=None):
     seeded random linear forms; True when one of them gives maximal rank
     in every degree."""
     ring = I.ring
-    if I.ring.nvars - I.codimension() != 0:
-        raise NotArtinian("WLP needs an Artinian quotient")
     data = I.hilbert()
+    if data.dim != 0:
+        raise NotArtinian("WLP needs an Artinian quotient")
     hv = [data.hf(j) for j in range(0, len(data.h_vector) + 1)]
     lt = I.lt_exps()
     std = {}

@@ -1,6 +1,10 @@
 """Ideal-level algebra: sums, products, intersections, colon ideals,
 saturation, elimination, ideals of maximal minors, codimension.
 
+Dimension has one source: `Ideal.codimension` is nvars minus the pole
+order at t = 1 of the Hilbert series (`hilbert.HilbertData.dim`), which is
+the Krull dimension of R/I.
+
 Intersections and colon ideals are annihilators (`groebner.annihilator`):
 I_1 cap ... cap I_k is the annihilator of (1, ..., 1) modulo the relations
 I_1 e_1 + ... + I_k e_k, one run however many ideals meet, and I : f the
@@ -30,7 +34,7 @@ class Ideal:
     homogeneous (the grading is load-bearing everywhere downstream).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_codim", "_hilbert", "_quotient")
+    __slots__ = ("ring", "gens", "_gb", "_hilbert", "_quotient")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -42,7 +46,6 @@ class Ideal:
                 raise NotHomogeneous(f"generator {g} is not homogeneous")
         self.gens = gens
         self._gb = None
-        self._codim = None
         self._hilbert = None
         self._quotient = None
 
@@ -128,7 +131,10 @@ class Ideal:
         return _colon_of_parts(self.ring, [(I, one) for I in (self, *others)])
 
     def colon_poly(self, f):
-        """(self : f) for a single polynomial f."""
+        """(self : f) for a ring element f (RingMismatch for an element of
+        any other module)."""
+        if f.module != self.ring.as_module:
+            raise RingMismatch(f"{f} is not an element of the ring")
         if f.is_zero:
             raise DivisionByZero("colon by zero")
         return _colon_of_parts(self.ring, [(self, f)])
@@ -189,26 +195,11 @@ class Ideal:
 
     # -- invariants ------------------------------------------------------
     def codimension(self):
-        """n+1 - dim(R/I), read off the leading-term ideal."""
+        """nvars - dim(R/I), the dimension read off the Hilbert series
+        numerator (`hilbert`), the one source of dim R/I."""
         if self.is_unit:
             raise UnitIdeal("codimension of the unit ideal")
-        if self._codim is None:
-            n = self.ring.nvars
-            lts = self.lt_exps()
-            supports = [frozenset(i for i, a in enumerate(e) if a) for e in lts]
-            dim = 0
-            for size in range(n, -1, -1):
-                found = False
-                for S in combinations(range(n), size):
-                    sset = set(S)
-                    if all(not s <= sset for s in supports):
-                        found = True
-                        break
-                if found:
-                    dim = size
-                    break
-            self._codim = n - dim
-        return self._codim
+        return self.ring.nvars - self.hilbert().dim
 
     def hilbert(self):
         from .hilbert import hilbert_data
@@ -256,42 +247,33 @@ class PolyMatrix:
         self.row_degs, self.col_degs = self._degree_data()
 
     def _degree_data(self):
-        """Solve deg A[i][j] = c_j - r_i by propagation; error if inconsistent."""
-        nr, nc = self.nrows, self.ncols
-        r = [None] * nr
-        c = [None] * nc
-        if nr == 0:
-            return [], []
-        r[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for i in range(nr):
-                for j in range(nc):
-                    f = self.rows[i][j]
-                    if f.is_zero:
+        """Solve deg A[i][j] = c_j - r_i: each block of entries linked by
+        shared rows and columns is propagated from its first row at twist
+        0, an all-zero column gets twist 0, and every nonzero entry is
+        then checked."""
+        r = [None] * self.nrows
+        c = [None] * self.ncols
+        for first in range(self.nrows):
+            if r[first] is not None:
+                continue
+            r[first] = 0
+            todo = [first]
+            while todo:
+                i = todo.pop()
+                for j, f in enumerate(self.rows[i]):
+                    if f.is_zero or c[j] is not None:
                         continue
-                    d = f.degree
-                    if r[i] is not None and c[j] is None:
-                        c[j] = r[i] + d
-                        changed = True
-                    elif c[j] is not None and r[i] is None:
-                        r[i] = c[j] - d
-                        changed = True
-                    elif r[i] is not None and c[j] is not None:
-                        if c[j] - r[i] != d:
-                            raise DegenerateMatrix("degree matrix violated")
-        # disconnected rows/cols get arbitrary consistent values
-        for i in range(nr):
-            if r[i] is None:
-                r[i] = 0
-        for j in range(nc):
-            if c[j] is None:
-                c[j] = max((self.rows[i][j].degree + r[i]) for i in range(nr) if not self.rows[i][j].is_zero) if any(not self.rows[i][j].is_zero for i in range(nr)) else 0
+                    c[j] = r[i] + f.degree
+                    for k, row in enumerate(self.rows):
+                        if r[k] is None and not row[j].is_zero:
+                            r[k] = c[j] - row[j].degree
+                            todo.append(k)
+        c = [0 if v is None else v for v in c]
+        for i, row in enumerate(self.rows):
+            for j, f in enumerate(row):
+                if not f.is_zero and f.degree != c[j] - r[i]:
+                    raise DegenerateMatrix("degree matrix violated")
         return r, c
-
-    def transpose(self):
-        return PolyMatrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def submatrix(self, row_idx, col_idx):
         return PolyMatrix(self.ring, [[self.rows[i][j] for j in col_idx] for i in row_idx])

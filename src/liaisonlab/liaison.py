@@ -95,18 +95,17 @@ def verify_link_invariants(rec):
     """Evaluate the transfer identities for one link; returns a report
     mapping check name -> bool (or None when not applicable)."""
     c, I, J, s = rec.c, rec.I, rec.J, rec.s
-    n = c.ring.nvars - 1
-    cod = c.codimension()
     hc, hI, hJ = c.hilbert(), I.hilbert(), J.hilbert()
+    dimq = hc.dim  # = dim R/I = dim R/J: linked ideals share their codimension
     report = {}
     report["degree_additive"] = hI.degree + hJ.degree == hc.degree
     clsI, clsJ = classify(I), classify(J)
     report["acm_iff_acm"] = clsI["cm"] == clsJ["cm"]
     # CM transfer: from 0 -> K_{R/I}(1-r) -> R/c -> R/J -> 0 together with
     # h_{K_M}(m) = (-1)^dim [h_M - p_M](-m),
-    #   h_{R/J}(j) = h_{R/c}(j) + (-1)^(n-cod) [h_{R/I} - p_{R/I}](s-j);
+    #   h_{R/J}(j) = h_{R/c}(j) + (-1)^(dimq - 1) [h_{R/I} - p_{R/I}](s-j);
     # the polynomial correction vanishes on Artinian quotients.
-    sign = (-1) ** (n - cod)
+    sign = (-1) ** (dimq - 1)
     if clsI["cm"] and clsJ["cm"]:
         ok = True
         top = max(s + 3, hc.reg_index + 2)
@@ -123,8 +122,7 @@ def verify_link_invariants(rec):
         report["genus_difference"] = lhs == rhs
     else:
         report["genus_difference"] = None
-    # cohomological duality: H^i_m(R/J) = H^{n+1-cod-i}_m(R/I)^v(-s)
-    dimq = I.ring.nvars - cod
+    # cohomological duality: H^i_m(R/J) = H^{dimq - i}_m(R/I)^v(-s)
     if dimq >= 2:
         window = _common_window(I, J)
         lo = min(min(window), s - max(window)) - 1
@@ -135,7 +133,7 @@ def verify_link_invariants(rec):
         window = wide
         ok = True
         for i in range(1, dimq):
-            idual = I.ring.nvars - cod - i
+            idual = dimq - i
             for j in window:
                 lhs = tJ[i][j]
                 rhs = tI[idual][s - j] if idual >= 1 else 0
@@ -172,7 +170,7 @@ def basic_double_link(J, I, f, check_cohomology=True):
             break
     report["hilbert_identity"] = hilbert_ok
     if check_cohomology:
-        dimq = I.ring.nvars - I.codimension()
+        dimq = hI.dim
         window = _common_window(I, tilde)
         wid = list(range(min(window) - d - 1, max(window) + d + 1))
         tabI = deficiency_table(I, wid)
@@ -213,8 +211,7 @@ def liaison_addition(parts):
         total = total + Ideal(ring, [F * g for g in V.gens])
     report = {}
     report["saturated"] = total.saturate() == total
-    ns = ring.nvars - 1
-    dimz = ring.nvars - total.codimension()
+    dimz = total.hilbert().dim
     window = _common_window(total, *[V for V, _ in parts if not V.is_unit])
     tabZ = deficiency_table(total, window)
     parts_tabs = []
@@ -260,18 +257,6 @@ class ResolutionShape:
             stage = add_numerators(free_numerator(st["twists"]), st.get("numerator", {}))
             total = add_numerators(total, stage, (-1) ** k)
         return total
-
-    def to_json(self):
-        return {
-            "target": self.target,
-            "stages": [
-                {
-                    "twists": sorted(st["twists"]),
-                    "module": st.get("module"),
-                }
-                for st in self.stages
-            ],
-        }
 
 
 def mapping_cone_shapes(rec):
@@ -384,8 +369,7 @@ class LinkChain:
         if self.parity != "even" or not self.records:
             return None
         A, B = self.start, self.tail
-        n1 = A.ring.nvars
-        dimq = n1 - A.codimension()
+        dimq = A.hilbert().dim
         if dimq < 2:
             return True
         window = window or _common_window(A, B)

@@ -188,9 +188,6 @@ class BettiTable:
         tail = self.pd - 1
         return max(j for (i, j) in self.entries if i == tail)
 
-    def rows(self):
-        return sorted(self.entries.items())
-
     def to_json(self):
         out = {}
         for (i, j), r in sorted(self.entries.items()):
@@ -354,9 +351,8 @@ def default_window(ideal):
 def deficiency_table(ideal, window=None):
     """{i: {j: dim H^i_m(R/I)_j}} for i = 1..dim(R/I)-1 (projective dim X)."""
     window = list(window) if window is not None else list(default_window(ideal))
-    dim = ideal.ring.nvars - ideal.codimension()
     M = quotient_module(ideal)
-    return {i: deficiency_hf(M, i, window) for i in range(1, dim)}
+    return {i: deficiency_hf(M, i, window) for i in range(1, ideal.hilbert().dim)}
 
 
 def is_acm(ideal, window=None):

@@ -1,4 +1,3 @@
-import io
 import json
 import os
 import subprocess
@@ -214,6 +213,36 @@ def test_malformed_input_exits_2(session, points, error, tmp_path):
         assert doc["message"].startswith("line 2," if points else "line 1,")
 
 
+R3_DECL = "ring p=32003 vars=x0..x2\n"
+
+
+@pytest.mark.parametrize(
+    "session,line,column,message",
+    [
+        (R3_DECL + "ring p=7 vars=x0..x2\n", 2, 1, "only one ring per session"),
+        (R3_DECL + "ideal I-1 = x0\n", 2, 1, "bad object name"),
+        (R3_DECL + "points P = pts.txt\n", 2, 1, "points need file(...)"),
+        (R3_DECL + "module M = x0\n", 2, 1, "unknown statement 'module'"),
+        ("ring p=32003\nideal I = x0\n", 1, 1, "ring needs p=... vars=..."),
+        ("ring p=32003 vars=x0-x2\nideal I = x0\n", 1, 1, "vars must look like x0..xN"),
+        ("ring p=32003 vars=x1..x2\nideal I = x1\n", 1, 1, "variables start at x0"),
+        ("ring p=32003 vars=x0..x2 order=lexx\nideal I = x0\n", 1, 1, "unknown order 'lexx'"),
+        (R3_DECL + "ideal I = x0+$x1\n", 2, 14, "unexpected character '$'"),
+        (R3_DECL + "ideal I = x0+y0\n", 2, 14, "unknown variable 'y0'"),
+    ],
+    ids=["second-ring", "bad-object-name", "points-without-file", "unknown-statement",
+         "ring-without-vars", "vars-not-a-range", "vars-not-from-x0", "unknown-order",
+         "bad-character-in-body", "unknown-variable"],
+)
+def test_session_errors_exit_2_at_their_line(session, line, column, message, tmp_path):
+    (tmp_path / "s.txt").write_text(session)
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "s.txt"), "gb", "I"]) == 2
+    doc = json.loads(out.read_bytes())
+    assert doc["error"] == "syntax-error"
+    assert doc["message"] == f"line {line}, column {column}: {message}"
+
+
 @pytest.mark.parametrize("command", ["cb-check", "dgo"])
 @pytest.mark.parametrize("points", ["", "# no points here\n\n"], ids=["empty", "comments-only"])
 def test_points_file_with_no_points_exits_2(command, points, tmp_path):
@@ -370,6 +399,15 @@ def test_cli_subprocess_entry():
     assert doc["schema"] == "liaison-lab/1"
 
 
+# sessions written to the test's own directory, kept out of the golden corpus
+TMP_SESSIONS = {
+    # the rational normal quartic of P^4: the 2x2 minors of
+    # [[x0, x1, x2, x3], [x1, x2, x3, x4]]
+    "quartic_p4.txt": "ring p=32003 vars=x0..x4\nideal Q = x0*x2-x1^2, x0*x3-x1*x2, "
+    "x0*x4-x1*x3, x1*x3-x2^2, x1*x4-x2*x3, x2*x4-x3^2\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv,expect",
     [
@@ -393,9 +431,17 @@ def test_cli_subprocess_entry():
             lambda d: d["result"] == ["x0", "x1"] and d["gorenstein"],
         ),
         (["--session", "p3.txt", "wlp", "ART"], lambda d: d["wlp"] is True),
+        (
+            ["--session", "quartic_p4.txt", "--window", "-1", "4", "ci-invariant", "Q"],
+            lambda d: d["tables"] == {"1": {"-1": 0, "0": 0, "1": 0, "2": 3, "3": 0, "4": 0}}
+            and d["all_zero"] is False,
+        ),
     ],
 )
 def test_cli_command_coverage(argv, expect, tmp_path):
+    if argv[1] in TMP_SESSIONS:
+        (tmp_path / argv[1]).write_text(TMP_SESSIONS[argv[1]])
+        argv = ["--session", str(tmp_path / argv[1])] + argv[2:]
     code, blob = _run_capture(argv, tmp_path)
     assert code == 0, blob
     assert expect(json.loads(blob))

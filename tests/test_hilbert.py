@@ -13,7 +13,6 @@ from liaisonlab.hilbert import (
     macaulay_bound,
     macaulay_growth_check,
     mono_numerator,
-    regularity_index,
     series_hf,
     si_sequence_check,
 )

@@ -1,5 +1,5 @@
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -197,6 +197,28 @@ def test_maximal_minors(R4):
         PolyMatrix(R4, [[x0 + x1 ** 2, x1], [x2, x3]])
 
 
+def test_matrix_block_off_row_0_is_checked(R3):
+    """A block of entries that shares no row or column with row 0 is held
+    to the degree rule as it would be alone."""
+    x0, x1, x2 = R3.gens()
+    z = R3.zero()
+    with pytest.raises(DegenerateMatrix):
+        PolyMatrix(R3, [[x1, x2 ** 2], [x2 ** 2, x1]])
+    with pytest.raises(DegenerateMatrix):
+        PolyMatrix(R3, [[x0, z, z], [z, x1, x2 ** 2], [z, x2 ** 2, x1]])
+
+
+def test_matrix_degrees_of_a_block_off_row_0(R3):
+    """Such a block is solved from its own first row at twist 0."""
+    x0, x1, _ = R3.gens()
+    z = R3.zero()
+    A = PolyMatrix(R3, [[x0, z, z], [z, x1, x1 ** 2], [z, x1 ** 2, x1 ** 3]])
+    assert (A.row_degs, A.col_degs) == ([0, 0, -1], [1, 1, 2])
+    for i, row in enumerate(A.rows):
+        for j, f in enumerate(row):
+            assert f.is_zero or f.degree == A.col_degs[j] - A.row_degs[i]
+
+
 def test_codimension(R4):
     x0, x1, x2, x3 = R4.gens()
     sk = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
@@ -206,6 +228,45 @@ def test_codimension(R4):
     assert TC.codimension() == 2
     with pytest.raises(UnitIdeal):
         Ideal(R4, [R4.one()]).codimension()
+
+
+def _codim_by_support_subsets(ideal):
+    """nvars minus the size of the largest set S of variables that holds the
+    support of no lead term of the reduced basis: the monomials in S alone
+    then survive in R/in(I), no larger such S exists, and |S| is
+    dim R/in(I) = dim R/I."""
+    n = ideal.ring.nvars
+    supports = [{i for i, a in enumerate(e) if a} for e in ideal.lt_exps()]
+    return n - max(
+        size
+        for size in range(n + 1)
+        for S in combinations(range(n), size)
+        if not any(s <= set(S) for s in supports)
+    )
+
+
+CODIM_RINGS = {n: Ring(n, 32003) for n in range(2, 6)}
+
+
+@st.composite
+def ideals_in_2_to_5_variables(draw):
+    """A monomial ideal, or an ideal of sparse random forms of degree 1-3,
+    in 2-5 variables; never the unit ideal."""
+    R = CODIM_RINGS[draw(st.integers(2, 5))]
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.integers(0, 3)] * R.nvars).filter(any)
+        return Ideal(R, [R.poly({e: 1}) for e in draw(st.lists(exps, min_size=1, max_size=5))])
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = st.tuples(st.sampled_from(R.monomials(draw(st.integers(1, 3)))), st.integers(1, 32002))
+        gens.append(R.poly(dict(draw(st.lists(terms, min_size=1, max_size=3)))))
+    return Ideal(R, gens)
+
+
+@given(ideals_in_2_to_5_variables())
+@settings(max_examples=60, deadline=None)
+def test_codimension_against_the_support_subset_search(I):
+    assert I.codimension() == _codim_by_support_subsets(I)
 
 
 def test_product_inside_intersection(R4, rng):
@@ -218,6 +279,18 @@ def test_product_inside_intersection(R4, rng):
         assert inter.contains_ideal(prod)
         assert I.contains_ideal(inter)
         assert J.contains_ideal(inter)
+
+
+def test_colon_by_a_module_element_is_a_ring_mismatch():
+    """Only a ring element divides an ideal, whatever the rank or twist of
+    the module the other element lies in."""
+    R = Ring(3, 32003)
+    x0, x1, x2 = R.gens()
+    I = Ideal(R, [x0 * x1, x2 ** 2])
+    for bad in (FreeModule(R, (0, 0)).inject(x0, 1), FreeModule(R, (1,)).inject(x1, 0)):
+        for colon in (I.colon, I.colon_poly):
+            with pytest.raises(RingMismatch):
+                colon(bad)
 
 
 def test_double_colon_on_unmixed(R4):

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from liaisonlab.errors import (
@@ -199,6 +198,20 @@ def test_mapping_cone_quartic(R4):
     nt, et, checks = mapping_cone_shapes(rec)
     assert checks["n_type_numerator"] and checks["e_type_numerator"]
     assert et.stages[-1]["module"] == "N*(-s)"
+
+
+def test_mapping_cone_codimension_3(R5, rng):
+    """A codimension-3 link has a middle stage 2 <= k < c in both shapes."""
+    x0, x1, x2, x3, x4 = R5.gens()
+    quartic = Ideal(
+        R5,
+        [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x0 * x4 - x1 * x3,
+         x1 * x3 - x2 ** 2, x1 * x4 - x2 * x3, x2 * x4 - x3 ** 2],
+    )
+    rec = direct_link(random_ci_inside(quartic, (2, 2, 2), rng), quartic)
+    nt, et, checks = mapping_cone_shapes(rec)
+    assert checks["n_type_numerator"] and checks["e_type_numerator"]
+    assert len(nt.stages) == len(et.stages) == 3
 
 
 def test_chain_parity_and_shift(R4, rng):
