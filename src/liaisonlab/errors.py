@@ -114,6 +114,26 @@ class StepIdentityFailed(LiaisonError):
     code = "step-identity-failed"
 
 
+class ResolutionIncomplete(LiaisonError):
+    """A resolution stage whose syzygies do not reach its kernel's Hilbert
+    series, or a resolution still open past the syzygy theorem's bound."""
+
+    code = "resolution-incomplete"
+
+
+class CohomologyMismatch(LiaisonError):
+    """The cohomology interchange of an E-type truncation failed."""
+
+    code = "cohomology-mismatch"
+
+
+class RegularityScanFailed(LiaisonError):
+    """The Hilbert function and polynomial differ where the regularity scan
+    starts, above the top of the series numerator."""
+
+    code = "regularity-scan-failed"
+
+
 class CharacteristicTooSmall(LiaisonError):
     code = "characteristic-too-small"
 

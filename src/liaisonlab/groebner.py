@@ -30,7 +30,10 @@ popped pair scans the same leads for the chain criterion.
 
 `minimal_generators` is one run of the loop, stopped after its last
 input: the generators it does not report redundant are a minimal
-generating set (graded Nakayama).
+generating set (graded Nakayama).  `generators_and_leads` is the same run
+taken to the end, with no tags and no interreduction: besides the minimal
+generators, its basis' leads generate the lead-term module, which is all
+a Hilbert series needs.
 
 Syzygies come out of the same pair loop, run once on the tracked
 generators (g_i, e_{r+i}) in F + R^m, F of rank r dominant
@@ -41,6 +44,12 @@ Commutative Algebra, Thm 15.10) and the chain criterion (Gebauer-Moeller),
 the recorded syzygies generate the syzygy module.  The F-led elements are
 a Groebner basis of <g> that carries coordinates in its tag part:
 `lift_coordinates` reduces against it.  Neither part is interreduced.
+`syzygies_of` can stop the run at a degree bound and go on with it
+later.  Pairs go in degree order, so the syzygies recorded are the first
+ones the unbounded run records, all of degree below the lowest pair left,
+and they generate the syzygies in those degrees.  `resolution.resolve`
+bounds each stage at its kernel's initial degree and goes on only when a
+generator is missing.
 
 `annihilator` tracks one element v and leaves the relations untagged, so
 the recorded tag parts are the ring elements a with a*v in the span of the
@@ -139,7 +148,7 @@ def buchberger(gens):
         if g.module != module:
             raise RingMismatch("generators from different modules")
     # no position reaches the rank, so no remainder is set aside
-    basis, _, _ = _pair_loop(gens, module.rank)
+    basis = _pair_loop(gens, module.rank)[0]
     return GroebnerBasis(module, interreduce(basis))
 
 
@@ -158,13 +167,20 @@ def _pair_loop(gens, boundary, top=math.inf):
     form with the basis.  It is admitted as it stands, tail unreduced.
     After the last input, the pending pairs of degree <= top are done.
 
-    Returns (basis, syzygies, redundant): redundant holds the indices of
-    the inputs whose remainder was zero.  A nonzero remainder, of an input
-    or of an S-pair, whose leading term sits at a position >= boundary goes
-    to syzygies: it is never added to the basis and never paired.  Every
-    other one joins the basis, which is returned as it stands (not
-    interreduced): with top infinite, each of its S-pairs reduces to zero
-    or to a recorded syzygy.
+    Returns (basis, syzygies, redundant, resume): redundant holds the
+    indices of the inputs whose remainder was zero.  A nonzero remainder,
+    of an input or of an S-pair, whose leading term sits at a position >=
+    boundary goes to syzygies: it is never added to the basis and never
+    paired.  Every other one joins the basis, which is returned as it
+    stands (not interreduced): with top infinite, each of its S-pairs
+    reduces to zero or to a recorded syzygy.  resume(t) goes on with the
+    same run, doing the pending pairs of degree <= t and adding to the
+    three lists, and returns done, the lowest degree of a pair left undone
+    (inf when none is left).  The run is the unbounded one cut short:
+    pairs are done in degree order, a remainder has its pair's degree, and
+    a pair's degree exceeds its elements' (no basis lead divides a new
+    one), so every remainder so far has degree below done and the unbounded
+    run records only syzygies of degree >= done after them.
     """
     module = gens[0].module
     p, twists, packing = module.ring.p, module.twists, module.packing
@@ -241,8 +257,12 @@ def _pair_loop(gens, boundary, top=math.inf):
                 redundant.append(i)
                 continue
         admit(packed, coeffs)
-    pop_pairs(top)
-    return basis, syzygies, redundant
+    def resume(degree):
+        pop_pairs(degree)
+        return heap[0][0] if heap else math.inf
+
+    resume(top)
+    return basis, syzygies, redundant, resume
 
 
 def minimal_generators(gens):
@@ -254,13 +274,29 @@ def minimal_generators(gens):
     degree d, of the generators before it is zero, i.e. when it lies in
     their span.
     """
+    # redundancy is settled when the last input is reduced: no pair after it
+    return _minimal_run(gens, -math.inf)[0]
+
+
+def generators_and_leads(gens):
+    """(minimal generators, leads) for gens, elements of one module: the
+    generators `minimal_generators` keeps, and the leading (position,
+    exponents) of a Groebner basis of <gens>, that of the same pair loop
+    run to the end, untagged and not interreduced.  The leads generate the
+    lead-term module of <gens>, so they give its Hilbert series."""
+    kept, basis = _minimal_run(gens, math.inf)
+    return kept, [g.lt()[:2] for g in basis]
+
+
+def _minimal_run(gens, top):
+    """The pair loop on the nonzero gens in admission order, pairs done up
+    to degree top after the last input: (the inputs it keeps, its basis)."""
     gens = sorted((g for g in gens if not g.is_zero), key=_admission_key)
     if not gens:
-        return []
-    # redundancy is settled when the last input is reduced
-    _, _, redundant = _pair_loop(gens, gens[0].module.rank, top=gens[-1].degree)
+        return [], []
+    basis, _, redundant, _ = _pair_loop(gens, gens[0].module.rank, top)
     redundant = set(redundant)
-    return [g for i, g in enumerate(gens) if i not in redundant]
+    return [g for i, g in enumerate(gens) if i not in redundant], basis
 
 
 def interreduce(elems):
@@ -291,37 +327,58 @@ def interreduce(elems):
     return out
 
 
-def _augmented_basis(gens):
+def _augmented_basis(gens, top=math.inf):
     """The pair loop on the witnesses (g_i, e_{r+i}) in F + R^m, F of rank
-    r dominant, the tag part twisted by deg g_i.  Returns (r, basis,
-    syzygies): the F-led elements as a GroebnerBasis, whose tag parts are
-    coordinates, and the tag-led remainders, which generate the syzygies."""
+    r dominant, the tag part twisted by deg g_i, with its pairs done up to
+    degree top.  Returns (r, basis, syzygies, resume): the F-led elements
+    as a GroebnerBasis, whose tag parts are coordinates, the tag-led
+    remainders, which generate the syzygies, and the run's `resume` (see
+    `_pair_loop`)."""
     module = gens[0].module
     r = module.rank
     big = FreeModule(module.ring, module.twists + tuple(g.degree for g in gens))
-    basis, syzygies, _ = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r)
-    return r, GroebnerBasis(big, basis), syzygies
+    basis, syzygies, _, resume = _pair_loop([big.rehome(g) + big.gen(r + i) for i, g in enumerate(gens)], r, top)
+    return r, GroebnerBasis(big, basis), syzygies, resume
 
 
-def syzygies_of(gens, source=None):
+def syzygies_of(gens, source=None, top=None):
     """Generators of the kernel of source -> F, e_i -> gens[i].
 
     source defaults to the module twisted by the degrees of gens; it
     must be given when some gens[i] is zero, and then e_i is a generator.
     The generators are the recorded syzygies of one pair loop, not a
     Groebner basis.
+
+    With a degree bound top, the loop stops once every pair of degree <=
+    top is done, and the call returns (syzygies, done, more): done > top is
+    the lowest degree of a pair left undone (inf when none is left: the run
+    is complete), and more(t) goes on with the same loop until every pair
+    of degree <= t is done and returns (syzygies, done) likewise.  The
+    syzygies are the first ones of the unbounded call, element for
+    element; all have degree below done, where they generate the kernel,
+    and the unbounded call's others have degree >= done.
     """
     gens = list(gens)
     if source is None:
         source = FreeModule(gens[0].ring, tuple(g.degree for g in gens))
     live = [i for i, g in enumerate(gens) if not g.is_zero]
     out = [source.gen(i) for i, g in enumerate(gens) if g.is_zero]
+    zeros = len(out)
+    syzygies, positions, resume = [], [], lambda degree: math.inf
     if live:
-        r, _, syzygies = _augmented_basis([gens[i] for i in live])
+        # only the inputs: more() does the pairs
+        r, _, syzygies, resume = _augmented_basis([gens[i] for i in live], -math.inf)
         # tag position r + j is generator live[j]; the F positions stay unused
         positions = [*range(-r, 0), *live]
-        out += [source.rehome(v, positions) for v in syzygies]
-    return out
+
+    def more(degree):
+        done = resume(degree)
+        out.extend(source.rehome(v, positions) for v in syzygies[len(out) - zeros:])
+        return list(out), done
+
+    if top is None:
+        return more(math.inf)[0]
+    return (*more(top), more)
 
 
 def lift_coordinates(gens, targets):
@@ -332,7 +389,7 @@ def lift_coordinates(gens, targets):
     module with twists deg(gens), not reduced modulo the syzygies.
     Raises if a target is not a member.
     """
-    r, gb, _ = _augmented_basis(gens)
+    r, gb, _, _ = _augmented_basis(gens)
     coord = FreeModule(gens[0].ring, tuple(g.degree for g in gens))
     positions = range(-r, gb.module.rank - r)  # tag position r + i is coordinate i
     out = []
@@ -360,5 +417,5 @@ def annihilator(v, relations):
     r = v.module.rank
     big = FreeModule(v.ring, v.module.twists + (v.degree,))
     gens = [big.rehome(v) + big.gen(r)] + [big.rehome(g) for g in relations]
-    _, syzygies, _ = _pair_loop(gens, r)
+    syzygies = _pair_loop(gens, r)[1]
     return [big.component(h, r) for h in syzygies]

@@ -17,7 +17,7 @@ is nvars minus it.
 
 import math
 
-from .errors import NotACurve, UnitIdeal
+from .errors import NotACurve, RegularityScanFailed, UnitIdeal
 
 _memo = {}
 
@@ -206,7 +206,7 @@ class HilbertData:
         top = max(self.numerator)
         j = max(top - self.nv + self.dim + 2, top + 1)
         if self.hf(j) != self.hp(j):
-            raise AssertionError("regularity scan started too low")
+            raise RegularityScanFailed(f"regularity scan started too low: hf({j}) != hp({j})")
         floor = min(self.numerator) - self.dim - 1
         while j - 1 >= floor and self.hf(j - 1) == self.hp(j - 1):
             j -= 1

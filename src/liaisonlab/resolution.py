@@ -8,9 +8,25 @@ pair loop taking the generators degree by degree and dropping those that
 reduce to zero), then the syzygies of the minimal generators.  There is
 one syzygy path, `groebner.syzygies_of`: the tag-led S-pair remainders of
 one tracked Buchberger run, a generating set and not a Groebner basis,
-which the next stage minimises.  Every differential
-therefore has entries in the maximal ideal and the Betti numbers are read
-off directly.
+which is then minimised.  Every differential therefore has entries in the
+maximal ideal and the Betti numbers are read off directly.
+
+The stages are Hilbert-driven (Traverso, JSC 22, 1996; La Scala &
+Stillman, JSC 26, 1998).  The series of the kernel K_k of F_k -> F_{k-1}
+is known before its syzygies are made: HS(K_k) = HS(F_k) - HS(im d_k),
+where HS(im d_1) is HS(F_0) less the module's numerator and im d_{k+1} is
+K_k.  A stage runs the tracked pair loop only up to the initial degree of
+K_k.  When that left no pair undone, it minimises what was recorded.
+Otherwise the syzygies N recorded so far are certified: N is a submodule
+of K_k, so it is all of K_k exactly when the series agree.  One untagged
+pair loop on the recorded syzygies, run to the end, both minimises them
+and gives the lead terms HS(N) is read from
+(`groebner.generators_and_leads`).  When the series differ, the lowest
+degree of the difference is the first where a generator is missing, and
+the same run goes on up to it.  A zero kernel ends the resolution without
+a run.  Pairs are done in degree order, so a bounded run's syzygies below
+its lowest undone pair are the unbounded run's, in order, and each stage
+keeps the same generators as one unbounded run would.
 
 Everything dual goes through two steps: the transpose of a differential
 (`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
@@ -21,10 +37,16 @@ dimension is its source's less its image's, and an image's numerator is
 read off the leading terms of the transposed columns.
 """
 
-from .errors import NotCM, UnitIdeal, WrongCodim
-from .groebner import buchberger, lift_coordinates, minimal_generators, syzygies_of
+import math
+
+from .errors import CohomologyMismatch, NotCM, ResolutionIncomplete, UnitIdeal, WrongCodim
+from .groebner import buchberger, generators_and_leads, lift_coordinates, minimal_generators, syzygies_of
 from .hilbert import add_numerators, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
+
+# No function here calls `buchberger`; the name stays bound because the
+# benchmark's tracer test calls `resolution.buchberger` (ROADMAP item 1a).
+_BENCHMARK_BINDINGS = (buchberger,)
 
 
 class Resolution:
@@ -67,23 +89,48 @@ class Resolution:
         return self.free_module(k).transpose(self.columns(k))
 
 
-def resolve(F0, relation_gens):
-    """Minimal free resolution of  F0 / <relation_gens>.  Hilbert's syzygy
-    theorem bounds its length by nvars; a resolution still open after
-    nvars + 2 stages raises."""
+def resolve(module):
+    """Minimal free resolution of a presented module M = F0 / <relations>,
+    each stage driven by its kernel's Hilbert series (see the module
+    docstring).  Hilbert's syzygy theorem bounds its length by nvars; a
+    resolution still open after nvars + 2 stages raises."""
+    F0 = module.F0
     ring = F0.ring
     stages = []
-    cur = [g for g in relation_gens if not g.is_zero]
+    mins = minimal_generators(module.relations)
+    # numerator of HS(im d_1) = HS(F_0) - HS(M)
+    image = add_numerators(free_numerator(F0.twists), module.numerator, -1)
     for _ in range(ring.nvars + 2):
-        if not cur:
-            break
-        mins = minimal_generators(cur)
+        if not mins:
+            return Resolution(F0, stages)
         Fk = FreeModule(ring, tuple(g.degree for g in mins))
         stages.append((Fk, mins))
-        cur = [s for s in syzygies_of(mins) if not s.is_zero]
-    if cur:
-        raise AssertionError("resolution did not terminate within the bound")
-    return Resolution(F0, stages)
+        # HS(K_k) = HS(F_k) - HS(im d_k), and K_k is im d_{k+1}
+        image = add_numerators(free_numerator(Fk.twists), image, -1)
+        mins = _kernel_generators(Fk, mins, image) if image else []
+    raise ResolutionIncomplete("resolution did not terminate within the bound")
+
+
+def _kernel_generators(F, gens, kernel):
+    """Minimal generators of the kernel of F -> G, e_i -> gens[i], from one
+    syzygy run bounded by the numerator of its Hilbert series: first at its
+    initial degree, then, while pairs are left, up to each first degree
+    where the syzygies so far are certified to miss a generator."""
+    syz, done, more = syzygies_of(gens, top=min(kernel))
+    while done < math.inf:
+        # one pair loop minimises the syzygies and reads their span's series
+        kept, leads = generators_and_leads(syz)
+        span = add_numerators(free_numerator(F.twists), quotient_numerator(F.twists, leads, F.ring.nvars), -1)
+        missing = add_numerators(kernel, span, -1)
+        if not missing:
+            return kept
+        top = min(missing)
+        if top < done or missing[top] < 0:
+            raise ResolutionIncomplete(
+                f"syzygies complete below degree {done} miss the kernel's series at degree {top}"
+            )
+        syz, done = more(top)
+    return minimal_generators(syz)
 
 
 class PresentedModule:
@@ -91,11 +138,14 @@ class PresentedModule:
 
     __slots__ = ("F0", "relations", "_resolution", "_numerator")
 
-    def __init__(self, F0, relations):
+    def __init__(self, F0, relations, numerator=None):
+        """numerator: that of HS(F0 / <relations>) when the caller knows
+        it; read off a Groebner basis of the relations when first needed
+        otherwise."""
         self.F0 = F0
         self.relations = [r for r in relations if not r.is_zero]
         self._resolution = None
-        self._numerator = None
+        self._numerator = numerator
 
     @property
     def ring(self):
@@ -104,7 +154,7 @@ class PresentedModule:
     @property
     def resolution(self):
         if self._resolution is None:
-            self._resolution = resolve(self.F0, self.relations)
+            self._resolution = resolve(self)
         return self._resolution
 
     @property
@@ -119,9 +169,11 @@ class PresentedModule:
 
 def quotient_module(ideal):
     """R/I as a presented module (F0 = R at twist 0), built once per ideal,
-    so every caller shares its resolution."""
+    so every caller shares its resolution.  Its numerator is that of the
+    ideal's cached Hilbert data."""
     if ideal._quotient is None:
-        ideal._quotient = PresentedModule(ideal.ring.as_module, ideal.gens)
+        numerator = {} if ideal.is_unit else ideal.hilbert().numerator
+        ideal._quotient = PresentedModule(ideal.ring.as_module, ideal.gens, numerator)
     return ideal._quotient
 
 
@@ -288,11 +340,8 @@ def ext_numerator(module, i):
 
 def _lead_numerator(F, gens):
     """Numerator of HS(F / <gens>), read off the leading terms of a
-    Groebner basis of the gens."""
-    if not gens:
-        return free_numerator(F.twists)
-    lts = [g.lt()[:2] for g in buchberger(gens)]
-    return quotient_numerator(F.twists, lts, F.ring.nvars)
+    Groebner basis of the gens (`groebner.generators_and_leads`)."""
+    return quotient_numerator(F.twists, generators_and_leads(gens)[1], F.ring.nvars)
 
 
 def submodule_numerator(module, gens):
@@ -370,7 +419,7 @@ def e_type_resolution(ideal, check=False, window=None):
     free part, resolution of the ideal) and E is the (c-1)-st syzygy of I
     as a presented module.  With check=True the cohomology interchange
     H^i_m(E) = H^{i-c}_m(R/I) is verified degreewise on a window (finite
-    pieces only) and an AssertionError is raised on mismatch.
+    pieces only) and CohomologyMismatch is raised on a mismatch.
     """
     c = ideal.codimension()
     if c < 2:
@@ -386,9 +435,7 @@ def e_type_resolution(ideal, check=False, window=None):
         M = quotient_module(ideal)
         for i in range(c, n1):
             if deficiency_hf(E, i, win) != deficiency_hf(M, i - c, win):
-                raise AssertionError(
-                    f"cohomology interchange failed at H^{i}_m(E)"
-                )
+                raise CohomologyMismatch(f"cohomology interchange failed at H^{i}_m(E)")
     return shape, E
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab import cli
+from liaisonlab import cli, resolution
 from liaisonlab.cli import main, parse_poly, parse_session
 from liaisonlab.errors import (
     DegreeOverflow,
@@ -17,6 +17,7 @@ from liaisonlab.errors import (
     SessionSyntaxError,
     VariableOutOfRange,
 )
+from liaisonlab.hilbert import HilbertData
 from liaisonlab.ideals import Ideal
 from liaisonlab.ring import Ring
 
@@ -323,6 +324,22 @@ def test_hilbert_at_a_huge_pivot_exponent(tmp_path):
     assert (doc["degree"], doc["dim"]) == (1, 2)
     I = parse_session((tmp_path / "s.txt").read_text()).get("I", ("ideal",))
     assert I.hilbert().numerator == {0: 1, 2: -1, 5001: -1, 5002: 1}
+
+
+@pytest.mark.parametrize(
+    "owner,name,fake,command,error",
+    [
+        (resolution, "_kernel_generators", lambda F, gens, kernel: gens, "betti", "resolution-incomplete"),
+        (HilbertData, "hp", lambda self, j: self.hf(j) + 1, "hilbert", "regularity-scan-failed"),
+    ],
+    ids=["resolution-past-the-bound", "regularity-scan-too-low"],
+)
+def test_internal_failures_exit_1_with_a_report(owner, name, fake, command, error, tmp_path, monkeypatch):
+    """A failed identity of the algebra is a typed error: the CLI exits 1
+    and writes a report naming it."""
+    monkeypatch.setattr(owner, name, fake)
+    code, report = _run_capture(["--session", "p3.txt", command, "TC"], tmp_path)
+    assert (code, json.loads(report)["error"]) == (1, error)
 
 
 def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -14,7 +16,7 @@ from liaisonlab.groebner import (
     normal_form,
     syzygies_of,
 )
-from liaisonlab.hilbert import free_numerator
+from liaisonlab.hilbert import free_numerator, series_hf
 from liaisonlab.resolution import minimal_generators, submodule_numerator
 from liaisonlab.ring import LEX, FreeModule, Ring
 
@@ -373,6 +375,59 @@ def test_syzygies_of_is_exact(order):
         for k, v in submodule_numerator(F, gens).items():
             total[k] = total.get(k, 0) + v
         assert {k: v for k, v in total.items() if v} == free_numerator(source.twists)
+
+    check()
+
+
+@st.composite
+def mixed_degree_maps(draw, ring):
+    """(F, source, gens): 2-4 generators of degree 1-3 with 1-3 terms each
+    in a free module F of rank 1-2 with twists 0 or 1, so that a low degree
+    bound leaves pairs undone."""
+    F = FreeModule(ring, draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=2)))
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        d = draw(st.integers(1, 3))
+        basis = [(pos, e) for pos, a in enumerate(F.twists) for e in ring.monomials(d - a)]
+        terms = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3))
+        gens.append(F.element({t: draw(st.integers(1, ring.p - 1)) for t in terms}))
+    return F, FreeModule(ring, tuple(g.degree for g in gens)), gens
+
+
+def _artinian_gens(ring):
+    """x0^2, x0*x1, x1^4: the kernel of their map needs generators in
+    degrees 3 and 5, and the pair loop has pairs of degree 5 and 6."""
+    x0, x1 = ring.var(0), ring.var(1)
+    return [x0**2, x0 * x1, x1**4]
+
+
+@pytest.mark.parametrize("order", ["degrevlex", "lex"])
+def test_a_degree_bound_keeps_the_syzygies_below_it(order):
+    """syzygies_of(gens, top=d) returns (syzygies, done, more) with done >
+    d: the unbounded call's first syzygies, element for element, all of
+    degree below done, and its others have degree >= done.  In every
+    degree <= d they span the kernel: the Hilbert functions of the two
+    spans agree there.  more(inf) goes on with the same run to the
+    unbounded call's syzygies."""
+    ring = Ring(4, 32003, order=LEX if order == "lex" else None)
+    artinian = _artinian_gens(ring)
+
+    @given(mixed_degree_maps(ring), st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    @example((ring.as_module, FreeModule(ring, (2, 2, 4)), artinian), 3)
+    @example((ring.as_module, FreeModule(ring, (2, 2, 4)), artinian), 5)
+    def check(case, top):
+        _, source, gens = case
+        full = syzygies_of(gens, source)
+        bounded, done, more = syzygies_of(gens, source, top=top)
+        assert done > top
+        assert bounded == full[: len(bounded)]
+        assert all(s.degree < done for s in bounded)
+        assert all(s.degree >= done for s in full[len(bounded):])
+        spans = [submodule_numerator(source, syz) for syz in (bounded, full)]
+        for d in range(top + 1):
+            assert series_hf(spans[0], ring.nvars, d) == series_hf(spans[1], ring.nvars, d)
+        assert more(math.inf) == (full, math.inf)
 
     check()
 

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import NotACurve, UnitIdeal
+from liaisonlab.errors import NotACurve, RegularityScanFailed, UnitIdeal
 from liaisonlab.hilbert import (
     HilbertData,
     degree_and_genus,
@@ -218,3 +218,11 @@ def test_hilbert_data_against_interpolation(case):
     window = range(lo - d.dim - 2, hi + nv + 2)
     assert d.reg_index == 1 + max(j for j in window if d.hf(j) != p.subs(J, j))
     assert d.h_vector_is_honest == (d.dim == 0)
+
+
+def test_a_regularity_scan_that_starts_too_low_is_a_typed_error(monkeypatch):
+    """hf and hp agree above the numerator's top degree; where they do not,
+    the scan raises RegularityScanFailed, an `errors.py` type."""
+    monkeypatch.setattr(HilbertData, "hp", lambda self, j: self.hf(j) + 1)
+    with pytest.raises(RegularityScanFailed):
+        HilbertData({0: 1, 2: -1}, 3)

@@ -110,3 +110,18 @@ def test_no_unused_imports():
             if name not in read
         ]
     assert unused == []
+
+
+def test_no_assertion_left_in_the_package():
+    """Every failure of the package is an `errors.py` type, which the CLI
+    maps to an exit code and a report: no `assert` statement (stripped
+    under -O) and no `raise AssertionError` is left in src/liaisonlab."""
+    offenders = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(node, ast.Assert) or (isinstance(exc, ast.Name) and exc.id == "AssertionError"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import NotCM, WrongCodim
-from liaisonlab.hilbert import free_numerator
+from liaisonlab.errors import CohomologyMismatch, NotCM, ResolutionIncomplete, WrongCodim
+from liaisonlab.groebner import buchberger, generators_and_leads, syzygies_of
+from liaisonlab.hilbert import free_numerator, quotient_numerator
 from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab import resolution
 from liaisonlab.resolution import (
+    PresentedModule,
     canonical_module,
     ci_invariant_hf,
     classify,
@@ -213,6 +215,41 @@ def test_e_type_check_on_curves(R4):
         assert (not E.relations) == free
 
 
+def test_e_type_check_mismatch_is_a_typed_error(R4, monkeypatch):
+    """check=True raises CohomologyMismatch, an `errors.py` type, when
+    H^i_m(E) and H^{i-c}_m(R/I) disagree: here deficiency_hf adds i to
+    every value, so the two sides differ by c."""
+    x0, x1, x2, x3 = R4.gens()
+    deficiency = resolution.deficiency_hf
+    monkeypatch.setattr(
+        resolution, "deficiency_hf",
+        lambda M, i, window: {j: v + i for j, v in deficiency(M, i, window).items()},
+    )
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    with pytest.raises(CohomologyMismatch):
+        e_type_resolution(TC, check=True)
+
+
+def test_a_stage_that_misses_its_kernel_series_is_a_typed_error(R4):
+    """A numerator that puts the initial degree of K_1 at 1, where x0, x1
+    have no syzygy: the run up to degree 1 leaves their pair of degree 2,
+    and the series is missing below it, which no higher bound can mend."""
+    x0, x1, _, _ = R4.gens()
+    M = PresentedModule(R4.as_module, [x0, x1], numerator={0: 1, 1: -1})
+    with pytest.raises(ResolutionIncomplete):
+        M.resolution
+
+
+def test_a_resolution_past_the_syzygy_bound_is_a_typed_error(R4, monkeypatch):
+    """A stage that hands back its own generators never reaches a zero
+    kernel: after nvars + 2 stages resolve raises ResolutionIncomplete."""
+    x0, x1, x2, x3 = R4.gens()
+    monkeypatch.setattr(resolution, "_kernel_generators", lambda F, gens, kernel: gens)
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    with pytest.raises(ResolutionIncomplete):
+        minimal_free_resolution(TC)
+
+
 def test_one_resolution_per_ideal(R4, monkeypatch):
     """The quotient module is built once per ideal, so deficiency tables,
     Ext modules and E-type truncations reuse the resolution `classify`
@@ -221,9 +258,9 @@ def test_one_resolution_per_ideal(R4, monkeypatch):
     calls = []
     resolve = resolution.resolve
 
-    def spy(F0, relations):
-        calls.append(F0.twists)
-        return resolve(F0, relations)
+    def spy(*args):
+        calls.append(args)
+        return resolve(*args)
 
     monkeypatch.setattr(resolution, "resolve", spy)
     I = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
@@ -488,7 +525,10 @@ def _twisted_module_needs_an_s_pair():
 @pytest.mark.parametrize("twists", [None, (0, 1), (0, -1)], ids=["ring", "pot-0-1", "pot-0-neg1"])
 def test_minimal_generators_match_the_dense_reference(twists):
     """The degree-ordered pair loop keeps the same generators, in the same
-    order, as graded Nakayama by ranks of graded pieces."""
+    order, as graded Nakayama by ranks of graded pieces, whether it stops
+    after its last input or runs to the end (`generators_and_leads`); the
+    leads of the run to the end give the series that the reduced basis'
+    leads give."""
     ring = Ring(3, 32003)
     F = ring.as_module if twists is None else FreeModule(ring, twists)
 
@@ -497,6 +537,102 @@ def test_minimal_generators_match_the_dense_reference(twists):
     @example(_twisted_module_needs_an_s_pair())
     @settings(max_examples=80, deadline=None)
     def check(gens):
-        assert minimal_generators(gens) == _dense_minimal_generators(gens)
+        kept, leads = generators_and_leads(gens)
+        assert minimal_generators(gens) == kept == _dense_minimal_generators(gens)
+        reduced = [g.lt()[:2] for g in buchberger(gens)]
+        twists = gens[0].module.twists
+        assert quotient_numerator(twists, leads, 3) == quotient_numerator(twists, reduced, 3)
 
     check()
+
+
+# -- oracle for the Hilbert-driven stages --------------------------------------
+
+
+@st.composite
+def mixed_degree_ideals(draw, ring):
+    """(F0, gens): 2-4 ring generators of degree 1-4 with 1-3 terms each,
+    F0 the ring as a module.
+    Their kernels often need generators above their initial degree, where
+    the first degree bound of a stage misses."""
+    gens = []
+    for _ in range(draw(st.integers(2, 4))):
+        monomials = ring.monomials(draw(st.integers(1, 4)))
+        support = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True))
+        gens.append(ring.poly({e: draw(st.integers(1, ring.p - 1)) for e in support}))
+    return ring.as_module, gens
+
+
+def _unbounded_stages(F0, relations):
+    """The oracle: the stage loop with no degree bound and no certificate,
+    minimal generators and then every syzygy of them, until none is left."""
+    stages = []
+    cur = relations
+    for _ in range(F0.ring.nvars + 2):
+        mins = minimal_generators(cur)
+        if not mins:
+            return stages
+        stages.append((tuple(g.degree for g in mins), mins))
+        cur = syzygies_of(mins)
+    raise AssertionError("the oracle's resolution did not terminate")
+
+
+def _artinian_case():
+    """(x0^2, x0*x1, x1^4) in two variables: K_1 needs generators in
+    degrees 3 and 5, so its first bound, at 3, misses."""
+    R = Ring(2, 32003)
+    x0, x1 = R.gens()
+    return R.as_module, [x0**2, x0 * x1, x1**4]
+
+
+def _ci_case():
+    """A (3, 4) complete intersection: one Koszul syzygy, in degree 7."""
+    R = Ring(3, 32003)
+    x0, x1, x2 = R.gens()
+    return R.as_module, [x0**3 + x1 * x2**2, x1**4 + x2**4]
+
+
+def _tensor_case():
+    """K (x) I of the twisted cubic, a module of rank 6."""
+    R = Ring(4, 32003)
+    TC = PolyMatrix(R, [[R.var(0), R.var(1), R.var(2)], [R.var(1), R.var(2), R.var(3)]]).maximal_minors()
+    T = tensor_presentation(canonical_module(TC), ideal_module(TC))
+    return T.F0, T.relations
+
+
+def test_hilbert_driven_stages_match_the_unbounded_loop(monkeypatch):
+    """Every stage of `resolve` (twists and columns, element for element)
+    equals that of the loop with no degree bound, and a bound that misses
+    is raised: some stage goes on with its run up to a higher bound."""
+    bounds = []  # per bounded syzygy run, the bounds it was run to
+    syzygies_of = resolution.syzygies_of
+
+    def spy(gens, source=None, top=None):
+        if top is None:
+            return syzygies_of(gens, source)
+        syzygies, done, more = syzygies_of(gens, source, top)
+        tops = [top]
+        bounds.append(tops)
+
+        def spied(degree):
+            tops.append(degree)
+            return more(degree)
+
+        return syzygies, done, spied
+
+    monkeypatch.setattr(resolution, "syzygies_of", spy)
+
+    @given(mixed_degree_ideals(Ring(3, 32003)))
+    @settings(max_examples=60, deadline=None)
+    @example(_artinian_case())
+    @example(_ci_case())
+    @example(_tensor_case())
+    def check(case):
+        F0, relations = case
+        res = PresentedModule(F0, relations).resolution
+        assert [(Fk.twists, cols) for Fk, cols in res.stages] == _unbounded_stages(F0, relations)
+
+    check()
+    # a miss goes on with the same run to a higher bound
+    assert any(len(tops) > 1 for tops in bounds)
+    assert all(tops == sorted(set(tops)) for tops in bounds)
