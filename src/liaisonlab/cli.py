@@ -362,6 +362,10 @@ def _read_points(ring, path, decl_line):
                 raise SessionSyntaxError(
                     f"{path}: a point needs {ring.nvars} coordinates", line_no, 1
                 )
+            if not any(a % ring.p for a in pts[-1]):
+                raise SessionSyntaxError(
+                    f"{path}: every coordinate of a point is 0 mod {ring.p}", line_no, 1
+                )
     if not pts:
         raise SessionSyntaxError(f"{path}: the file lists no points", decl_line, 1)
     return PointSet(ring, pts)

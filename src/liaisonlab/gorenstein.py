@@ -22,6 +22,7 @@ from .errors import (
 )
 from .groebner import normal_form
 from .ideals import Ideal
+from .liaison import direct_link
 from .resolution import classify, is_complete_intersection
 
 _I64 = np.int64
@@ -65,8 +66,6 @@ def sum_of_linked(I1, I2, X):
 def aci_gorenstein(c, I):
     """J = c : I for an almost complete intersection I = c + (f):
     a CI link away from an ACI always lands on a Gorenstein ideal."""
-    from .liaison import direct_link
-
     if not is_complete_intersection(c):
         raise NotACI("the link ideal is not a complete intersection")
     cod = c.codimension()
@@ -98,8 +97,8 @@ class PointSet:
         seen = set()
         for pt in coords:
             pt = tuple(int(a) % ring.p for a in pt)
-            if len(pt) != ring.nvars or all(a == 0 for a in pt):
-                raise DuplicatePoint(f"invalid point {pt}")
+            if len(pt) != ring.nvars or not any(pt):
+                raise PreconditionFailed(f"a point needs {ring.nvars} coordinates, not all 0 mod {ring.p}: {pt}")
             key = _normalize_point(pt, ring.p)
             if key in seen:
                 raise DuplicatePoint(f"repeated point {pt}")
@@ -198,7 +197,7 @@ def _normalize_point(pt, p):
         if a:
             inv = pow(a, p - 2, p)
             return tuple((x * inv) % p for x in pt)
-    raise DuplicatePoint("zero point")
+    raise PreconditionFailed("zero point")
 
 
 def _point_ideal(ring, pt):

@@ -24,6 +24,7 @@ from .errors import (
     UnitIdeal,
 )
 from .groebner import GroebnerBasis, annihilator, buchberger, normal_form
+from .hilbert import hilbert_data
 from .ring import Element, FreeModule, Order, Ring
 
 
@@ -159,10 +160,6 @@ class Ideal:
             cur = nxt
         return cur
 
-    @property
-    def is_saturated(self):
-        return self.saturate().gb == self.gb
-
     def eliminate(self, var_indices):
         """self  intersected with  K[remaining variables] (same ring)."""
         kill = sorted(set(var_indices))
@@ -202,8 +199,6 @@ class Ideal:
         return self.ring.nvars - self.hilbert().dim
 
     def hilbert(self):
-        from .hilbert import hilbert_data
-
         if self._hilbert is None:
             self._hilbert = hilbert_data(self)
         return self._hilbert

@@ -378,48 +378,54 @@ def ext_module(module_or_ideal, i):
     return PresentedModule(Q, rels)
 
 
-def deficiency_hf(ideal_or_module, i, window):
-    """dim_K H^i_m(M)_j for j in window, via local duality:
-    H^i_m(M)^v = Ext^{n+1-i}(M, R)(-n-1)."""
+def deficiency_numerator(ideal_or_module, i):
+    """Series numerator of Ext^{n+1-i}(M, R), which holds H^i_m(M) by local
+    duality: dim H^i_m(M)_j = dim Ext^{n+1-i}(M, R)_{-n-1-j}."""
     M = (
         ideal_or_module
         if isinstance(ideal_or_module, PresentedModule)
         else quotient_module(ideal_or_module)
     )
-    n1 = M.ring.nvars
-    numer = ext_numerator(M, n1 - i)
+    return ext_numerator(M, M.ring.nvars - i)
+
+
+def deficiency_hf(ideal_or_module, i, window):
+    """dim_K H^i_m(M)_j for j in window (`deficiency_numerator`)."""
+    numer = deficiency_numerator(ideal_or_module, i)
+    n1 = ideal_or_module.ring.nvars
     return {j: series_hf(numer, n1, -n1 - j) for j in window}
 
 
-def default_window(ideal):
-    n = ideal.ring.nvars
-    reg = classify(ideal)["reg"]
+def default_window(*ideals):
+    """Degrees -nvars-2 .. r+2, r the largest regularity among the ideals."""
+    n = ideals[0].ring.nvars
+    reg = max(classify(i)["reg"] for i in ideals)
     return range(-n - 2, reg + 3)
 
 
 def deficiency_table(ideal, window=None):
     """{i: {j: dim H^i_m(R/I)_j}} for i = 1..dim(R/I)-1 (projective dim X)."""
-    window = list(window) if window is not None else list(default_window(ideal))
-    M = quotient_module(ideal)
-    return {i: deficiency_hf(M, i, window) for i in range(1, ideal.hilbert().dim)}
+    window = list(window if window is not None else default_window(ideal))
+    return {i: deficiency_hf(ideal, i, window) for i in range(1, ideal.hilbert().dim)}
 
 
-def is_acm(ideal, window=None):
-    tab = deficiency_table(ideal, window)
-    return all(all(v == 0 for v in row.values()) for row in tab.values())
+def is_acm(ideal):
+    """Whether every deficiency module H^i_m(R/I), 0 < i < dim R/I, is 0."""
+    return not any(deficiency_numerator(ideal, i) for i in range(1, ideal.hilbert().dim))
 
 
 # -- E-type resolutions ----------------------------------------------------
 
 
-def e_type_resolution(ideal, check=False, window=None):
+def e_type_resolution(ideal, check=False):
     """Truncate the minimal free resolution of I at homological degree c-1.
 
     Returns (shape, E) where shape lists the twists of F_1..F_{c-1} (the
     free part, resolution of the ideal) and E is the (c-1)-st syzygy of I
     as a presented module.  With check=True the cohomology interchange
-    H^i_m(E) = H^{i-c}_m(R/I) is verified degreewise on a window (finite
-    pieces only) and CohomologyMismatch is raised on a mismatch.
+    H^i_m(E) = H^{i-c}_m(R/I) (c <= i <= n) is verified as an equality of
+    series numerators (`deficiency_numerator`), in every degree at once,
+    and CohomologyMismatch is raised on a mismatch.
     """
     c = ideal.codimension()
     if c < 2:
@@ -430,11 +436,8 @@ def e_type_resolution(ideal, check=False, window=None):
     # E is generated by F_c, whose relations d_{c+1} live in a copy of F_c
     E = PresentedModule(res.free_module(c), res.columns(c + 1) if res.length > c else [])
     if check:
-        n1 = ideal.ring.nvars
-        win = list(window) if window is not None else list(default_window(ideal))
-        M = quotient_module(ideal)
-        for i in range(c, n1):
-            if deficiency_hf(E, i, win) != deficiency_hf(M, i - c, win):
+        for i in range(c, ideal.ring.nvars):
+            if deficiency_numerator(E, i) != deficiency_numerator(ideal, i - c):
                 raise CohomologyMismatch(f"cohomology interchange failed at H^{i}_m(E)")
     return shape, E
 

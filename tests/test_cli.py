@@ -194,12 +194,15 @@ def test_prime_above_int64_bound_exits_2(tmp_path):
         ("ring p=abc vars=x0..x2\nideal I = x0\n", None, "syntax-error"),
         ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n1 2 a\n", "syntax-error"),
         ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n1 2\n", "syntax-error"),
+        ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n0 0 0\n", "syntax-error"),
+        ("ring p=32003 vars=x0..x2\npoints I = file(pts.txt)\n", "1 0 0\n32003 0 0\n", "syntax-error"),
         ("ring p=32003 vars=x0..x2\nideal I = x0+x1^2\n", None, "not-homogeneous"),
         ("ring p=32003 vars=x0..x2\nmatrix I = [[x0, x1^2+x0]]\n", None, "degenerate-matrix"),
         # the exponent would wrap to -2^63 and the ideal read as the unit ideal
         ("ring p=32003 vars=x0..x2\nideal I = x0^9223372036854775807*x0\n", None, "degree-overflow"),
     ],
     ids=["huge-prime", "p-not-integer", "points-not-integer", "point-too-short",
+         "point-zero", "point-zero-mod-p",
          "not-homogeneous", "matrix-not-homogeneous", "exponent-overflow"],
 )
 def test_malformed_input_exits_2(session, points, error, tmp_path):

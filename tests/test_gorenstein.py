@@ -128,9 +128,13 @@ def test_points_basic(R3):
     with pytest.raises(DuplicatePoint):
         PointSet(R3, [(1, 0, 0), (2, 0, 0)])
     I = two.ideal()
-    assert I.codimension() == 2 and I.is_saturated
+    assert I.codimension() == 2 and I.saturate() == I
     with pytest.raises(PreconditionFailed):
         PointSet(R3, [])
+    # a point with every coordinate 0 mod p, or too few, is malformed, not a repeat
+    for bad in [(0, 0, 0), (R3.p, 0, 0), (1, 0)]:
+        with pytest.raises(PreconditionFailed):
+            PointSet(R3, [(1, 0, 0), bad])
 
 
 def _value(f, pt):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from liaisonlab.errors import (
@@ -6,6 +8,8 @@ from liaisonlab.errors import (
     NotUnmixed,
     PreconditionFailed,
 )
+from liaisonlab import resolution
+from liaisonlab.hilbert import add_numerators
 from liaisonlab.ideals import Ideal
 from liaisonlab.liaison import (
     LinkChain,
@@ -15,7 +19,19 @@ from liaisonlab.liaison import (
     mapping_cone_shapes,
     random_ci_inside,
 )
-from liaisonlab.resolution import classify, deficiency_table
+from liaisonlab.resolution import classify, deficiency_table, quotient_module
+
+
+def _far_fault(monkeypatch, target):
+    """Make `resolution.ext_numerator` add the series term t^60 to every Ext
+    numerator of R/target, and to no other module's: one more dimension of
+    each H^i_m(R/target), in degree -nvars-60, far below every degree
+    window the deficiency tables of these curves have been compared on."""
+    ext = resolution.ext_numerator
+    M = quotient_module(target)
+    nv = target.ring.nvars
+    far = {60 + k: (-1) ** k * math.comb(nv, k) for k in range(nv + 1)}  # t^60 (1-t)^nv
+    monkeypatch.setattr(resolution, "ext_numerator", lambda N, k: add_numerators(ext(N, k), far) if N is M else ext(N, k))
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +149,14 @@ def test_bdl_deficiency_shift(R4):
     }
 
 
+def test_bdl_sees_a_fault_outside_every_window(R4, monkeypatch):
+    x0, x1, x2, x3 = R4.gens()
+    sk = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
+    _far_fault(monkeypatch, sk)
+    _, rep = basic_double_link(Ideal(R4, [x0 * x2 - x0 * x3]), sk, x0 + x1 + x2)
+    assert rep["hilbert_identity"] and rep["cohomology_shift"] is False and not rep["all"]
+
+
 def test_liaison_addition_buchsbaum(R4):
     x0, x1, x2, x3 = R4.gens()
     V1 = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
@@ -145,6 +169,29 @@ def test_liaison_addition_buchsbaum(R4):
     assert rep["saturated"] and rep["cohomology_direct_sum"]
     tab = deficiency_table(Z, range(-1, 7))[1]
     assert {j: v for j, v in tab.items() if v} == {2: 1, 3: 1}
+
+
+def test_liaison_addition_with_a_part_of_higher_codimension(R4):
+    """A point and a line, r = 2: the sequence 0 -> R(-4) -> I_point(-2)
+    + I_line(-2) -> I_Z -> 0 gives H^1_m(R/Z) = H^1_m(R/point)(-2), the
+    top local cohomology of the point, since the line is ACM."""
+    x0, x1, x2, x3 = R4.gens()
+    point = Ideal(R4, [x0 - x3, x1 - 2 * x3, x2 - 5 * x3])
+    line = Ideal(R4, [x0 + x1 + x2, x1 - x3])
+    Z, rep = liaison_addition([(point, (x0 + x1 + x2) * (x1 - x3)), (line, (x0 - x3) * (x1 - 2 * x3))])
+    assert rep["all"]
+    assert deficiency_table(Z, range(-3, 6))[1] == {j: int(j <= 1) for j in range(-3, 6)}
+
+
+def test_liaison_addition_sees_a_fault_outside_every_window(R4, monkeypatch):
+    x0, x1, x2, x3 = R4.gens()
+    V1 = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
+    V2 = Ideal(R4, [x0, x2]).intersect(Ideal(R4, [x1, x3]))
+    F1 = next(g for g in V2.gb if g.degree == 2)
+    q = [g for g in V1.gb if g.degree == 2]
+    _far_fault(monkeypatch, V1)
+    _, rep = liaison_addition([(V1, F1), (V2, q[0] * x0 + q[1] * x3)])
+    assert rep["saturated"] and rep["cohomology_direct_sum"] is False and not rep["all"]
 
 
 def test_liaison_addition_guards(R4):
@@ -240,13 +287,27 @@ def test_even_chain_rao_shift(R4, rng):
     c = Ideal(R4, [x0 * x3 - x1 * x2, x0 * x2 ** 2 - x1 ** 2 * x3])
     chain = chain.extend(c)
     skew = chain.tail
-    c2 = random_ci_inside(skew, (2, 3), rng)
-    chain = chain.extend(c2)
-    assert chain.parity == "even"
-    assert chain.even_shift_check() is True
-    # ACM-ness is preserved along every link
-    for rec in chain.records:
-        assert rec.verification["acm_iff_acm"]
+    # a (2, 3) link back leaves the Rao module where it was, a (3, 3) link
+    # shifts it by one degree
+    for degrees in ((2, 3), (3, 3)):
+        even = chain.extend(random_ci_inside(skew, degrees, rng))
+        assert even.parity == "even"
+        assert even.even_shift_check() is True
+        # ACM-ness is preserved along every link
+        for rec in even.records:
+            assert rec.verification["acm_iff_acm"]
+
+
+def test_even_shift_check_sees_a_fault_outside_every_window(R4, rng, monkeypatch):
+    x0, x1, x2, x3 = R4.gens()
+    quart = Ideal(
+        R4,
+        [x1 * x2 - x0 * x3, x1 ** 3 - x0 ** 2 * x2, x0 * x2 ** 2 - x1 ** 2 * x3, x2 ** 3 - x1 * x3 ** 2],
+    )
+    chain = LinkChain(quart).extend(Ideal(R4, [x0 * x3 - x1 * x2, x0 * x2 ** 2 - x1 ** 2 * x3]))
+    chain = chain.extend(random_ci_inside(chain.tail, (2, 3), rng))
+    _far_fault(monkeypatch, quart)
+    assert chain.even_shift_check() is False
 
 
 def test_chain_serialization_schema(R4):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from liaisonlab.errors import CohomologyMismatch, NotCM, ResolutionIncomplete, WrongCodim
 from liaisonlab.groebner import buchberger, generators_and_leads, syzygies_of
-from liaisonlab.hilbert import free_numerator, quotient_numerator
+from liaisonlab.hilbert import add_numerators, free_numerator, quotient_numerator
 from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab import resolution
 from liaisonlab.resolution import (
@@ -217,14 +217,11 @@ def test_e_type_check_on_curves(R4):
 
 def test_e_type_check_mismatch_is_a_typed_error(R4, monkeypatch):
     """check=True raises CohomologyMismatch, an `errors.py` type, when
-    H^i_m(E) and H^{i-c}_m(R/I) disagree: here deficiency_hf adds i to
-    every value, so the two sides differ by c."""
+    H^i_m(E) and H^{i-c}_m(R/I) disagree: here ext_numerator adds t^k to the
+    numerator of Ext^k, and the two sides read Ext^k and Ext^(k+c)."""
     x0, x1, x2, x3 = R4.gens()
-    deficiency = resolution.deficiency_hf
-    monkeypatch.setattr(
-        resolution, "deficiency_hf",
-        lambda M, i, window: {j: v + i for j, v in deficiency(M, i, window).items()},
-    )
+    ext = resolution.ext_numerator
+    monkeypatch.setattr(resolution, "ext_numerator", lambda M, k: add_numerators(ext(M, k), {k: 1}))
     TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
     with pytest.raises(CohomologyMismatch):
         e_type_resolution(TC, check=True)
