@@ -66,6 +66,13 @@ class NotUnmixed(LiaisonError):
     code = "not-unmixed"
 
 
+class LinkSeriesMismatch(LiaisonError):
+    """A link J = c : I of a Cohen-Macaulay I through a Gorenstein c whose
+    Hilbert series breaks HS(R/J) = HS(R/c) - t^T HS(Ext^g(R/I, R))."""
+
+    code = "link-series-mismatch"
+
+
 class PreconditionFailed(LiaisonError):
     code = "precondition-failed"
 

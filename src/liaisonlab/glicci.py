@@ -6,8 +6,14 @@ sending monomials to products of distinct linear forms.
 Certificates record every elementary step (direct link or basic double
 link) with full ideals, so replaying needs no recomputation decisions:
 each step is re-derived from its inputs and compared for exact reduced-
-basis equality, and the end ideal must classify as a complete
-intersection.
+basis equality (a link by its colon c : I, a basic double link by its
+sum J + f I), and the end ideal must classify as a complete intersection.
+
+A Gaeta step tests that d and d' are regular on R/a by Hilbert series
+(`Ideal.is_nonzerodivisor`) on the ideals a + dR and a + d'R, which it then
+reuses: a + dR for Step II's colon (a + dR) : J = I, and both as the
+Gorenstein links when c = 1.  Its two direct links are verified as
+`liaison.direct_link` says; both link a Cohen-Macaulay ideal.
 
 Descent order for stable ideals: initial-degree descent with lifting
 variable x_l (basic double links), switching to the next level l+1 when
@@ -207,19 +213,21 @@ def _gaeta_attempt(A):
     d = A.submatrix(range(t), list(range(t - 1)) + [t + c - 1]).det()
     if d.is_zero:
         raise GenericityFailure("the auxiliary determinant vanishes")
-    if a.colon_poly(d) != a:
+    ad = a + Ideal(ring, [d])
+    if not a.is_nonzerodivisor(d, ad):
         raise GenericityFailure("a : d != a for the chosen column")
     dprime = Aprime.submatrix(range(t - 1), range(t - 1)).det()
     if dprime.is_zero:
         raise GenericityFailure("the primed determinant vanishes")
-    if a.colon_poly(dprime) != a:
+    adp = a + Ideal(ring, [dprime])
+    if not a.is_nonzerodivisor(dprime, adp):
         raise GenericityFailure("a : d' != a")
 
     # Step II identities (hard failures once genericity holds)
-    if (a + Ideal(ring, [d])).colon(J) != I:
+    if ad.colon(J) != I:
         raise StepIdentityFailed("(a + dR) : J = I failed")
     Jc1 = J.power(c - 1)
-    G = a + d * Jc1 if c > 1 else a + Ideal(ring, [d])
+    G = a + d * Jc1 if c > 1 else ad
     clsG = classify(G)
     if not clsG["gorenstein"] or G.codimension() != c + 1:
         raise StepIdentityFailed("a + d J^(c-1) is not Gorenstein of codimension c+1")
@@ -245,7 +253,7 @@ def _gaeta_attempt(A):
     rec1 = direct_link(G, I)
     if rec1.J != mid_expected:
         raise StepIdentityFailed("(a + dJ^(c-1)) : I = a + J^c failed")
-    Gp = a + dprime * Jc1 if c > 1 else a + Ideal(ring, [dprime])
+    Gp = a + dprime * Jc1 if c > 1 else adp
     if not classify(Gp)["gorenstein"] or Gp.codimension() != c + 1:
         raise StepIdentityFailed("a + d' J^(c-1) is not Gorenstein of codimension c+1")
     rec2 = direct_link(Gp, Iprime)

@@ -11,7 +11,8 @@ I_1 e_1 + ... + I_k e_k, one run however many ideals meet, and I : f the
 annihilator of f modulo I.  The colon by an ideal intersects the colons by
 its generators in one such run; saturation iterates the colon until the
 reduced Groebner basis stabilizes.  Only `Ideal.eliminate` works in an
-elimination order.
+elimination order.  Whether f is regular on R/I needs no colon: it is one
+identity of Hilbert series (`Ideal.is_nonzerodivisor`).
 """
 
 from itertools import combinations
@@ -24,7 +25,7 @@ from .errors import (
     UnitIdeal,
 )
 from .groebner import GroebnerBasis, annihilator, buchberger, normal_form
-from .hilbert import hilbert_data
+from .hilbert import add_numerators, hilbert_data, shift_numerator
 from .ring import Element, FreeModule, Order, Ring
 
 
@@ -139,6 +140,21 @@ class Ideal:
         if f.is_zero:
             raise DivisionByZero("colon by zero")
         return _colon_of_parts(self.ring, [(self, f)])
+
+    def is_nonzerodivisor(self, f, plus=None):
+        """Whether the ring element f is regular on R/self, by Hilbert series
+        with no colon.  For d = deg f the exact sequence
+        0 -> ((self : f)/self)(-d) -> (R/self)(-d) -> R/self -> R/(self + fR) -> 0
+        gives HS(R/(self + fR)) = (1 - t^d) HS(R/self) + t^d HS((self : f)/self),
+        so the identity without the last term holds exactly when
+        self : f = self.  plus: the ideal self + fR, when the caller has
+        built it."""
+        if f.is_zero:
+            raise DivisionByZero("colon by zero")
+        if plus is None:
+            plus = self + Ideal(self.ring, [f])
+        n = self.hilbert().numerator
+        return plus.hilbert().numerator == add_numerators(n, shift_numerator(n, f.degree), -1)
 
     def colon(self, other):
         """(self : other) = intersection of (self : g) over generators g,

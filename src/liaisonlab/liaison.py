@@ -2,15 +2,26 @@
 transfer checks, basic double links, liaison addition, mapping-cone
 resolution shapes and link-chain bookkeeping.
 
+A direct link J = c : I is built by one colon.  When c is Gorenstein and
+R/I is Cohen-Macaulay, I is unmixed and c : (c : I) = I is a theorem
+(Peskine & Szpiro, Invent. Math. 26, 1974), so no second colon runs: the
+computed J is checked against one exact identity of Hilbert numerators,
+HS(R/J) = HS(R/c) - t^T HS(Ext^g(R/I, R)), whose Ext series is that of R/I
+reflected (see `direct_link`).  Any other I is checked by the double
+colon c : J = I.
+
 A basic double link, a liaison addition and an even link chain each state
 a graded isomorphism of deficiency modules (Migliore, *Introduction to
 Liaison Theory and Deficiency Modules*).  Each is checked as one equality
 of Ext series numerators (`resolution.deficiency_numerator`), in every
 degree at once; only the direct-link report compares on a degree window.
+The basic double link's f is shown regular on R/J by Hilbert series too
+(`Ideal.is_nonzerodivisor`).
 """
 
 from .errors import (
     CodimMismatch,
+    LinkSeriesMismatch,
     MembershipViolation,
     NotGorensteinLink,
     NotRegularSequence,
@@ -71,13 +82,23 @@ class LinkRecord:
 
 
 def direct_link(c, I, require_gorenstein=True):
-    """Link I through the Gorenstein ideal c: J = c : I.
+    """Link I through the Gorenstein ideal c: J = c : I, built by one colon.
 
-    The double colon c : J = I is verified; failure raises NotUnmixed (the
-    signal that I was not unmixed, or that c was not a valid link).  Setting
-    require_gorenstein=False skips the classification test on c; this exists
-    to demonstrate how merely-ACM "links" break (and then NotUnmixed is the
-    error that surfaces).
+    What is verified depends on I.  When R/I is Cohen-Macaulay (read off
+    its computed Betti table), I is unmixed, so c : (c : I) = I by the basic
+    Gorenstein-liaison theorem (Peskine & Szpiro, Invent. Math. 26, 1974),
+    and (c : I)/c = Hom(R/I, R/c) is Ext^g(R/I, R)(-T), g = codim c and
+    R(-T) the last free module of the resolution of R/c (Bruns & Herzog,
+    Sec. 3.3).  For Cohen-Macaulay R/I the numerator of that Ext is the
+    numerator of R/I reflected, so the computed J is checked against
+        N(R/J) = N(R/c) - (-1)^g t^T N_I(1/t)
+    on the Hilbert numerators; failure raises LinkSeriesMismatch.  Any
+    other I gets the double colon: c : J = I is computed, and failure
+    raises NotUnmixed (the signal that I was not unmixed, or that c was not
+    a valid link).  Setting require_gorenstein=False skips the
+    classification test on c and always takes the double colon; this
+    exists to demonstrate how merely-ACM "links" break (and then NotUnmixed
+    is the error that surfaces).
     """
     if require_gorenstein:
         cc = classify(c)
@@ -92,8 +113,14 @@ def direct_link(c, I, require_gorenstein=True):
     if c == I:
         raise PreconditionFailed("link ideal equals I")
     J = c.colon(I)
-    back = c.colon(J)
-    if back != I:
+    if require_gorenstein and classify(I)["cm"]:
+        g, T = cc["codim"], cc["betti"].tail_twist()
+        ext = {T - k: (-1) ** g * v for k, v in I.hilbert().numerator.items()}
+        if J.hilbert().numerator != add_numerators(c.hilbert().numerator, ext, -1):
+            raise LinkSeriesMismatch(
+                "HS(R/J) != HS(R/c) - t^T HS(Ext^g(R/I, R)) for J = c : I"
+            )
+    elif c.colon(J) != I:
         raise NotUnmixed("double colon c : (c : I) differs from I")
     return LinkRecord(c, I, J, c.hilbert().reg_index - 1)
 
@@ -167,7 +194,7 @@ def basic_double_link(J, I, f, check_cohomology=True):
         raise PreconditionFailed("codim I must be codim J + 1")
     if not classify(J)["cm"]:
         raise PreconditionFailed("R/J is not Cohen-Macaulay")
-    if not J.colon_poly(f) == J:
+    if not J.is_nonzerodivisor(f):
         raise PreconditionFailed("f is a zero divisor modulo J: J : f != J")
     d = f.degree
     tilde = J + Ideal(I.ring, [f * g for g in I.gens])

@@ -329,19 +329,25 @@ def test_hilbert_at_a_huge_pivot_exponent(tmp_path):
     assert I.hilbert().numerator == {0: 1, 2: -1, 5001: -1, 5002: 1}
 
 
+_COLON = Ideal.colon
+
+
 @pytest.mark.parametrize(
     "owner,name,fake,command,error",
     [
-        (resolution, "_kernel_generators", lambda F, gens, kernel: gens, "betti", "resolution-incomplete"),
-        (HilbertData, "hp", lambda self, j: self.hf(j) + 1, "hilbert", "regularity-scan-failed"),
+        (resolution, "_kernel_generators", lambda F, gens, kernel: gens, ["betti", "TC"], "resolution-incomplete"),
+        (HilbertData, "hp", lambda self, j: self.hf(j) + 1, ["hilbert", "TC"], "regularity-scan-failed"),
+        # the colon that builds J drops J's last generator
+        (Ideal, "colon", lambda self, other: Ideal(self.ring, _COLON(self, other).gens[:-1]),
+         ["link", "--gor", "C22", "--ideal", "TC"], "link-series-mismatch"),
     ],
-    ids=["resolution-past-the-bound", "regularity-scan-too-low"],
+    ids=["resolution-past-the-bound", "regularity-scan-too-low", "link-series-mismatch"],
 )
 def test_internal_failures_exit_1_with_a_report(owner, name, fake, command, error, tmp_path, monkeypatch):
     """A failed identity of the algebra is a typed error: the CLI exits 1
     and writes a report naming it."""
     monkeypatch.setattr(owner, name, fake)
-    code, report = _run_capture(["--session", "p3.txt", command, "TC"], tmp_path)
+    code, report = _run_capture(["--session", "p3.txt", *command], tmp_path)
     assert (code, json.loads(report)["error"]) == (1, error)
 
 

@@ -1,7 +1,9 @@
 import pytest
 
+from liaisonlab import glicci
 from liaisonlab.errors import (
     CharacteristicTooSmall,
+    GenericityFailure,
     NotStable,
     WrongCodim,
 )
@@ -271,3 +273,29 @@ def test_gaeta_needs_genericity_retry(R4, rng):
     assert cert.start == I
     assert cert.replay()
     assert is_complete_intersection(cert.end)
+
+
+def test_gaeta_retries_when_d_is_a_zero_divisor(R4, rng, monkeypatch):
+    """I(B) = (x1*x3, x2*x3, x2^2 - x0*x1) is a line and a conic, and
+    d = x0*x2 - x1*x3 vanishes on the line: the first attempt fails on
+    a : d != a and the seeded retries repair it."""
+    x0, x1, x2, x3 = R4.gens()
+    A = PolyMatrix(R4, [[x2, x3, x0, x3], [x1, R4.zero(), x2, x0]])
+    a = A.submatrix(range(2), range(3)).maximal_minors()
+    d = A.submatrix(range(2), [0, 3]).det()
+    assert a.colon_poly(d) != a
+    failures = []
+    attempt = glicci._gaeta_attempt
+
+    def spy(B):
+        try:
+            return attempt(B)
+        except GenericityFailure as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(glicci, "_gaeta_attempt", spy)
+    cert = gaeta_run(A, rng)
+    assert failures[0] == "a : d != a for the chosen column"
+    assert cert.start == standard_determinantal(A)
+    assert cert.replay()

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liaisonlab.errors import DegenerateMatrix, DivisionByZero, RingMismatch, UnitIdeal
@@ -397,6 +397,31 @@ def test_saturate_against_sympy(a):
     parts = [_t_free(sI + [1 - T * x], T) for x in X]
     expect = _sympy_intersect(_sympy_intersect(parts[0], parts[1]), parts[2])
     assert _ours(I.saturate()) == _grevlex(expect)
+
+
+POOL = [RING.var(0), RING.var(1), RING.var(2), RING.var(0) + RING.var(1), RING.var(1) + RING.var(2)]
+pool_products = st.lists(st.sampled_from(range(len(POOL))), min_size=1, max_size=3)
+
+
+def _pool_product(indices):
+    return reduce(lambda a, b: a * b, [POOL[i] for i in indices])
+
+
+@given(
+    st.lists(pool_products, min_size=1, max_size=3),
+    st.one_of(pool_products, small_forms()),
+)
+@example([[0, 1]], [0])  # x0 kills x1 mod (x0*x1)
+@example([[0, 1]], [2])
+@example([[0, 0], [3]], [1])  # f in I: R/(I + f) = R/I
+@settings(max_examples=60, deadline=None)
+def test_nonzerodivisor_series_matches_the_colon(gens, f):
+    """Products of a few linear forms and f a product of some of the same
+    forms (often a zero divisor mod I, sometimes in I) or a random form:
+    the series test agrees with I : f = I."""
+    I = Ideal(RING, [_pool_product(g) for g in gens])
+    f = RING.poly(f) if isinstance(f, dict) else _pool_product(f)
+    assert I.is_nonzerodivisor(f) == (I.colon_poly(f) == I)
 
 
 def test_ideals_and_matrices_hold_ring_elements_only():

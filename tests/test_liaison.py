@@ -1,16 +1,23 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liaisonlab.errors import (
     CodimMismatch,
+    LinkSeriesMismatch,
     NotGorensteinLink,
     NotUnmixed,
     PreconditionFailed,
+    WrongCodim,
 )
 from liaisonlab import resolution
+from liaisonlab.glicci import standard_determinantal
+from liaisonlab.gorenstein import PointSet
 from liaisonlab.hilbert import add_numerators
-from liaisonlab.ideals import Ideal
+from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab.liaison import (
     LinkChain,
     basic_double_link,
@@ -20,6 +27,7 @@ from liaisonlab.liaison import (
     random_ci_inside,
 )
 from liaisonlab.resolution import classify, deficiency_table, quotient_module
+from liaisonlab.ring import Ring
 
 
 def _far_fault(monkeypatch, target):
@@ -98,6 +106,117 @@ def test_double_line_reverse_raises(R4):
         direct_link(IX, IC1, require_gorenstein=False)
     with pytest.raises(NotGorensteinLink):
         direct_link(IX, IC1)
+
+
+def test_link_of_a_mixed_curve_is_not_unmixed(R4):
+    """A line with an embedded point is not Cohen-Macaulay, so its CI link
+    takes the double colon, which returns the unmixed part, the line."""
+    x0, x1, x2, x3 = R4.gens()
+    line = Ideal(R4, [x0, x1])
+    I = line.intersect(Ideal(R4, R4.gens()).power(2))
+    c = Ideal(R4, [x0 * x2, x1 * x3])
+    assert I.contains_ideal(c) and not classify(I)["cm"]
+    with pytest.raises(NotUnmixed, match=r"^double colon c : \(c : I\) differs from I$"):
+        direct_link(c, I)
+    assert c.colon(c.colon(I)) == line
+
+
+def test_a_link_whose_series_breaks_the_identity_is_typed(R4, monkeypatch):
+    """A wrong J = c : I of a Cohen-Macaulay I is caught by its series,
+    with no second colon: LinkSeriesMismatch, not NotUnmixed, since that I
+    is unmixed."""
+    x0, x1, x2, x3 = R4.gens()
+    c = Ideal(R4, [x0 * x3 - x1 * x2, x0 * x2 - x1 ** 2])
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    colon = Ideal.colon
+    monkeypatch.setattr(Ideal, "colon", lambda self, other: Ideal(self.ring, colon(self, other).gens[:-1]))
+    with pytest.raises(LinkSeriesMismatch):
+        direct_link(c, TC)
+
+
+def test_a_cm_link_costs_one_colon_and_the_quartic_two(R4, monkeypatch):
+    x0, x1, x2, x3 = R4.gens()
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    quart = Ideal(
+        R4,
+        [x1 * x2 - x0 * x3, x1 ** 3 - x0 ** 2 * x2, x0 * x2 ** 2 - x1 ** 2 * x3, x2 ** 3 - x1 * x3 ** 2],
+    )
+    calls = []
+    colon = Ideal.colon
+    monkeypatch.setattr(Ideal, "colon", lambda self, other: calls.append(other) or colon(self, other))
+    direct_link(Ideal(R4, [x0 * x3 - x1 * x2, x0 * x2 - x1 ** 2]), TC)
+    assert len(calls) == 1
+    del calls[:]
+    direct_link(Ideal(R4, [x0 * x3 - x1 * x2, x0 * x2 ** 2 - x1 ** 2 * x3]), quart)
+    assert len(calls) == 2
+
+
+LINK_RINGS = {n: Ring(n, 32003) for n in (4, 5)}
+
+
+def _general_points(R, count, rng):
+    """count <= nvars + 1 points of P^(nvars-1) in linearly general position:
+    coordinate points and the point (1, ..., 1), in random coordinates
+    x_i -> s_i x_i.  Any two such sets of a size are projectively
+    equivalent, and these keep their ideals sparse."""
+    n = R.nvars
+    scale = [int(s) for s in rng.integers(1, R.p, size=n)]
+    pts = [tuple(s * (i == k) for i, s in enumerate(scale)) for k in range(n)] + [tuple(scale)]
+    return PointSet(R, [pts[int(k)] for k in rng.permutation(n + 1)[:count]])
+
+
+def _cm_link(kind, nvars, seed):
+    """(c, I, J or None) for a link of a Cohen-Macaulay I: a CI link of a
+    determinantal codim-2 ideal, of 5 points or of the twisted cubic (a
+    cone over it in P^4), or a Gorenstein link of a subset Y of nvars + 1
+    points Z, whose ideal c is Gorenstein (h-vector (1, nvars - 1, 1)) and
+    not a CI, with J the ideal of the other points."""
+    R = LINK_RINGS[nvars]
+    rng = np.random.default_rng(seed)
+    if kind == "gorenstein-points":
+        Z = _general_points(R, nvars + 1, rng)
+        m = int(rng.integers(1, len(Z)))
+        Y, rest = PointSet(R, Z.coords[:m]), PointSet(R, Z.coords[m:])
+        return Z.ideal(), Y.ideal(), rest.ideal()
+    if kind == "determinantal":
+        degs = (1, 1, 1 + int(rng.integers(0, 2)))
+        A = PolyMatrix(R, [[R.random_poly(d, rng) for d in degs] for _ in range(2)])
+        try:
+            I = standard_determinantal(A)
+        except WrongCodim:
+            return None
+    elif kind == "points":
+        I = _general_points(R, 5, rng).ideal()
+    else:
+        x0, x1, x2, x3 = R.gens()[:4]
+        I = Ideal(R, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    top = max(j for (i, j) in classify(I)["betti"].entries if i == 0)
+    # a curve also gets links of degree (top, top + 1); points keep to the
+    # smallest CI, whose residual stays small
+    degrees = [top, top + int(rng.integers(0, 2))] if I.codimension() == 2 else [top] * I.codimension()
+    return random_ci_inside(I, degrees, rng), I, None
+
+
+@given(
+    st.sampled_from(["determinantal", "points", "twisted-cubic", "gorenstein-points"]),
+    st.sampled_from([4, 5]),
+    st.integers(0, 2 ** 32 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_series_checked_links_match_the_double_colon(kind, nvars, seed):
+    """The real double colon is the oracle: a link of a Cohen-Macaulay
+    ideal, checked by its series, returns the J the colon gives, and
+    c : J = I."""
+    link = _cm_link(kind, nvars, seed)
+    if link is None:
+        return
+    c, I, expected = link
+    assert classify(I)["cm"]
+    rec = direct_link(c, I)
+    assert rec.J == c.colon(I)
+    assert c.colon(rec.J) == I
+    if expected is not None:
+        assert rec.J == expected
 
 
 def test_degree_additivity_random(R4, rng):
