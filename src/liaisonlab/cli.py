@@ -1,4 +1,4 @@
-"""Command-line surface: a small ring/ideal language, command dispatch and
+"""Command-line surface: a small ring/ideal language, one command table and
 canonical JSON reports.
 
 Session files:
@@ -7,9 +7,16 @@ Session files:
     matrix M = [[x0,x1,x2],[x1,x2,x3]]
     points P = file(points.txt)
 
+Expressions evaluate to ring elements with the ring's own arithmetic.
+`COMMANDS` maps each command to its argparse arguments and its handler: the
+argument parser is built from it and `run` dispatches through it.
+
 Reports are canonical JSON (sorted keys, fixed separators, seed and schema
 included): identical (input, seed) pairs produce identical bytes.
-Exit codes: 0 success, 1 mathematical failure, 2 usage error.
+Exit codes: 0 success, 1 mathematical failure, 2 usage error.  A typed
+error writes a report and exits with its type's `exit_code` (errors.py); a
+report whose check failed (ok, agree or replay_ok false) exits 1; arguments
+argparse rejects and files that cannot be read exit 2 with no report.
 """
 
 import argparse
@@ -21,16 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    DegenerateMatrix,
-    DegreeOverflow,
-    LiaisonError,
-    NotHomogeneous,
-    PrimeCheckFailed,
-    SessionObjectError,
-    SessionSyntaxError,
-    VariableOutOfRange,
-)
+from .errors import LiaisonError, SessionObjectError, SessionSyntaxError, VariableOutOfRange
 from .gorenstein import (
     PointSet,
     aci_gorenstein,
@@ -40,12 +38,12 @@ from .gorenstein import (
     sum_of_linked,
     wlp_check,
 )
-from .glicci import gaeta_run, glicci_descent, lift_map
+from .glicci import GlicciCertificate, gaeta_run, glicci_descent, lift_map
 from .hilbert import macaulay_growth_check, si_sequence_check
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link, liaison_addition
 from .resolution import ci_invariant_hf, classify, deficiency_table
-from .ring import Order, Ring, check_degree
+from .ring import Order, Ring
 
 SCHEMA = "liaison-lab/1"
 
@@ -112,9 +110,9 @@ def _tokenize(text, line_no=1):
 class PolyParser:
     """Recursive-descent parser for `^ * + -` polynomial expressions.
 
-    Expressions evaluate to {exponent tuple: coefficient} dicts with
-    coefficients in [1, p); `parse_poly` builds the polynomial with one
-    `Ring.poly` call."""
+    Expressions evaluate to ring elements with the ring's own arithmetic,
+    whose products and powers raise DegreeOverflow past the degree bound,
+    even when the top terms would cancel."""
 
     def __init__(self, ring, toks, pos=0):
         self.ring = ring
@@ -132,52 +130,38 @@ class PolyParser:
         return t
 
     def parse_expr(self):
-        p = self.ring.p
         t = self.peek()
-        sign = 1
         if t.kind in "+-":
             self.take()
-            sign = -1 if t.kind == "-" else 1
-        acc = {e: c * sign % p for e, c in self.parse_term().items()}
+        acc = self.parse_term()
+        if t.kind == "-":
+            acc = -acc
         while self.peek().kind in "+-":
-            sign = 1 if self.take().kind == "+" else -1
-            for e, c in self.parse_term().items():
-                v = (acc.get(e, 0) + sign * c) % p
-                if v:
-                    acc[e] = v
-                else:
-                    acc.pop(e, None)
+            if self.take().kind == "+":
+                acc = acc + self.parse_term()
+            else:
+                acc = acc - self.parse_term()
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            acc = _dict_mul(acc, self.parse_factor(), self.ring.p)
+            acc = acc * self.parse_factor()
         return acc
 
     def parse_factor(self):
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.take()
-            k = self.take("int").value
-            check_degree(_dict_degree(base) * k)
-            out = {(0,) * self.ring.nvars: 1}
-            while k > 0:
-                if k & 1:
-                    out = _dict_mul(out, base, self.ring.p)
-                k >>= 1
-                if k:
-                    base = _dict_mul(base, base, self.ring.p)
-            base = out
+            base = base ** self.take("int").value
         return base
 
     def parse_atom(self):
         t = self.peek()
         if t.kind == "int":
             self.take()
-            c = t.value % self.ring.p
-            return {(0,) * self.ring.nvars: c} if c else {}
+            return self.ring.constant(t.value)
         if t.kind == "name":
             self.take()
             return self._variable(t)
@@ -191,39 +175,17 @@ class PolyParser:
     def _variable(self, tok):
         name = tok.value
         if name in self.ring.names:
-            k = self.ring.names.index(name)
-            return {tuple(int(i == k) for i in range(self.ring.nvars)): 1}
+            return self.ring.var(self.ring.names.index(name))
         if name.startswith("x") and name[1:].isdigit():
             raise VariableOutOfRange(f"{name} outside the declared ring")
         raise SessionSyntaxError(f"unknown variable {name!r}", tok.line, tok.col)
-
-
-def _dict_degree(f):
-    """Largest total degree of a term of a polynomial dict (0 for zero)."""
-    return max(map(sum, f), default=0)
-
-
-def _dict_mul(f, g, p):
-    """Product of two polynomial dicts, past the degree bound an error even
-    when its top terms would cancel, as for products of ring elements."""
-    check_degree(_dict_degree(f) + _dict_degree(g))
-    out = {}
-    for e1, c1 in f.items():
-        for e2, c2 in g.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            v = (out.get(e, 0) + c1 * c2) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
 
 
 def parse_poly(ring, text, line_no=1):
     p = PolyParser(ring, _tokenize(text, line_no))
     out = p.parse_expr()
     _expect_end(p)
-    return ring.poly(out)
+    return out
 
 
 def _expect_end(parser):
@@ -233,11 +195,11 @@ def _expect_end(parser):
 
 
 def _parse_row(parser):
-    """Comma-separated polynomials, each built as soon as it is read."""
-    polys = [parser.ring.poly(parser.parse_expr())]
+    """Comma-separated polynomials."""
+    polys = [parser.parse_expr()]
     while parser.peek().kind == ",":
         parser.take()
-        polys.append(parser.ring.poly(parser.parse_expr()))
+        polys.append(parser.parse_expr())
     return polys
 
 
@@ -371,6 +333,36 @@ def _read_points(ring, path, decl_line):
     return PointSet(ring, pts)
 
 
+def certificate_from_json(ring, doc):
+    """Rebuild a certificate from its archived JSON for offline replay."""
+
+    def ideal_of(strs):
+        return Ideal(ring, [parse_poly(ring, s) for s in strs])
+
+    steps = []
+    for st in doc["steps"]:
+        if st["kind"] == "direct-link":
+            steps.append(
+                {
+                    "kind": "link",
+                    "c": ideal_of(st["c"]),
+                    "from": ideal_of(st["from"]),
+                    "to": ideal_of(st["to"]),
+                }
+            )
+        else:
+            steps.append(
+                {
+                    "kind": "bdl",
+                    "j_cm": ideal_of(st["j"]),
+                    "f": parse_poly(ring, st["f"]),
+                    "from": ideal_of(st["from"]),
+                    "to": ideal_of(st["to"]),
+                }
+            )
+    return GlicciCertificate(ideal_of(doc["start"]), steps, ideal_of(doc["end"]))
+
+
 # -- reports ------------------------------------------------------------------
 
 
@@ -409,139 +401,164 @@ def _hilbert_json(ideal, window):
     }
 
 
-# -- command implementations ---------------------------------------------------
+# -- commands ------------------------------------------------------------------
+#
+# Each handler takes (session, args, rng, w) and returns its report's fields,
+# to which `run` adds "command"; w is the --window range or None.
+
+
+def _gb(session, args, rng, w):
+    return {"name": args.name, "gb": session.get(args.name, ("ideal",)).canonical_strings()}
+
+
+def _hilbert(session, args, rng, w):
+    I = session.get(args.name, ("ideal",))
+    win = w or range(0, max(8, I.hilbert().reg_index + 3))
+    return {"name": args.name, **_hilbert_json(I, win)}
+
+
+def _betti(session, args, rng, w):
+    return {"name": args.name, **_betti_json(session.get(args.name, ("ideal",)))}
+
+
+def _link(session, args, rng, w):
+    c = session.get(args.gor, ("ideal",))
+    I = session.get(args.ideal, ("ideal",))
+    rec = direct_link(c, I, require_gorenstein=not args.allow_acm)
+    return {**rec.to_json(), "ok": rec.verification["all"]}
+
+
+def _bdl(session, args, rng, w):
+    J = session.get(args.j, ("ideal",))
+    I = session.get(args.ideal, ("ideal",))
+    tilde, report = basic_double_link(J, I, session.poly(args.f))
+    return {"result": tilde.canonical_strings(), "report": report, "ok": report["all"]}
+
+
+def _liaison_add(session, args, rng, w):
+    parts = [(session.get(name, ("ideal",)), session.poly(expr)) for name, expr in args.part]
+    Z, report = liaison_addition(parts)
+    return {
+        "result": Z.canonical_strings(),
+        "degree": Z.hilbert().degree,
+        "report": report,
+        "ok": report["all"],
+    }
+
+
+def _sum_linked(session, args, rng, w):
+    out = sum_of_linked(*(session.get(name, ("ideal",)) for name in (args.i1, args.i2, args.x)))
+    return {"result": out.canonical_strings(), **_betti_json(out)}
+
+
+def _aci_gor(session, args, rng, w):
+    c = complete_intersection(session.get(args.ci, ("ideal",)).gens)
+    J = aci_gorenstein(c, session.get(args.ideal, ("ideal",)))
+    return {"result": J.canonical_strings(), **_betti_json(J)}
+
+
+def _cb_check(session, args, rng, w):
+    return {"name": args.name, **cayley_bacharach_check(session.get(args.name, ("points",)), rng=rng)}
+
+
+def _dgo(session, args, rng, w):
+    P = session.get(args.name, ("points",))
+    val = dgo_verify(P, cayley_bacharach_check(P, rng=rng))
+    gorenstein = classify(P.ideal())["gorenstein"]
+    return {
+        "name": args.name,
+        "dgo": val,
+        "classify_gorenstein": gorenstein,
+        "agree": val == gorenstein,
+        "h_vector": list(P.h_vector()),
+    }
+
+
+def _wlp(session, args, rng, w):
+    return {"name": args.name, "wlp": wlp_check(session.get(args.name, ("ideal",)), rng=rng)}
+
+
+def _gaeta(session, args, rng, w):
+    cert = gaeta_run(session.get(args.name, ("matrix",)), rng)
+    return {"certificate": cert.to_json(), "replay_ok": cert.replay()}
+
+
+def _glicci(session, args, rng, w):
+    cert = glicci_descent(session.get(args.name, ("ideal",)))
+    return {"certificate": cert.to_json(), "replay_ok": cert.replay()}
+
+
+def _lift(session, args, rng, w):
+    return {"result": str(lift_map(session.poly(args.monomial), level=args.level))}
+
+
+def _macaulay(session, args, rng, w):
+    seq = args.values
+    return {"sequence": seq, **macaulay_growth_check(seq), "si_sequence": si_sequence_check(seq)}
+
+
+def _tables_json(tab):
+    return {str(i): {str(j): v for j, v in row.items()} for i, row in tab.items()}
+
+
+def _deficiency(session, args, rng, w):
+    tab = deficiency_table(session.get(args.name, ("ideal",)), list(w) if w else None)
+    return {"name": args.name, "tables": _tables_json(tab)}
+
+
+def _ci_invariant(session, args, rng, w):
+    tab = ci_invariant_hf(session.get(args.name, ("ideal",)), w)
+    return {
+        "name": args.name,
+        "tables": _tables_json(tab),
+        "all_zero": all(v == 0 for row in tab.values() for v in row.values()),
+    }
+
+
+_NAME = [(("name",), {})]
+_LINK = [
+    (("--gor",), {"required": True}),
+    (("--ideal",), {"required": True}),
+    (("--allow-acm",), {"action": "store_true"}),
+]
+
+# command -> (its argparse arguments as (flags, keywords) pairs, its handler)
+COMMANDS = {
+    "gb": (_NAME, _gb),
+    "hilbert": (_NAME, _hilbert),
+    "betti": (_NAME, _betti),
+    "classify": (_NAME, _betti),
+    "link": (_LINK, _link),
+    "verify-link": (_LINK, _link),
+    "bdl": (
+        [(("--j",), {"required": True}), (("--ideal",), {"required": True}), (("--f",), {"required": True})],
+        _bdl,
+    ),
+    "liaison-add": (
+        [(("--part",), {"nargs": 2, "action": "append", "required": True, "metavar": ("IDEAL", "POLY")})],
+        _liaison_add,
+    ),
+    "sum-linked": (
+        [(("--i1",), {"required": True}), (("--i2",), {"required": True}), (("--x",), {"required": True})],
+        _sum_linked,
+    ),
+    "aci-gor": ([(("--ci",), {"required": True}), (("--ideal",), {"required": True})], _aci_gor),
+    "cb-check": (_NAME, _cb_check),
+    "dgo": (_NAME, _dgo),
+    "wlp": (_NAME, _wlp),
+    "gaeta": (_NAME, _gaeta),
+    "glicci": (_NAME, _glicci),
+    "lift": ([(("monomial",), {}), (("--level",), {"type": int, "default": 0})], _lift),
+    "macaulay": ([(("values",), {"nargs": "+", "type": int})], _macaulay),
+    "deficiency": (_NAME, _deficiency),
+    "ci-invariant": (_NAME, _ci_invariant),
+}
 
 
 def run(session, command, args, seed, window):
     rng = np.random.default_rng(seed)
     w = range(window[0], window[1] + 1) if window else None
-    if command == "gb":
-        I = session.get(args.name, ("ideal",))
-        return {"command": "gb", "name": args.name, "gb": I.canonical_strings()}
-    if command == "hilbert":
-        I = session.get(args.name, ("ideal",))
-        win = w or range(0, max(8, I.hilbert().reg_index + 3))
-        return {"command": "hilbert", "name": args.name, **_hilbert_json(I, win)}
-    if command == "betti":
-        I = session.get(args.name, ("ideal",))
-        return {"command": "betti", "name": args.name, **_betti_json(I)}
-    if command == "classify":
-        I = session.get(args.name, ("ideal",))
-        return {"command": "classify", "name": args.name, **_betti_json(I)}
-    if command == "link" or command == "verify-link":
-        c = session.get(args.gor, ("ideal",))
-        I = session.get(args.ideal, ("ideal",))
-        rec = direct_link(c, I, require_gorenstein=not args.allow_acm)
-        out = {"command": command, **rec.to_json()}
-        out["ok"] = rec.verification["all"]
-        return out
-    if command == "bdl":
-        J = session.get(args.j, ("ideal",))
-        I = session.get(args.ideal, ("ideal",))
-        f = session.poly(args.f)
-        tilde, report = basic_double_link(J, I, f)
-        return {
-            "command": "bdl",
-            "result": tilde.canonical_strings(),
-            "report": report,
-            "ok": report["all"],
-        }
-    if command == "liaison-add":
-        parts = []
-        for name, expr in args.part:
-            V = session.get(name, ("ideal",))
-            parts.append((V, session.poly(expr)))
-        Z, report = liaison_addition(parts)
-        return {
-            "command": "liaison-add",
-            "result": Z.canonical_strings(),
-            "degree": Z.hilbert().degree,
-            "report": report,
-            "ok": report["all"],
-        }
-    if command == "sum-linked":
-        out = sum_of_linked(
-            session.get(args.i1, ("ideal",)),
-            session.get(args.i2, ("ideal",)),
-            session.get(args.x, ("ideal",)),
-        )
-        return {"command": "sum-linked", "result": out.canonical_strings(), **_betti_json(out)}
-    if command == "aci-gor":
-        c = session.get(args.ci, ("ideal",))
-        c = complete_intersection(c.gens)
-        J = aci_gorenstein(c, session.get(args.ideal, ("ideal",)))
-        return {"command": "aci-gor", "result": J.canonical_strings(), **_betti_json(J)}
-    if command == "cb-check":
-        P = session.get(args.name, ("points",))
-        rep = cayley_bacharach_check(P, rng=rng)
-        return {"command": "cb-check", "name": args.name, **rep}
-    if command == "dgo":
-        P = session.get(args.name, ("points",))
-        rep = cayley_bacharach_check(P, rng=rng)
-        val = dgo_verify(P, rep)
-        cls = classify(P.ideal())
-        return {
-            "command": "dgo",
-            "name": args.name,
-            "dgo": val,
-            "classify_gorenstein": cls["gorenstein"],
-            "agree": val == cls["gorenstein"],
-            "h_vector": list(P.h_vector()),
-        }
-    if command == "wlp":
-        I = session.get(args.name, ("ideal",))
-        return {"command": "wlp", "name": args.name, "wlp": wlp_check(I, rng=rng)}
-    if command == "gaeta":
-        A = session.get(args.name, ("matrix",))
-        cert = gaeta_run(A, rng)
-        return {
-            "command": "gaeta",
-            "certificate": cert.to_json(),
-            "replay_ok": cert.replay(),
-        }
-    if command == "glicci":
-        I = session.get(args.name, ("ideal",))
-        cert = glicci_descent(I)
-        return {
-            "command": "glicci",
-            "certificate": cert.to_json(),
-            "replay_ok": cert.replay(),
-        }
-    if command == "lift":
-        mono = session.poly(args.monomial)
-        return {"command": "lift", "result": str(lift_map(mono, level=args.level))}
-    if command == "macaulay":
-        seq = args.values
-        growth = macaulay_growth_check(seq)
-        return {
-            "command": "macaulay",
-            "sequence": seq,
-            **growth,
-            "si_sequence": si_sequence_check(seq),
-        }
-    if command == "deficiency":
-        I = session.get(args.name, ("ideal",))
-        win = list(w) if w else None
-        tab = deficiency_table(I, win)
-        return {
-            "command": "deficiency",
-            "name": args.name,
-            "tables": {
-                str(i): {str(j): v for j, v in row.items()} for i, row in tab.items()
-            },
-        }
-    if command == "ci-invariant":
-        I = session.get(args.name, ("ideal",))
-        tab = ci_invariant_hf(I, w)
-        return {
-            "command": "ci-invariant",
-            "name": args.name,
-            "tables": {
-                str(i): {str(j): v for j, v in row.items()} for i, row in tab.items()
-            },
-            "all_zero": all(v == 0 for row in tab.values() for v in row.values()),
-        }
-    raise LiaisonError(f"unknown command {command}")
+    return {"command": command, **COMMANDS[command][1](session, args, rng, w)}
 
 
 @functools.cache
@@ -555,46 +572,10 @@ def _build_parser():
     ap.add_argument("--json", action="store_true", help="(default) canonical JSON output")
     ap.add_argument("--out", help="write the report to FILE")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def name_cmd(name):
-        c = sub.add_parser(name)
-        c.add_argument("name")
-        return c
-
-    name_cmd("gb")
-    name_cmd("hilbert")
-    name_cmd("betti")
-    name_cmd("classify")
-    for cmd in ("link", "verify-link"):
-        c = sub.add_parser(cmd)
-        c.add_argument("--gor", required=True)
-        c.add_argument("--ideal", required=True)
-        c.add_argument("--allow-acm", action="store_true")
-    c = sub.add_parser("bdl")
-    c.add_argument("--j", required=True)
-    c.add_argument("--ideal", required=True)
-    c.add_argument("--f", required=True)
-    c = sub.add_parser("liaison-add")
-    c.add_argument("--part", nargs=2, action="append", required=True, metavar=("IDEAL", "POLY"))
-    c = sub.add_parser("sum-linked")
-    c.add_argument("--i1", required=True)
-    c.add_argument("--i2", required=True)
-    c.add_argument("--x", required=True)
-    c = sub.add_parser("aci-gor")
-    c.add_argument("--ci", required=True)
-    c.add_argument("--ideal", required=True)
-    name_cmd("cb-check")
-    name_cmd("dgo")
-    name_cmd("wlp")
-    name_cmd("gaeta")
-    name_cmd("glicci")
-    c = sub.add_parser("lift")
-    c.add_argument("monomial")
-    c.add_argument("--level", type=int, default=0)
-    c = sub.add_parser("macaulay")
-    c.add_argument("values", nargs="+", type=int)
-    name_cmd("deficiency")
-    name_cmd("ci-invariant")
+    for command, (arguments, _) in COMMANDS.items():
+        c = sub.add_parser(command)
+        for flags, keywords in arguments:
+            c.add_argument(*flags, **keywords)
     return ap
 
 
@@ -627,20 +608,9 @@ def main(argv=None):
             print("error: this command needs --session", file=sys.stderr)
             return 2
         payload = run(session, args.command, args, seed, args.window)
-    except (
-        SessionSyntaxError,
-        SessionObjectError,
-        PrimeCheckFailed,
-        VariableOutOfRange,
-        NotHomogeneous,
-        DegenerateMatrix,  # a matrix that is not graded is malformed session input
-        DegreeOverflow,
-    ) as exc:
-        emit_report({"error": exc.code, "message": str(exc)}, seed, args.out)
-        return 2
     except LiaisonError as exc:
         emit_report({"error": exc.code, "message": str(exc)}, seed, args.out)
-        return 1
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

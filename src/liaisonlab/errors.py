@@ -1,10 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the CLI's exit code for it: 1, a mathematical failure,
+unless the type sets 2, a usage error (malformed session input or
+arguments)."""
 
 
 class LiaisonError(Exception):
-    """Base class; carries a stable machine-readable code."""
+    """Base class; carries a stable machine-readable code and an exit code."""
 
     code = "error"
+    exit_code = 1
 
 
 class RingMismatch(LiaisonError):
@@ -21,6 +26,7 @@ class DivisionByZero(LiaisonError):
 
 class PrimeCheckFailed(LiaisonError):
     code = "prime-check-failed"
+    exit_code = 2
 
 
 class DegreeOverflow(LiaisonError):
@@ -28,14 +34,20 @@ class DegreeOverflow(LiaisonError):
     the 64-bit fields of a packed term would overflow."""
 
     code = "degree-overflow"
+    exit_code = 2
 
 
 class NotHomogeneous(LiaisonError):
     code = "not-homogeneous"
+    exit_code = 2
 
 
 class DegenerateMatrix(LiaisonError):
+    """A malformed matrix: ragged, not graded, or not square where a
+    determinant needs it."""
+
     code = "degenerate-matrix"
+    exit_code = 2
 
 
 class UnitIdeal(LiaisonError):
@@ -147,6 +159,7 @@ class CharacteristicTooSmall(LiaisonError):
 
 class VariableOutOfRange(LiaisonError):
     code = "variable-out-of-range"
+    exit_code = 2
 
 
 class SessionObjectError(LiaisonError):
@@ -154,12 +167,14 @@ class SessionObjectError(LiaisonError):
     another kind: a usage error."""
 
     code = "session-object"
+    exit_code = 2
 
 
 class SessionSyntaxError(LiaisonError):
     """Parse error with 1-based position information."""
 
     code = "syntax-error"
+    exit_code = 2
 
     def __init__(self, message, line, column):
         super().__init__(f"line {line}, column {column}: {message}")

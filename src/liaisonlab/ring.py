@@ -117,7 +117,7 @@ LEX = Order("lex")
 class Ring:
     """K[x_0..x_{nvars-1}] over GF(p) with a fixed monomial order."""
 
-    __slots__ = ("nvars", "field", "order", "names", "packing", "as_module")
+    __slots__ = ("nvars", "field", "order", "names", "packing", "as_module", "_vars")
 
     def __init__(self, nvars, p=32003, order=None, names=None):
         self.nvars = int(nvars)
@@ -133,6 +133,8 @@ class Ring:
         units = [self.order.key([int(v == c) for v in range(nv)]) for c in range(nv)]
         self.packing = K.Packing([(-1, *self.order.key([0] * nv))] + [(0, *k) for k in units])
         self.as_module = FreeModule(self, (0,))
+        # built once: elements are immutable, so every caller shares them
+        self._vars = tuple(self.monomial([int(v == i) for v in range(nv)]) for i in range(nv))
 
     @property
     def p(self):
@@ -170,15 +172,13 @@ class Ring:
         return self.poly({(0,) * self.nvars: c})
 
     def var(self, i):
-        e = [0] * self.nvars
-        e[i] = 1
-        return self.poly({tuple(e): 1})
+        return self._vars[i]
 
     def monomial(self, exps, c=1):
         return self.poly({tuple(exps): c})
 
     def gens(self):
-        return [self.var(i) for i in range(self.nvars)]
+        return list(self._vars)
 
     def monomials(self, d):
         """Exponent tuples of the degree-d monomials (none when d < 0)."""

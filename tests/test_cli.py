@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab import cli, resolution
+from liaisonlab import cli, errors, resolution
 from liaisonlab.cli import main, parse_poly, parse_session
 from liaisonlab.errors import (
     DegreeOverflow,
@@ -434,36 +434,37 @@ TMP_SESSIONS = {
 }
 
 
-@pytest.mark.parametrize(
-    "argv,expect",
-    [
-        (["--session", "p3.txt", "gb", "TC"], lambda d: len(d["gb"]) == 3),
-        (["--session", "p3.txt", "classify", "TC"], lambda d: d["cm"] and d["cm_type"] == 2),
-        (["--session", "p3.txt", "verify-link", "--gor", "C22", "--ideal", "TC"], lambda d: d["ok"]),
-        (
-            ["--session", "p3.txt", "bdl", "--j", "LINEJ", "--ideal", "LINE", "--f", "x1+x2"],
-            lambda d: d["ok"] and sorted(d["result"]) == ["x0", "x1^2+x1*x2"],
-        ),
-        (
-            ["--session", "p3.txt", "liaison-add", "--part", "LINE", "x2^2", "--part", "UNIT", "x0^3+x1^3"],
-            lambda d: d["ok"],
-        ),
-        (
-            ["--session", "p3.txt", "sum-linked", "--i1", "LA", "--i2", "LB", "--x", "XL"],
-            lambda d: d["gorenstein"] and d["result"] == ["x0", "x1", "x2"],
-        ),
-        (
-            ["--session", "p3.txt", "aci-gor", "--ci", "C22", "--ideal", "TC"],
-            lambda d: d["result"] == ["x0", "x1"] and d["gorenstein"],
-        ),
-        (["--session", "p3.txt", "wlp", "ART"], lambda d: d["wlp"] is True),
-        (
-            ["--session", "quartic_p4.txt", "--window", "-1", "4", "ci-invariant", "Q"],
-            lambda d: d["tables"] == {"1": {"-1": 0, "0": 0, "1": 0, "2": 3, "3": 0, "4": 0}}
-            and d["all_zero"] is False,
-        ),
-    ],
-)
+# (argv, check of the report) - every command the goldens do not run
+COVERAGE_CASES = [
+    (["--session", "p3.txt", "gb", "TC"], lambda d: len(d["gb"]) == 3),
+    (["--session", "p3.txt", "classify", "TC"], lambda d: d["cm"] and d["cm_type"] == 2),
+    (["--session", "p3.txt", "verify-link", "--gor", "C22", "--ideal", "TC"], lambda d: d["ok"]),
+    (
+        ["--session", "p3.txt", "bdl", "--j", "LINEJ", "--ideal", "LINE", "--f", "x1+x2"],
+        lambda d: d["ok"] and sorted(d["result"]) == ["x0", "x1^2+x1*x2"],
+    ),
+    (
+        ["--session", "p3.txt", "liaison-add", "--part", "LINE", "x2^2", "--part", "UNIT", "x0^3+x1^3"],
+        lambda d: d["ok"],
+    ),
+    (
+        ["--session", "p3.txt", "sum-linked", "--i1", "LA", "--i2", "LB", "--x", "XL"],
+        lambda d: d["gorenstein"] and d["result"] == ["x0", "x1", "x2"],
+    ),
+    (
+        ["--session", "p3.txt", "aci-gor", "--ci", "C22", "--ideal", "TC"],
+        lambda d: d["result"] == ["x0", "x1"] and d["gorenstein"],
+    ),
+    (["--session", "p3.txt", "wlp", "ART"], lambda d: d["wlp"] is True),
+    (
+        ["--session", "quartic_p4.txt", "--window", "-1", "4", "ci-invariant", "Q"],
+        lambda d: d["tables"] == {"1": {"-1": 0, "0": 0, "1": 0, "2": 3, "3": 0, "4": 0}}
+        and d["all_zero"] is False,
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,expect", COVERAGE_CASES)
 def test_cli_command_coverage(argv, expect, tmp_path):
     if argv[1] in TMP_SESSIONS:
         (tmp_path / argv[1]).write_text(TMP_SESSIONS[argv[1]])
@@ -471,3 +472,29 @@ def test_cli_command_coverage(argv, expect, tmp_path):
     code, blob = _run_capture(argv, tmp_path)
     assert code == 0, blob
     assert expect(json.loads(blob))
+
+
+def test_every_command_is_exercised():
+    """The goldens and the coverage cases run every command of the table,
+    so a command added without a case fails here."""
+    parse = cli._build_parser().parse_args
+    run = {parse(argv).command for _, argv in GOLDEN_CASES}
+    run |= {parse(argv).command for argv, _ in COVERAGE_CASES}
+    assert run == set(cli.COMMANDS)
+
+
+def test_usage_errors_exit_2_and_every_other_error_1():
+    """`main` exits with the `exit_code` of the error type it catches: 2 for
+    malformed input or arguments, 1 for a mathematical failure."""
+    usage = {
+        errors.SessionSyntaxError,
+        errors.SessionObjectError,
+        errors.PrimeCheckFailed,
+        errors.VariableOutOfRange,
+        errors.NotHomogeneous,
+        errors.DegenerateMatrix,
+        errors.DegreeOverflow,
+    }
+    types = [t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.LiaisonError)]
+    assert {t for t in types if t.exit_code == 2} == usage
+    assert {t.exit_code for t in types if t not in usage} == {1}

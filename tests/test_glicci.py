@@ -250,7 +250,7 @@ def test_certificate_json_roundtrip_replay(R4, rng):
     """Archived certificates replay after a JSON round trip."""
     import json
 
-    from liaisonlab.glicci import certificate_from_json
+    from liaisonlab.cli import certificate_from_json
 
     x0, x1, x2, x3 = R4.gens()
     cert = glicci_descent(Ideal(R4, [x0, x1]).power(2))
