@@ -396,16 +396,12 @@ def deficiency_hf(ideal_or_module, i, window):
     return {j: series_hf(numer, n1, -n1 - j) for j in window}
 
 
-def default_window(*ideals):
-    """Degrees -nvars-2 .. r+2, r the largest regularity among the ideals."""
-    n = ideals[0].ring.nvars
-    reg = max(classify(i)["reg"] for i in ideals)
-    return range(-n - 2, reg + 3)
-
-
 def deficiency_table(ideal, window=None):
-    """{i: {j: dim H^i_m(R/I)_j}} for i = 1..dim(R/I)-1 (projective dim X)."""
-    window = list(window if window is not None else default_window(ideal))
+    """{i: {j: dim H^i_m(R/I)_j}} for i = 1..dim(R/I)-1 (projective dim X),
+    by default on degrees -nvars-2 .. reg I + 2 (the zero ideal included)."""
+    if window is None:
+        window = range(-ideal.ring.nvars - 2, BettiTable.of_ideal(ideal).regularity + 3)
+    window = list(window)
     return {i: deficiency_hf(ideal, i, window) for i in range(1, ideal.hilbert().dim)}
 
 

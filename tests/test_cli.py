@@ -425,6 +425,22 @@ def test_cli_subprocess_entry():
     assert doc["schema"] == "liaison-lab/1"
 
 
+@pytest.mark.parametrize(
+    "window,degrees",
+    [([], range(-6, 3)), (["--window", "-2", "2"], range(-2, 3))],
+    ids=["default-window", "given-window"],
+)
+def test_deficiency_of_the_zero_ideal(window, degrees, tmp_path):
+    """R/0 = R has no deficiency in any degree.  The default window ends at
+    the regularity of the Betti table, which the zero ideal has (0), so the
+    command answers with and without --window."""
+    (tmp_path / "s.txt").write_text("ring p=32003 vars=x0..x3\nideal Z = \n")
+    out = tmp_path / "report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "s.txt")] + window + ["deficiency", "Z"]) == 0
+    zeros = {str(j): 0 for j in degrees}
+    assert json.loads(out.read_bytes())["tables"] == {"1": zeros, "2": zeros, "3": zeros}
+
+
 # sessions written to the test's own directory, kept out of the golden corpus
 TMP_SESSIONS = {
     # the rational normal quartic of P^4: the 2x2 minors of

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from liaisonlab.errors import (
 from liaisonlab import resolution
 from liaisonlab.glicci import standard_determinantal
 from liaisonlab.gorenstein import PointSet
-from liaisonlab.hilbert import add_numerators
+from liaisonlab.hilbert import add_numerators, degree_and_genus
 from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab.liaison import (
     LinkChain,
@@ -84,6 +85,48 @@ def test_artinian_link_table(Rxy):
     hJ = rec.J.hilbert()
     assert [hJ.hf(j) for j in range(5)] == [1, 2, 2, 2, 0]
     assert rec.verification["hilbert_identity"] is True
+
+
+def _windowed_report(rec):
+    """The link report as it was computed on degree windows, kept as a
+    reference: the Cohen-Macaulay transfer identity sampled on degrees
+    -2 .. max(s + 2, reg_index(R/c) + 1), and the duality compared on the
+    deficiency tables of I and J over a window that holds the default
+    windows of both and their reflections j -> s - j."""
+    c, I, J, s = rec.c, rec.I, rec.J, rec.s
+    hc, hI, hJ = c.hilbert(), I.hilbert(), J.hilbert()
+    dimq = hc.dim
+    report = {}
+    report["degree_additive"] = hI.degree + hJ.degree == hc.degree
+    clsI, clsJ = classify(I), classify(J)
+    report["acm_iff_acm"] = clsI["cm"] == clsJ["cm"]
+    sign = (-1) ** (dimq - 1)
+    if clsI["cm"] and clsJ["cm"]:
+        top = max(s + 3, hc.reg_index + 2)
+        report["hilbert_identity"] = all(
+            hJ.hf(j) == hc.hf(j) + sign * (hI.hf(s - j) - hI.hp(s - j)) for j in range(-2, top)
+        )
+    else:
+        report["hilbert_identity"] = None
+    if hI.dim == 2 and hJ.dim == 2:
+        lhs = 2 * (degree_and_genus(I)[1] - degree_and_genus(J)[1])
+        rhs = (hc.reg_index - 1) * (hI.degree - hJ.degree)
+        report["genus_difference"] = lhs == rhs
+    else:
+        report["genus_difference"] = None
+    if dimq >= 2:
+        window = range(-c.ring.nvars - 2, max(clsI["reg"], clsJ["reg"]) + 3)
+        lo = min(min(window), s - max(window)) - 1
+        hi = max(max(window), s - min(window)) + 1
+        wide = list(range(lo, hi + 1))
+        tI, tJ = deficiency_table(I, wide), deficiency_table(J, wide)
+        report["cohomology_duality"] = all(
+            tJ[i][j] == tI[dimq - i][s - j] for i in range(1, dimq) for j in wide
+        )
+    else:
+        report["cohomology_duality"] = None
+    report["all"] = all(v for v in report.values() if v is not None)
+    return report
 
 
 def test_link_guards(R4):
@@ -217,6 +260,113 @@ def test_series_checked_links_match_the_double_colon(kind, nvars, seed):
     assert c.colon(rec.J) == I
     if expected is not None:
         assert rec.J == expected
+
+
+def _p3_link(curve):
+    """(c, I) for the twisted cubic, linked to a line by a (2, 2) complete
+    intersection, or the rational quartic, linked to two skew lines by a
+    (2, 3) one."""
+    R = LINK_RINGS[4]
+    x0, x1, x2, x3 = R.gens()
+    if curve == "twisted-cubic":
+        I = Ideal(R, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+        return Ideal(R, [x0 * x3 - x1 * x2, x0 * x2 - x1 ** 2]), I
+    I = Ideal(
+        R,
+        [x1 * x2 - x0 * x3, x1 ** 3 - x0 ** 2 * x2, x0 * x2 ** 2 - x1 ** 2 * x3, x2 ** 3 - x1 * x3 ** 2],
+    )
+    return Ideal(R, [x0 * x3 - x1 * x2, x0 * x2 ** 2 - x1 ** 2 * x3]), I
+
+
+def _skew_lines_link():
+    """The skew lines linked back to the quartic through the same (2, 3)."""
+    c, quart = _p3_link("quartic")
+    return direct_link(c, direct_link(c, quart).J)
+
+
+def _tc_ci_link(degrees):
+    TC = _p3_link("twisted-cubic")[1]
+    return direct_link(random_ci_inside(TC, degrees, np.random.default_rng(sum(degrees))), TC)
+
+
+def _artinian_link():
+    R = Ring(2, 32003, names=("x", "y"))
+    x, y = R.gens()
+    return direct_link(Ideal(R, [x ** 3, y ** 4]), Ideal(R, [x ** 2, x * y, y ** 4]))
+
+
+def _p4_quartic_link():
+    R = LINK_RINGS[5]
+    x0, x1, x2, x3, x4 = R.gens()
+    quartic = Ideal(
+        R,
+        [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x0 * x4 - x1 * x3,
+         x1 * x3 - x2 ** 2, x1 * x4 - x2 * x3, x2 * x4 - x3 ** 2],
+    )
+    return direct_link(random_ci_inside(quartic, (2, 2, 2), np.random.default_rng(3)), quartic)
+
+
+def _acm_link_of_a_point():
+    """One of the 3 coordinate points of P^2, linked by the ideal of all 3,
+    which is ACM but not Gorenstein (type 2)."""
+    R = Ring(3, 32003)
+    x0, x1, x2 = R.gens()
+    return direct_link(Ideal(R, [x0 * x1, x0 * x2, x1 * x2]), Ideal(R, [x1, x2]), require_gorenstein=False)
+
+
+def _two_planes_link():
+    """Two planes of P^4 meeting in a point, linked by c = their
+    intersection, which is not Cohen-Macaulay."""
+    R = LINK_RINGS[5]
+    x0, x1, x2, x3, _ = R.gens()
+    I = Ideal(R, [x0, x1])
+    return direct_link(I.intersect(Ideal(R, [x2, x3])), I, require_gorenstein=False)
+
+
+def _non_cm_surface_link():
+    """Two planes of P^4 meeting in a point, linked by a complete
+    intersection to two other such planes.  Neither end is locally
+    Cohen-Macaulay, and H^2_m of each has infinite length."""
+    R = LINK_RINGS[5]
+    x0, x1, x2, x3, _ = R.gens()
+    X = Ideal(R, [x0, x1]).intersect(Ideal(R, [x2, x3]))
+    return direct_link(Ideal(R, [x0 * x2, x1 * x3]), X)
+
+
+REPORT_LINKS = {
+    "twisted-cubic": lambda: direct_link(*_p3_link("twisted-cubic")),
+    "quartic": lambda: direct_link(*_p3_link("quartic")),
+    "skew-lines": _skew_lines_link,
+    "artinian": _artinian_link,
+    **{f"tc-ci-{a}{b}": partial(_tc_ci_link, (a, b)) for a, b in ((3, 3), (2, 2), (2, 3), (3, 4))},
+    "p4-quartic-codim-3": _p4_quartic_link,
+    "acm-point-of-three": _acm_link_of_a_point,
+    "two-planes": _two_planes_link,
+    "non-cm-surfaces": _non_cm_surface_link,
+}
+
+
+@pytest.mark.parametrize("name", REPORT_LINKS)
+def test_link_report_matches_the_windowed_report(name):
+    """The exact report equals the windowed one on links whose modules the
+    windows see: with both ends Cohen-Macaulay or not, with deficiency
+    modules zero, of finite length or not, and with Gorenstein, ACM and
+    non-Cohen-Macaulay link ideals."""
+    rec = REPORT_LINKS[name]()
+    assert rec.verification == _windowed_report(rec)
+
+
+def test_link_report_sees_a_fault_outside_every_window():
+    """One more dimension of H^1_m in degree -nvars-60, on J and then on I
+    of the quartic link, breaks the duality; every window the report was
+    ever compared on misses it."""
+    for side in ("J", "I"):
+        rec = direct_link(*_p3_link("quartic"))
+        with pytest.MonkeyPatch.context() as mp:
+            _far_fault(mp, getattr(rec, side))
+            rep = rec.verification
+        assert rep["cohomology_duality"] is False and not rep["all"], side
+        assert rep["hilbert_identity"] is None and rep["degree_additive"]
 
 
 def test_degree_additivity_random(R4, rng):

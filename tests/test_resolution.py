@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from liaisonlab.errors import CohomologyMismatch, NotCM, ResolutionIncomplete, WrongCodim
@@ -102,6 +102,43 @@ def test_classify_cases(R4):
     )
     cq = classify(quart)
     assert not cq["cm"] and cq["pd"] == 3 and cq["codim"] == 2
+
+
+DEPTH_RINGS = {n: Ring(n, 32003) for n in (2, 3, 4)}
+
+
+@st.composite
+def proper_ideals(draw):
+    """A proper nonzero ideal in 3 or 4 variables: 1-4 monomials of degree
+    1-3, or 1-5 random forms of degree 1-2 (Artinian from nvars forms on)."""
+    ring = DEPTH_RINGS[draw(st.sampled_from([3, 4]))]
+    if draw(st.booleans()):
+        monomials = st.integers(1, 3).flatmap(lambda d: st.sampled_from(ring.monomials(d)))
+        return Ideal(ring, [ring.poly({e: 1}) for e in draw(st.lists(monomials, min_size=1, max_size=4))])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return Ideal(ring, [ring.random_poly(int(rng.integers(1, 3)), rng) for _ in range(draw(st.integers(1, 5)))])
+
+
+def _depth_example(kind):
+    x, y = DEPTH_RINGS[2].gens()
+    x0, x1, x2, x3 = DEPTH_RINGS[4].gens()
+    if kind == "embedded-point":  # (x^2, xy) = (x) meet (x, y)^2
+        return Ideal(x.ring, [x ** 2, x * y])
+    if kind == "double-plane":
+        return Ideal(x0.ring, [x0, x1]).power(2)
+    return Ideal(x0.ring, [x0 ** 2, x1 ** 2, x2 * x3, x2 ** 3, x3 ** 3])  # Artinian
+
+
+@given(proper_ideals())
+@example(_depth_example("embedded-point"))
+@example(_depth_example("double-plane"))
+@example(_depth_example("artinian"))
+@settings(max_examples=40, deadline=None)
+def test_positive_depth_is_saturation(X):
+    """X^sat / X is H^0_m(R/X), which vanishes exactly when depth R/X >= 1:
+    the depth of the Betti table against the iterated colon by m."""
+    assume(not X.is_zero)
+    assert (classify(X)["depth"] > 0) == (X.saturate() == X)
 
 
 def test_self_duality(R4):
