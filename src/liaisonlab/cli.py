@@ -42,7 +42,7 @@ from .glicci import GlicciCertificate, gaeta_run, glicci_descent, lift_map
 from .hilbert import macaulay_growth_check, si_sequence_check
 from .ideals import Ideal, PolyMatrix
 from .liaison import basic_double_link, direct_link, liaison_addition
-from .resolution import ci_invariant_hf, classify, deficiency_table
+from .resolution import ci_invariant_numerators, ci_invariant_tables, classify, deficiency_table
 from .ring import Order, Ring
 
 SCHEMA = "liaison-lab/1"
@@ -507,11 +507,13 @@ def _deficiency(session, args, rng, w):
 
 
 def _ci_invariant(session, args, rng, w):
-    tab = ci_invariant_hf(session.get(args.name, ("ideal",)), w)
+    I = session.get(args.name, ("ideal",))
+    numerators = ci_invariant_numerators(I)
     return {
         "name": args.name,
-        "tables": _tables_json(tab),
-        "all_zero": all(v == 0 for row in tab.values() for v in row.values()),
+        "tables": _tables_json(ci_invariant_tables(I, numerators, w)),
+        # read off the exact series, not the window
+        "all_zero": not any(numerators.values()),
     }
 
 

@@ -79,8 +79,8 @@ class NotUnmixed(LiaisonError):
 
 
 class LinkSeriesMismatch(LiaisonError):
-    """A link J = c : I of a Cohen-Macaulay I through a Gorenstein c whose
-    Hilbert series breaks HS(R/J) = HS(R/c) - t^T HS(Ext^g(R/I, R))."""
+    """A link J = c : I through a Gorenstein c whose Hilbert series breaks
+    HS(R/J) = HS(R/c) - t^T HS(Ext^g(R/I, R))."""
 
     code = "link-series-mismatch"
 

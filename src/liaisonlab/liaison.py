@@ -2,13 +2,12 @@
 transfer checks, basic double links, liaison addition, mapping-cone
 resolution shapes and link-chain bookkeeping.
 
-A direct link J = c : I is built by one colon.  When c is Gorenstein and
-R/I is Cohen-Macaulay, I is unmixed and c : (c : I) = I is a theorem
-(Peskine & Szpiro, Invent. Math. 26, 1974), so no second colon runs: the
-computed J is checked against one exact identity of Hilbert numerators,
-HS(R/J) = HS(R/c) - t^T HS(Ext^g(R/I, R)), whose Ext series is that of R/I
-reflected (see `direct_link`).  Any other I is checked by the double
-colon c : J = I.
+A direct link J = c : I through a Gorenstein c is built by one colon and
+checked, with no second one, on the Ext series of R/I: I must be unmixed,
+which no Ext^i(R/I, R) of codimension i > codim c shows (Eisenbud, Huneke
+& Vasconcelos, Invent. Math. 110, 1992), and HS(R/J) must be
+HS(R/c) - t^T HS(Ext^g(R/I, R)) (see `direct_link`).  A link ideal that
+need not be Gorenstein is checked by the double colon c : J = I.
 
 A direct link, a basic double link, a liaison addition and an even link
 chain each state a graded isomorphism of deficiency modules (Migliore,
@@ -37,7 +36,9 @@ from .resolution import (
     deficiency_numerator,
     dual_kernel,
     dual_kernel_numerator,
+    ext_numerator,
     minimal_free_resolution,
+    quotient_module,
 )
 from .ring import FreeModule
 
@@ -82,21 +83,23 @@ class LinkRecord:
 def direct_link(c, I, require_gorenstein=True):
     """Link I through the Gorenstein ideal c: J = c : I, built by one colon.
 
-    What is verified depends on I.  When R/I is Cohen-Macaulay (read off
-    its computed Betti table), I is unmixed, so c : (c : I) = I by the basic
-    Gorenstein-liaison theorem (Peskine & Szpiro, Invent. Math. 26, 1974),
-    and (c : I)/c = Hom(R/I, R/c) is Ext^g(R/I, R)(-T), g = codim c and
-    R(-T) the last free module of the resolution of R/c (Bruns & Herzog,
-    Sec. 3.3).  For Cohen-Macaulay R/I the numerator of that Ext is the
-    numerator of R/I reflected, so the computed J is checked against
-        N(R/J) = N(R/c) - (-1)^g t^T N_I(1/t)
-    on the Hilbert numerators; failure raises LinkSeriesMismatch.  Any
-    other I gets the double colon: c : J = I is computed, and failure
-    raises NotUnmixed (the signal that I was not unmixed, or that c was not
-    a valid link).  Setting require_gorenstein=False skips the
-    classification test on c and always takes the double colon; this
-    exists to demonstrate how merely-ACM "links" break (and then NotUnmixed
-    is the error that surfaces).
+    For g = codim c = codim I and R(-T) the last free module of the
+    resolution of R/c, (c : I)/c = Hom(R/I, R/c) is Ext^g(R/I, R)(-T), and
+    c : (c : I) = I when I is unmixed (Migliore, Sec. 5.2).  Both are read
+    off the Ext numerators E_i of R/I (`_link_numerator`).  I has an
+    associated prime of codimension i exactly when Ext^i(R/I, R) has
+    codimension i (Eisenbud, Huneke & Vasconcelos, Thm 1.1), so NotUnmixed
+    is raised, before any colon, when some E_i, i > g, has dimension
+    nvars - i.  The Euler characteristic of the dual resolution,
+    sum_i (-1)^i E_i(t) = N_I(1/t), then gives E_g, and J is checked against
+        N(R/J) = N(R/c) - t^T E_g;
+    failure raises LinkSeriesMismatch.  For Cohen-Macaulay R/I no E_i lies
+    above g, and E_g is N_I reflected, (-1)^g N_I(1/t).
+
+    require_gorenstein=False skips the classification test on c and checks
+    the double colon c : J = I instead; this exists to demonstrate how
+    merely-ACM "links" break (and then NotUnmixed is the error that
+    surfaces).
     """
     if require_gorenstein and not classify(c)["gorenstein"]:
         raise NotGorensteinLink("link ideal is not arithmetically Gorenstein")
@@ -108,25 +111,34 @@ def direct_link(c, I, require_gorenstein=True):
         raise PreconditionFailed("link ideal is not contained in I")
     if c == I:
         raise PreconditionFailed("link ideal equals I")
-    J = c.colon(I)
-    if require_gorenstein and classify(I)["cm"]:
-        if J.hilbert().numerator != _cm_link_numerator(c, I):
-            raise LinkSeriesMismatch(
-                "HS(R/J) != HS(R/c) - t^T HS(Ext^g(R/I, R)) for J = c : I"
-            )
-    elif c.colon(J) != I:
-        raise NotUnmixed("double colon c : (c : I) differs from I")
+    if require_gorenstein:
+        expect = _link_numerator(c, I)
+        J = c.colon(I)
+        if J.hilbert().numerator != expect:
+            raise LinkSeriesMismatch("HS(R/J) != HS(R/c) - t^T HS(Ext^g(R/I, R)) for J = c : I")
+    else:
+        J = c.colon(I)
+        if c.colon(J) != I:
+            raise NotUnmixed("double colon c : (c : I) differs from I")
     return LinkRecord(c, I, J, c.hilbert().reg_index - 1)
 
 
-def _cm_link_numerator(c, I):
-    """N(R/c) - (-1)^g t^T N_I(1/t), for g = codim c and R(-T) the last free
-    module of the resolution of R/c: the numerator of R/J for J = c : I when
-    c is Gorenstein and R/I is Cohen-Macaulay (see `direct_link`)."""
+def _link_numerator(c, I):
+    """N(R/c) - t^T E_g, for g = codim c, R(-T) the last free module of the
+    resolution of R/c and E_i the numerator of Ext^i(R/I, R): the numerator
+    of R/J for J = c : I when c is Gorenstein (see `direct_link`).  Raises
+    NotUnmixed when some Ext^i(R/I, R), i > g, has codimension i."""
     cc = classify(c)
     g, T = cc["codim"], cc["betti"].tail_twist()
-    ext = {T - k: (-1) ** g * v for k, v in I.hilbert().numerator.items()}
-    return add_numerators(c.hilbert().numerator, ext, -1)
+    M, nv = quotient_module(I), I.ring.nvars
+    # (-1)^g E_g = N_I(1/t) - sum over i > g of (-1)^i E_i
+    ext = {-k: v for k, v in I.hilbert().numerator.items()}
+    for i in range(g + 1, M.resolution.length + 1):
+        E = ext_numerator(M, i)
+        if HilbertData(E, nv).dim == nv - i:  # {} reads as dimension nv, and i > g >= 1
+            raise NotUnmixed(f"Ext^{i}(R/I, R) has codimension {i}: I has an associated prime of codimension {i} > {g}")
+        ext = add_numerators(ext, E, -(-1) ** i)
+    return add_numerators(c.hilbert().numerator, {T + k: (-1) ** g * v for k, v in ext.items()}, -1)
 
 
 def _finite_length_series(X, i):
@@ -158,7 +170,7 @@ def verify_link_invariants(rec):
     clsI, clsJ = classify(I), classify(J)
     report["acm_iff_acm"] = clsI["cm"] == clsJ["cm"]
     if clsI["cm"] and clsJ["cm"]:
-        report["hilbert_identity"] = hJ.numerator == _cm_link_numerator(c, I)
+        report["hilbert_identity"] = hJ.numerator == _link_numerator(c, I)
     else:
         report["hilbert_identity"] = None
     if hI.dim == 2 and hJ.dim == 2:

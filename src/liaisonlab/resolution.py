@@ -1,5 +1,5 @@
 """Minimal free resolutions, graded Betti tables, depth/CM/Gorenstein
-classification, E-type truncations, Ext modules and deficiency-module
+classification, E-type truncations, Ext series and deficiency-module
 Hilbert functions via local duality.
 
 Resolutions are built stage by stage: minimal generator selection by
@@ -30,17 +30,18 @@ keeps the same generators as one unbounded run would.
 
 Everything dual goes through two steps: the transpose of a differential
 (`Resolution.dual_columns`, built on `FreeModule.transpose`) and the
-kernel of a transposed differential (`dual_kernel`).  Ext modules,
-canonical modules and the mapping-cone shapes of `liaison` are assembled
-from these.  Hilbert numerators need no kernel: in each degree a kernel's
-dimension is its source's less its image's, and an image's numerator is
-read off the leading terms of the transposed columns.
+kernel of a transposed differential (`dual_kernel`).  Canonical modules
+and the mapping-cone shapes of `liaison` are assembled from these.  Ext
+enters only as exact Hilbert series (`ext_numerator`), which need no
+kernel: in each degree a kernel's dimension is its source's less its
+image's, and an image's numerator is read off the leading terms of the
+transposed columns.
 """
 
 import math
 
 from .errors import CohomologyMismatch, NotCM, ResolutionIncomplete, UnitIdeal, WrongCodim
-from .groebner import buchberger, generators_and_leads, lift_coordinates, minimal_generators, syzygies_of
+from .groebner import buchberger, generators_and_leads, minimal_generators, syzygies_of
 from .hilbert import add_numerators, free_numerator, quotient_numerator, series_hf
 from .ring import FreeModule
 
@@ -162,9 +163,6 @@ class PresentedModule:
         if self._numerator is None:
             self._numerator = _lead_numerator(self.F0, self.relations)
         return self._numerator
-
-    def hf(self, j):
-        return series_hf(self.numerator, self.ring.nvars, j)
 
 
 def quotient_module(ideal):
@@ -301,7 +299,7 @@ def self_duality_check(ideal_or_betti):
     return True
 
 
-# -- Ext modules and deficiency tables ------------------------------------
+# -- Ext series and deficiency tables ------------------------------------
 
 
 def dual_kernel(res, k):
@@ -347,35 +345,6 @@ def _lead_numerator(F, gens):
 def submodule_numerator(module, gens):
     """Numerator of HS(S) for the submodule S generated by gens."""
     return add_numerators(free_numerator(module.twists), _lead_numerator(module, gens), -1)
-
-
-def ext_hf(module, i, degrees):
-    """dim_K Ext^i(M, R)_j for j in degrees."""
-    numer = ext_numerator(module, i)
-    nv = module.ring.nvars
-    return [series_hf(numer, nv, j) for j in degrees]
-
-
-def ext_module(module_or_ideal, i):
-    """Ext^i(M, R) as a presented module.
-
-    Generators: the kernel of d_{i+1}^T inside F_i^*; relations: the image
-    of d_i^T expressed in kernel coordinates, plus the kernel syzygies.
-    """
-    M = (
-        module_or_ideal
-        if isinstance(module_or_ideal, PresentedModule)
-        else quotient_module(module_or_ideal)
-    )
-    res = M.resolution
-    ker = dual_kernel(res, i)[1] if 0 <= i <= res.length else []
-    if not ker:
-        return PresentedModule(FreeModule(M.ring, ()), [])
-    Q = FreeModule(M.ring, tuple(g.degree for g in ker))
-    rels = syzygies_of(ker, Q)
-    if i >= 1:
-        rels += lift_coordinates(ker, res.dual_columns(i)[1])
-    return PresentedModule(Q, rels)
 
 
 def deficiency_numerator(ideal_or_module, i):
@@ -471,8 +440,9 @@ def ideal_module(ideal):
     return PresentedModule(res.free_module(1), res.columns(2) if res.length >= 2 else [])
 
 
-def ci_invariant_hf(ideal, window=None):
-    """Hilbert tables of H^i_m(K_{R/I} (x) I) for i = 1..n-3 (ACM, codim 3)."""
+def ci_invariant_numerators(ideal):
+    """{i: `deficiency_numerator` of K_{R/I} (x) I} for i = 1..n-3 (ACM,
+    codim 3): exact, so the invariant vanishes exactly when each is {}."""
     cls = classify(ideal)
     if not cls["cm"]:
         raise NotCM("the invariant is defined for ACM subschemes")
@@ -481,9 +451,19 @@ def ci_invariant_hf(ideal, window=None):
     n = ideal.ring.nvars - 1
     if n < 4:
         raise WrongCodim("needs ambient projective dimension >= 4")
-    K = canonical_module(ideal)
-    Imod = ideal_module(ideal)
-    T = tensor_presentation(K, Imod)
+    T = tensor_presentation(canonical_module(ideal), ideal_module(ideal))
+    return {i: deficiency_numerator(T, i) for i in range(1, n - 2)}
+
+
+def ci_invariant_tables(ideal, numerators, window=None):
+    """Hilbert tables of the numerators `ci_invariant_numerators` gives, on
+    window (by default degrees -nvars-2 .. reg I + 2)."""
+    nv = ideal.ring.nvars
     if window is None:
-        window = range(-n - 3, cls["reg"] + 3)
-    return {i: deficiency_hf(T, i, list(window)) for i in range(1, n - 2)}
+        window = range(-nv - 2, classify(ideal)["reg"] + 3)
+    return {i: {j: series_hf(numer, nv, -nv - j) for j in window} for i, numer in numerators.items()}
+
+
+def ci_invariant_hf(ideal, window=None):
+    """Hilbert tables of H^i_m(K_{R/I} (x) I) for i = 1..n-3 (ACM, codim 3)."""
+    return ci_invariant_tables(ideal, ci_invariant_numerators(ideal), window)

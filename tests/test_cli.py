@@ -490,6 +490,20 @@ def test_cli_command_coverage(argv, expect, tmp_path):
     assert expect(json.loads(blob))
 
 
+@pytest.mark.parametrize("window", [("-1", "1"), ("3", "9")], ids=["below", "above"])
+def test_ci_invariant_all_zero_reads_the_exact_series(window, tmp_path):
+    """The invariant of the rational normal quartic is 3 in degree 2, which
+    neither window holds: the tables read 0 throughout, and all_zero, read
+    off the exact series, is still false."""
+    (tmp_path / "q.txt").write_text(TMP_SESSIONS["quartic_p4.txt"])
+    argv = ["--session", str(tmp_path / "q.txt"), "--window", *window, "ci-invariant", "Q"]
+    code, blob = _run_capture(argv, tmp_path)
+    assert code == 0, blob
+    doc = json.loads(blob)
+    assert set(doc["tables"]["1"].values()) == {0}
+    assert doc["all_zero"] is False
+
+
 def test_every_command_is_exercised():
     """The goldens and the coverage cases run every command of the table,
     so a command added without a case fails here."""

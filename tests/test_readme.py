@@ -1,9 +1,13 @@
-"""The README's library example, run as written."""
+"""The README's library example, run as written, and its CLI examples,
+parsed as written."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from liaisonlab import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +24,12 @@ def test_readme_example_prints_what_its_comments_say():
     assert out.getvalue().splitlines() == expected
     assert namespace["rec"].J.canonical_strings() == ["x0", "x1"]
     assert all(v is True for v in namespace["rec"].verification.values())
+
+
+def test_readme_cli_examples_parse_and_name_every_command():
+    """Every `liaison-lab ...` line of the README's sh blocks parses, and
+    together they show every command of the table."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("liaison-lab ")]
+    parse = cli._build_parser().parse_args
+    assert {parse(shlex.split(line)[1:]).command for line in lines} == set(cli.COMMANDS)
