@@ -62,30 +62,22 @@ class _Tok:
 
 
 def _tokenize(text, line_no=1):
+    """Tokens of one line of text (a session body or a polynomial argument);
+    a newline or a `#` is an unexpected character."""
     toks = []
     i = 0
     col = 1
-    line = line_no
     while i < len(text):
         ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
         if ch in " \t\r":
             i += 1
             col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
             continue
         if ch.isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            toks.append(_Tok("int", int(text[i:j]), line, col))
+            toks.append(_Tok("int", int(text[i:j]), line_no, col))
             col += j - i
             i = j
             continue
@@ -93,17 +85,17 @@ def _tokenize(text, line_no=1):
             j = i
             while j < len(text) and (text[j].isalnum() or text[j] in "_."):
                 j += 1
-            toks.append(_Tok("name", text[i:j], line, col))
+            toks.append(_Tok("name", text[i:j], line_no, col))
             col += j - i
             i = j
             continue
         if ch in "+-*^(),=[]":
-            toks.append(_Tok(ch, ch, line, col))
+            toks.append(_Tok(ch, ch, line_no, col))
             i += 1
             col += 1
             continue
-        raise SessionSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("end", None, line, col))
+        raise SessionSyntaxError(f"unexpected character {ch!r}", line_no, col)
+    toks.append(_Tok("end", None, line_no, col))
     return toks
 
 

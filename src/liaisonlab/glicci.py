@@ -13,7 +13,9 @@ A Gaeta step tests that d and d' are regular on R/a by Hilbert series
 (`Ideal.is_nonzerodivisor`) on the ideals a + dR and a + d'R, which it then
 reuses: a + dR for Step II's colon (a + dR) : J = I, and both as the
 Gorenstein links when c = 1.  Its two direct links are verified as
-`liaison.direct_link` says; both link a Cohen-Macaulay ideal.
+`liaison.direct_link` says; both link a Cohen-Macaulay ideal.  The descent
+carries each ideal of minors: the I' = I(A') one step links to is the I of
+the next, built once, as are a + J^(c-1) and a + J^c within a step.
 
 Descent order for stable ideals: initial-degree descent with lifting
 variable x_l (basic double links), switching to the next level l+1 when
@@ -161,12 +163,11 @@ def _col_op(A, rng):
     return PolyMatrix(ring, rows)
 
 
-def _gaeta_attempt(A):
-    """One Gaeta descent step on a t x (t+c) matrix in the given basis."""
+def _gaeta_attempt(A, I):
+    """One Gaeta descent step on a t x (t+c) matrix in the given basis; I = I(A)."""
     ring = A.ring
     t = A.nrows
     c = A.ncols - t
-    I = standard_determinantal(A)
     B = A.submatrix(range(t), range(t + c - 1))
     a = B.maximal_minors()
     if a.is_unit or a.is_zero or a.codimension() != c:
@@ -197,24 +198,22 @@ def _gaeta_attempt(A):
         raise StepIdentityFailed("(a + dR) : J = I failed")
     Jc1 = J.power(c - 1)
     G = a + d * Jc1 if c > 1 else ad
-    clsG = classify(G)
-    if not clsG["gorenstein"] or G.codimension() != c + 1:
+    if not classify(G)["gorenstein"] or G.codimension() != c + 1:
         raise StepIdentityFailed("a + d J^(c-1) is not Gorenstein of codimension c+1")
+    # a + J^(c-1) (when c > 1) and a + J^c, which both degree identities read
     mid_expected = a + J.power(c)
-    degG = G.hilbert().degree
+    mids = {c - 1: a + Jc1, c: mid_expected} if c > 1 else {c: mid_expected}
     dega = a.hilbert().degree
-    degmid_c1 = (a + Jc1).hilbert().degree if c > 1 else 0
-    if degG != d.degree * dega + degmid_c1:
+    degmid_c1 = mids[c - 1].hilbert().degree if c > 1 else 0
+    if G.hilbert().degree != d.degree * dega + degmid_c1:
         raise StepIdentityFailed(
             "degree identity deg(a + dJ^(c-1)) = deg d * deg a + deg(a + J^(c-1)) failed"
         )
     # Step III degree formula for the powers that the descent uses
     degI = I.hilbert().degree
-    for i in (c - 1, c):
-        if i <= 0:
-            continue
+    for i, mid in mids.items():
         expect = i * (d.degree * dega - degI)
-        got = (a + J.power(i)).hilbert().degree
+        got = mid.hilbert().degree
         if got != expect:
             raise StepIdentityFailed(
                 f"deg(a + J^{i}) = i*(deg d * deg a - deg I) failed ({got} != {expect})"
@@ -238,46 +237,47 @@ def _gaeta_attempt(A):
     }
 
 
-def gaeta_step(A, rng=None):
-    """Gaeta descent step with up to 25 seeded retries for genericity."""
-    rng = rng or np.random.default_rng(0)
+def _gaeta_retry(A, I, rng):
+    """Gaeta step on A, whose maximal minors generate I, with up to 25
+    seeded retries for genericity; each row or column operation keeps I."""
     last = None
-    cur = A
     for attempt in range(25):
         try:
-            return _gaeta_attempt(cur)
+            return _gaeta_attempt(A, I)
         except GenericityFailure as exc:
             last = exc
             # later retries mix harder
             for _ in range(1 + attempt // 3):
-                cur = _row_op(cur, rng)
-                cur = _col_op(cur, rng)
+                A = _col_op(_row_op(A, rng), rng)
     raise GenericityFailure(f"no generic basis found after 25 retries: {last}")
 
 
+def gaeta_step(A, rng=None):
+    """Gaeta descent step with up to 25 seeded retries for genericity; I(A)
+    is built once here, and each retry matrix must give the same ideal."""
+    return _gaeta_retry(A, standard_determinantal(A), rng or np.random.default_rng(0))
+
+
 def gaeta_run(A, rng=None):
-    """Iterate Gaeta steps down to a 1-row matrix; replayable certificate."""
+    """Iterate Gaeta steps down to a 1-row matrix; replayable certificate.
+    The I' = I(A') a step builds and links to is the next step's I, carried
+    with its cached basis, Hilbert data and resolution, never rebuilt."""
     rng = rng or np.random.default_rng(0)
     I0 = standard_determinantal(A)
     steps = []
-    cur_matrix = A
-    cur_ideal = I0
+    cur_matrix, cur_ideal = A, I0
     while cur_matrix.nrows >= 2:
-        st = gaeta_step(cur_matrix, rng)
-        if st["I"] != cur_ideal:
-            raise StepIdentityFailed("descent lost track of the current ideal")
+        st = _gaeta_retry(cur_matrix, cur_ideal, rng)
         steps.append(
             {"kind": "link", "c": st["link_down"].c, "from": cur_ideal, "to": st["mid"]}
         )
         steps.append(
             {"kind": "link", "c": st["link_up"].c, "from": st["mid"], "to": st["I_next"]}
         )
-        cur_matrix = st["A_next"]
-        cur_ideal = st["I_next"]
-    end = cur_ideal
-    if not is_complete_intersection(end):
+        cur_matrix, cur_ideal = st["A_next"], st["I_next"]
+    if not is_complete_intersection(cur_ideal):
         raise StepIdentityFailed("descent did not end in a complete intersection")
-    return GlicciCertificate(I0, steps, end)
+    return GlicciCertificate(I0, steps, cur_ideal)
 
 
 # -- stable monomial ideals --------------------------------------------------

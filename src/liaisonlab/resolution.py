@@ -55,14 +55,15 @@ class Resolution:
 
     stages[k] = (FreeModule F_{k+1}, columns) with columns the images of the
     generators of F_{k+1} inside F_k (stage -1 being F0).  The module itself
-    is F0 / <stages[0] columns>.
+    is F0 / <stages[0] columns>.  _images caches `_image_numerator` by k.
     """
 
-    __slots__ = ("F0", "stages")
+    __slots__ = ("F0", "stages", "_images")
 
     def __init__(self, F0, stages):
         self.F0 = F0
         self.stages = stages
+        self._images = {}
 
     @property
     def length(self):
@@ -313,11 +314,13 @@ def dual_kernel(res, k):
 
 
 def _image_numerator(res, k):
-    """Numerator of HS(im d_k^T) inside F_k^*; {} when k is outside
-    1..length (no such map)."""
+    """Numerator of HS(im d_k^T) inside F_k^*, computed once per resolution
+    and k; {} when k is outside 1..length (no such map)."""
     if not 1 <= k <= res.length:
         return {}
-    return submodule_numerator(*res.dual_columns(k))
+    if k not in res._images:
+        res._images[k] = submodule_numerator(*res.dual_columns(k))
+    return res._images[k]
 
 
 def dual_kernel_numerator(res, k):

@@ -369,20 +369,47 @@ def test_betti_past_the_degree_bound_is_a_typed_error(tmp_path):
         (["--session", "p2pts.txt", "--seed", "-1", "cb-check", "GRID"], None, None),
         (["--session", "p3.txt", "gb", "NOPE"], None, "session-object"),
         (["--session", "p3.txt", "cb-check", "TC"], None, "session-object"),
+        (["--session", "p2pts.txt", "lift", "x1^3*x2^2 # x0"], None, "syntax-error"),
+        (["gb", "TC"], None, None),
     ],
     ids=["macaulay-not-integer", "macaulay-negative", "level-negative", "level-too-high-constant",
          "level-too-high", "window-reversed", "env-seed-not-integer", "seed-negative",
-         "unknown-object", "object-of-another-kind"],
+         "unknown-object", "object-of-another-kind", "comment-in-a-polynomial-argument",
+         "no-session"],
 )
 def test_malformed_arguments_exit_2(argv, env, error, tmp_path, monkeypatch):
     if env is not None:
         monkeypatch.setenv("LIAISON_SEED", env)
     out = tmp_path / "report.json"
     assert main(["--out", str(out)] + _sessionize(argv)) == 2
-    if error is None:  # rejected while parsing the arguments, before any report
+    if error is None:  # rejected before any report: by argparse, or for want of --session
         assert not out.exists()
     else:
         assert json.loads(out.read_bytes())["error"] == error
+
+
+def test_each_dual_image_series_is_computed_once_in_the_quartic_link(tmp_path, monkeypatch):
+    """The quartic link reads Ext^3 of the quartic twice, in `direct_link`'s
+    unmixedness check and in the report's cohomology duality; the series of
+    each image of a transposed differential is computed once per
+    resolution and k, and read from the resolution after that."""
+    pairs, computed = [], []
+    image, submodule = resolution._image_numerator, resolution.submodule_numerator
+
+    def image_spy(res, k):
+        pairs.append((res, k))
+        return image(res, k)
+
+    def submodule_spy(*args):
+        computed.append(args)
+        return submodule(*args)
+
+    monkeypatch.setattr(resolution, "_image_numerator", image_spy)
+    monkeypatch.setattr(resolution, "submodule_numerator", submodule_spy)
+    code, blob = _run_capture(dict(GOLDEN_CASES)["quartic_link"], tmp_path)
+    assert (code, blob) == (0, (GOLDEN / "quartic_link.json").read_bytes())
+    distinct = {(id(res), k) for res, k in pairs if 1 <= k <= res.length}
+    assert len(computed) == len(distinct) < len(pairs)
 
 
 def test_round_trip(R4):

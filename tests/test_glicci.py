@@ -8,6 +8,7 @@ from liaisonlab.errors import (
     WrongCodim,
 )
 from liaisonlab.glicci import (
+    GlicciCertificate,
     gaeta_run,
     gaeta_step,
     glicci_descent,
@@ -287,9 +288,9 @@ def test_gaeta_retries_when_d_is_a_zero_divisor(R4, rng, monkeypatch):
     failures = []
     attempt = glicci._gaeta_attempt
 
-    def spy(B):
+    def spy(*args):
         try:
-            return attempt(B)
+            return attempt(*args)
         except GenericityFailure as exc:
             failures.append(str(exc))
             raise
@@ -299,3 +300,26 @@ def test_gaeta_retries_when_d_is_a_zero_divisor(R4, rng, monkeypatch):
     assert failures[0] == "a : d != a for the chosen column"
     assert cert.start == standard_determinantal(A)
     assert cert.replay()
+
+
+def _tampered(cert, i=None, end=None, **fields):
+    """A copy of cert with step i's fields replaced, or its end."""
+    steps = [dict(st, **fields) if k == i else dict(st) for k, st in enumerate(cert.steps)]
+    return GlicciCertificate(cert.start, steps, cert.end if end is None else end)
+
+
+def test_replay_rejects_tampered_certificates(R3, R4, rng):
+    """Every step is re-derived from its inputs, so a certificate that was
+    changed anywhere no longer replays."""
+    x0, x1, x2, x3 = R4.gens()
+    cert = gaeta_run(PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]]), rng)
+    assert [st["kind"] for st in cert.steps] == ["link", "link"] and cert.replay()
+    other = Ideal(R4, [x0, x2])
+    assert not _tampered(cert, 1, to=other, end=other).replay()  # c : from is not to
+    assert not _tampered(cert, 1, **{"from": other}).replay()  # from is not the previous to
+    assert not _tampered(cert, end=other).replay()  # end is not the last to
+    assert not _tampered(cert, 0, kind="unknown").replay()
+    y0, y1, y2 = R3.gens()
+    bdl = glicci_descent(Ideal(R3, [y0, y1]).power(2))
+    assert [st["kind"] for st in bdl.steps] == ["bdl"] and bdl.replay()
+    assert not _tampered(bdl, 0, f=y1).replay()  # j_cm + f * to is not from

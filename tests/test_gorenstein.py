@@ -408,6 +408,33 @@ def test_wlp(Rxy):
         wlp_check(Ideal(Rxy, [x]))
 
 
+def test_wlp_fails_on_the_monomial_ideal_with_h_vector_13663(R3):
+    """R/(x0^3, x1^3, x2^3, x0x1x2) has h-vector (1, 3, 6, 6, 3) and no weak
+    Lefschetz element: multiplication by a linear form from degree 2 to
+    degree 3 is a 6 x 6 map of rank below 6.  The complete intersection
+    (x0^3, x1^3, x2^3) has the property."""
+    y0, y1, y2 = R3.gens()
+    p = R3.p
+    I = Ideal(R3, [y0 ** 3, y1 ** 3, y2 ** 3, y0 * y1 * y2])
+    assert tuple(I.hilbert().h_vector) == (1, 3, 6, 6, 3)
+    assert wlp_check(I) is False
+    assert wlp_check(Ideal(R3, [y0 ** 3, y1 ** 3, y2 ** 3])) is True
+    # the three forms wlp_check draws from its default generator
+    draws = np.random.default_rng(0)
+    forms = [[int(draws.integers(1, p)) for _ in range(3)] for _ in range(3)]
+    units = [tuple(int(i == k) for i in range(3)) for k in range(3)]
+    quads = sorted({tuple(a + b for a, b in zip(u, v)) for u in units for v in units})
+    in_I = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
+    cubics = sorted({tuple(a + b for a, b in zip(m, u)) for m in quads for u in units} - in_I)
+    assert len(quads) == len(cubics) == 6
+    for L in forms:
+        rows = []
+        for m in quads:
+            image = {tuple(a + b for a, b in zip(m, u)): L[k] for k, u in enumerate(units)}
+            rows.append([image.get(e, 0) for e in cubics])
+        assert len(independent_rows(rows, p)) < 6
+
+
 def test_wlp_gorenstein_factory_output(R3, rng):
     """Artinian Gorenstein with symmetric h-vector: expect WLP (generic)."""
     y0, y1, y2 = R3.gens()
