@@ -9,10 +9,13 @@ Intersections and colon ideals are annihilators (`groebner.annihilator`):
 I_1 cap ... cap I_k is the annihilator of (1, ..., 1) modulo the relations
 I_1 e_1 + ... + I_k e_k, one run however many ideals meet, and I : f the
 annihilator of f modulo I.  The colon by an ideal intersects the colons by
-its generators in one such run; saturation iterates the colon until the
-reduced Groebner basis stabilizes.  Only `Ideal.eliminate` works in an
-elimination order.  Whether f is regular on R/I needs no colon: it is one
-identity of Hilbert series (`Ideal.is_nonzerodivisor`).
+its generators in one such run, over only the colons that can shrink it:
+a generator in I, and a later generator whose colon contains the first
+one computed (a membership test per product), add nothing and are not
+computed.  Saturation iterates the colon until the reduced Groebner basis
+stabilizes.  Only `Ideal.eliminate` works in an elimination order.
+Whether f is regular on R/I needs no colon: it is one identity of Hilbert
+series (`Ideal.is_nonzerodivisor`).
 """
 
 from itertools import combinations
@@ -157,14 +160,27 @@ class Ideal:
         return plus.hilbert().numerator == add_numerators(n, shift_numerator(n, f.degree), -1)
 
     def colon(self, other):
-        """(self : other) = intersection of (self : g) over generators g,
-        taken in one n-ary `intersect`."""
+        """(self : other) = intersection of (self : g) over generators g
+        (Greuel & Pfister, A Singular Introduction to Commutative
+        Algebra), taken in one n-ary `intersect` over the parts that can
+        shrink it.  A g in self has self : g = R.  A later g with g*h in
+        self for every generator h of the first part P computed has
+        P inside self : g.  Neither part is computed, and the colon is the
+        unit ideal when every generator is skipped."""
         if isinstance(other, Element):
             return self.colon_poly(other)
         self._chk(other)
         if not other.gens:
             raise DivisionByZero("colon by the zero ideal")
-        parts = [self.colon_poly(g) for g in other.gens]
+        parts = []
+        for g in other.gens:
+            if self.contains(g):
+                continue
+            if parts and all(self.contains(g * h) for h in parts[0].gens):
+                continue
+            parts.append(self.colon_poly(g))
+        if not parts:
+            return Ideal(self.ring, [self.ring.one()])
         return parts[0].intersect(*parts[1:])
 
     def saturate(self, by=None):

@@ -94,12 +94,19 @@ class Resolution:
 def resolve(module):
     """Minimal free resolution of a presented module M = F0 / <relations>,
     each stage driven by its kernel's Hilbert series (see the module
-    docstring).  Hilbert's syzygy theorem bounds its length by nvars; a
-    resolution still open after nvars + 2 stages raises."""
+    docstring).  When the module's numerator is not yet known, the pair
+    loop that minimises the relations also gives it.  Hilbert's syzygy
+    theorem bounds its length by nvars; a resolution still open after
+    nvars + 2 stages raises."""
     F0 = module.F0
     ring = F0.ring
     stages = []
-    mins = minimal_generators(module.relations)
+    if module._numerator is None:
+        # one pair loop gives the minimal relations and the module's series
+        mins, leads = generators_and_leads(module.relations)
+        module._numerator = quotient_numerator(F0.twists, leads, ring.nvars)
+    else:
+        mins = minimal_generators(module.relations)
     # numerator of HS(im d_1) = HS(F_0) - HS(M)
     image = add_numerators(free_numerator(F0.twists), module.numerator, -1)
     for _ in range(ring.nvars + 2):

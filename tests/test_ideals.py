@@ -379,13 +379,67 @@ def test_colon_poly_against_sympy(a, f):
     assert _ours(I.colon_poly(RING.poly(f))) == _grevlex(_sympy_colon_poly(sI, _sympy_expr(f)))
 
 
-@given(small_ideals, small_forms(), small_forms())
+@given(small_ideals, small_forms(), small_forms(), small_forms(), st.booleans(), st.booleans())
+@example([{(2, 0, 0): 1}], {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}, True, True)
 @settings(max_examples=15, deadline=None)
-def test_colon_against_sympy(a, f, g):
-    """I : (f, g) is (I : f) intersected with (I : g)."""
+def test_colon_against_sympy(a, f, g, h, member, multiple):
+    """I : (f, g, ...) is the intersection of the colons by its generators.
+    K may also hold the first generator of I, whose colon is R, and the
+    multiple f*h, whose colon contains I : f: the generators the colon
+    skips.  The example has both skips: (x0^2) : (x0, x1, x0^2, x0*x2)."""
     I, sI = _both(a)
-    expect = _sympy_intersect(*(_sympy_colon_poly(sI, _sympy_expr(h)) for h in (f, g)))
-    assert _ours(I.colon(Ideal(RING, [RING.poly(f), RING.poly(g)]))) == _grevlex(expect)
+    K = [RING.poly(f), RING.poly(g)]
+    if member:
+        K.append(I.gens[0])
+    if multiple:
+        K.append(K[0] * RING.poly(h))
+    parts = [_sympy_colon_poly(sI, _sympy_expr({e: c for _, e, c in k.terms()})) for k in K]
+    expect = reduce(_sympy_intersect, parts)
+    assert _ours(I.colon(Ideal(RING, K))) == _grevlex(expect)
+
+
+def test_colon_by_generators_whose_product_test_fails():
+    """(x0*x1) : x0 = (x1), and x1 * x1 is not in (x0*x1): the colon by
+    x1 is a part of its own, and the intersection is (x0*x1) again.  In
+    (x0*x2, x0^2*x1) : (x0^3, x0) the first part is (x2, x1); x0 * x2 is
+    in the ideal but x0 * x1 is not, so x0 is not skipped either."""
+    x0, x1, x2 = RING.gens()
+    I = Ideal(RING, [x0 * x1])
+    assert I.colon(Ideal(RING, [x0, x1])) == I
+    I = Ideal(RING, [x0 * x2, x0 ** 2 * x1])
+    assert I.colon(Ideal(RING, [x0 ** 3, x0])) == Ideal(RING, [x2, x0 * x1])
+
+
+def _count_colon_poly(monkeypatch):
+    runs = []
+    colon_poly = Ideal.colon_poly
+    monkeypatch.setattr(Ideal, "colon_poly", lambda self, f: runs.append(f) or colon_poly(self, f))
+    return runs
+
+
+def test_a_gaeta_link_colon_makes_one_colon_poly_run(R5, rng, monkeypatch):
+    """A generic 3 x 4 matrix A of linear forms, I its maximal minors and
+    c = (a, d) two of them.  Of the four generators of I, a and d lie in c
+    and the fourth passes the product test against c : g, g the third, so
+    c : I is one annihilator run; it is (a) + I(A_1), A_1 the first two
+    columns."""
+    A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
+    I = A.maximal_minors()
+    a = A.submatrix(range(3), range(3)).det()
+    d = A.submatrix(range(3), [0, 1, 3]).det()
+    c = Ideal(R5, [a, d])
+    runs = _count_colon_poly(monkeypatch)
+    J = c.colon(I)
+    assert len(runs) == 1
+    assert J == Ideal(R5, [a]) + A.submatrix(range(3), range(2)).maximal_minors()
+
+
+def test_a_colon_by_an_ideal_inside_makes_no_colon_poly_run(R4, monkeypatch):
+    x0, x1, x2, x3 = R4.gens()
+    I = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    runs = _count_colon_poly(monkeypatch)
+    assert I.colon(Ideal(R4, [x0 * x2 - x1 ** 2, x3 * (x1 * x3 - x2 ** 2)])).is_unit
+    assert runs == []
 
 
 @given(small_ideals)

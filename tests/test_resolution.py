@@ -7,7 +7,7 @@ from liaisonlab.errors import CohomologyMismatch, NotCM, ResolutionIncomplete, W
 from liaisonlab.groebner import buchberger, generators_and_leads, syzygies_of
 from liaisonlab.hilbert import add_numerators, free_numerator, quotient_numerator
 from liaisonlab.ideals import Ideal, PolyMatrix
-from liaisonlab import resolution
+from liaisonlab import groebner, resolution
 from liaisonlab.resolution import (
     PresentedModule,
     canonical_module,
@@ -598,6 +598,31 @@ def _tensor_case():
     TC = PolyMatrix(R, [[R.var(0), R.var(1), R.var(2)], [R.var(1), R.var(2), R.var(3)]]).maximal_minors()
     T = tensor_presentation(canonical_module(TC), ideal_module(TC))
     return T.F0, T.relations
+
+
+def test_a_module_without_its_numerator_runs_its_relations_once(monkeypatch):
+    """K (x) I of the twisted cubic with no numerator given: one pair loop
+    on its relations gives both the minimal relations (the same, in the
+    same order, as `minimal_generators`) and the numerator, and the
+    resolution is the one made with the numerator given."""
+    F0, relations = _tensor_case()
+    numerator = quotient_numerator(F0.twists, generators_and_leads(relations)[1], F0.ring.nvars)
+    given_res = PresentedModule(F0, relations, numerator).resolution
+    M = PresentedModule(F0, relations)
+    runs = []
+    minimal_run = groebner._minimal_run
+
+    def spy(gens, top):
+        if gens is M.relations:
+            runs.append(top)
+        return minimal_run(gens, top)
+
+    monkeypatch.setattr(groebner, "_minimal_run", spy)
+    res = M.resolution
+    assert M.numerator == numerator
+    assert len(runs) == 1
+    assert res.columns(1) == minimal_generators(relations)
+    assert [(Fk.twists, cols) for Fk, cols in res.stages] == [(Fk.twists, cols) for Fk, cols in given_res.stages]
 
 
 def test_hilbert_driven_stages_match_the_unbounded_loop(monkeypatch):
