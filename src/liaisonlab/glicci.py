@@ -6,16 +6,21 @@ sending monomials to products of distinct linear forms.
 Certificates record every elementary step (direct link or basic double
 link) with full ideals, so replaying needs no recomputation decisions:
 each step is re-derived from its inputs and compared for exact reduced-
-basis equality (a link by its colon c : I, a basic double link by its
-sum J + f I), and the end ideal must classify as a complete intersection.
+basis equality (a link by `liaison.direct_link`, a basic double link by
+its sum J + f I), and the end ideal must classify as a complete
+intersection.
 
 A Gaeta step tests that d and d' are regular on R/a by Hilbert series
 (`Ideal.is_nonzerodivisor`) on the ideals a + dR and a + d'R, which it then
 reuses: a + dR for Step II's colon (a + dR) : J = I, and both as the
 Gorenstein links when c = 1.  Its two direct links are verified as
-`liaison.direct_link` says; both link a Cohen-Macaulay ideal.  The descent
-carries each ideal of minors: the I' = I(A') one step links to is the I of
-the next, built once, as are a + J^(c-1) and a + J^c within a step.
+`liaison.direct_link` says; both link a Cohen-Macaulay ideal.  When c = 1,
+Step II's colon is a direct link too, through the complete intersection
+a + dR; so every colon of the descent of a t x (t + 1) matrix, and of
+its replay, is a Gorenstein link and is given its known series.  The
+descent carries each ideal of minors: the I' = I(A') one step links to is
+the I of the next, built once, as are a + J^(c-1) and a + J^c within a
+step.
 
 Descent order for stable ideals: initial-degree descent with lifting
 variable x_l (basic double links), switching to the next level l+1 when
@@ -38,7 +43,7 @@ from .errors import (
     WrongCodim,
 )
 from .ideals import Ideal, PolyMatrix
-from .liaison import basic_double_link, direct_link
+from .liaison import LINK_REJECTIONS, basic_double_link, direct_link
 from .resolution import classify, is_complete_intersection
 
 
@@ -57,13 +62,21 @@ class GlicciCertificate:
         return len(self.steps)
 
     def replay(self):
-        """Recompute each step from its inputs; exact equality throughout."""
+        """Recompute each step from its inputs; exact equality throughout.
+        A link step is rebuilt by `direct_link`, so its colon is certified
+        by the link's known series; a step that `direct_link` rejects (c
+        not Gorenstein, a codimension or containment failure, a mixed I,
+        a series mismatch) replays as False."""
         cur = self.start
         for step in self.steps:
             if step["from"] != cur:
                 return False
             if step["kind"] == "link":
-                if step["c"].colon(cur) != step["to"]:
+                try:
+                    linked = direct_link(step["c"], cur).J
+                except LINK_REJECTIONS:
+                    return False
+                if linked != step["to"]:
                     return False
             elif step["kind"] == "bdl":
                 rebuilt = step["j_cm"] + Ideal(
@@ -164,7 +177,10 @@ def _col_op(A, rng):
 
 
 def _gaeta_attempt(A, I):
-    """One Gaeta descent step on a t x (t+c) matrix in the given basis; I = I(A)."""
+    """One Gaeta descent step on a t x (t+c) matrix in the given basis; I = I(A).
+    Step II's (a + dR) : J = I is `direct_link(a + dR, J)` when c = 1,
+    where a + dR is a complete intersection of codim 2 = codim J, and a
+    plain colon for c > 1; either way a miss raises StepIdentityFailed."""
     ring = A.ring
     t = A.nrows
     c = A.ncols - t
@@ -194,7 +210,11 @@ def _gaeta_attempt(A, I):
         raise GenericityFailure("a : d' != a")
 
     # Step II identities (hard failures once genericity holds)
-    if ad.colon(J) != I:
+    try:
+        back = direct_link(ad, J).J if c == 1 else ad.colon(J)
+    except LINK_REJECTIONS as exc:
+        raise StepIdentityFailed("(a + dR) : J = I failed") from exc
+    if back != I:
         raise StepIdentityFailed("(a + dR) : J = I failed")
     Jc1 = J.power(c - 1)
     G = a + d * Jc1 if c > 1 else ad

@@ -12,10 +12,12 @@ annihilator of f modulo I.  The colon by an ideal intersects the colons by
 its generators in one such run, over only the colons that can shrink it:
 a generator in I, and a later generator whose colon contains the first
 one computed (a membership test per product), add nothing and are not
-computed.  Saturation iterates the colon until the reduced Groebner basis
-stabilizes.  Only `Ideal.eliminate` works in an elimination order.
-Whether f is regular on R/I needs no colon: it is one identity of Hilbert
-series (`Ideal.is_nonzerodivisor`).
+computed.  A caller that knows the Hilbert series of the colon (a
+Gorenstein link) passes it, and a first part with that series is the
+colon, with no product formed.  Saturation iterates the colon until the
+reduced Groebner basis stabilizes.  Only `Ideal.eliminate` works in an
+elimination order.  Whether f is regular on R/I needs no colon: it is one
+identity of Hilbert series (`Ideal.is_nonzerodivisor`).
 """
 
 from itertools import combinations
@@ -159,14 +161,20 @@ class Ideal:
         n = self.hilbert().numerator
         return plus.hilbert().numerator == add_numerators(n, shift_numerator(n, f.degree), -1)
 
-    def colon(self, other):
+    def colon(self, other, numerator=None):
         """(self : other) = intersection of (self : g) over generators g
         (Greuel & Pfister, A Singular Introduction to Commutative
         Algebra), taken in one n-ary `intersect` over the parts that can
         shrink it.  A g in self has self : g = R.  A later g with g*h in
         self for every generator h of the first part P computed has
         P inside self : g.  Neither part is computed, and the colon is the
-        unit ideal when every generator is skipped."""
+        unit ideal when every generator is skipped.
+
+        numerator: the Hilbert series numerator of R/(self : other), when
+        the caller knows it (a Gorenstein link, `liaison.direct_link`).
+        P contains self : other, so when R/P has that numerator the two
+        are equal and no further generator is looked at: no product is
+        formed.  Otherwise the colon goes on as without it."""
         if isinstance(other, Element):
             return self.colon_poly(other)
         self._chk(other)
@@ -179,6 +187,8 @@ class Ideal:
             if parts and all(self.contains(g * h) for h in parts[0].gens):
                 continue
             parts.append(self.colon_poly(g))
+            if numerator is not None and len(parts) == 1 and parts[0].hilbert().numerator == numerator:
+                break
         if not parts:
             return Ideal(self.ring, [self.ring.one()])
         return parts[0].intersect(*parts[1:])

@@ -6,7 +6,8 @@ A direct link J = c : I through a Gorenstein c is built by one colon and
 checked, with no second one, on the Ext series of R/I: I must be unmixed,
 which no Ext^i(R/I, R) of codimension i > codim c shows (Eisenbud, Huneke
 & Vasconcelos, Invent. Math. 110, 1992), and HS(R/J) must be
-HS(R/c) - t^T HS(Ext^g(R/I, R)) (see `direct_link`).  A link ideal that
+HS(R/c) - t^T HS(Ext^g(R/I, R)) (see `direct_link`), the series that
+also lets the colon stop at its first part.  A link ideal that
 need not be Gorenstein is checked by the double colon c : J = I.
 
 A direct link, a basic double link, a liaison addition and an even link
@@ -26,6 +27,7 @@ from .errors import (
     NotRegularSequence,
     NotUnmixed,
     PreconditionFailed,
+    UnitIdeal,
 )
 from .groebner import syzygies_of
 from .hilbert import HilbertData, add_numerators, degree_and_genus, free_numerator, shift_numerator
@@ -80,6 +82,10 @@ class LinkRecord:
         }
 
 
+# what `direct_link` raises for a pair (c, I) that it does not link
+LINK_REJECTIONS = (CodimMismatch, LinkSeriesMismatch, NotGorensteinLink, NotUnmixed, PreconditionFailed, UnitIdeal)
+
+
 def direct_link(c, I, require_gorenstein=True):
     """Link I through the Gorenstein ideal c: J = c : I, built by one colon.
 
@@ -92,9 +98,13 @@ def direct_link(c, I, require_gorenstein=True):
     is raised, before any colon, when some E_i, i > g, has dimension
     nvars - i.  The Euler characteristic of the dual resolution,
     sum_i (-1)^i E_i(t) = N_I(1/t), then gives E_g, and J is checked against
-        N(R/J) = N(R/c) - t^T E_g;
-    failure raises LinkSeriesMismatch.  For Cohen-Macaulay R/I no E_i lies
-    above g, and E_g is N_I reflected, (-1)^g N_I(1/t).
+        N(R/J) = N(R/c) - t^T E_g.
+    The colon takes that numerator (`Ideal.colon`): the first colon c : f
+    it computes, f a generator of I outside c, contains J, so when its
+    series is this one it is J, and no other generator of I is looked at.
+    A J whose series still differs raises LinkSeriesMismatch.  For
+    Cohen-Macaulay R/I no E_i lies above g, and E_g is N_I reflected,
+    (-1)^g N_I(1/t).
 
     require_gorenstein=False skips the classification test on c and checks
     the double colon c : J = I instead; this exists to demonstrate how
@@ -113,7 +123,7 @@ def direct_link(c, I, require_gorenstein=True):
         raise PreconditionFailed("link ideal equals I")
     if require_gorenstein:
         expect = _link_numerator(c, I)
-        J = c.colon(I)
+        J = c.colon(I, expect)
         if J.hilbert().numerator != expect:
             raise LinkSeriesMismatch("HS(R/J) != HS(R/c) - t^T HS(Ext^g(R/I, R)) for J = c : I")
     else:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liaisonlab.ring import Ring
+from liaisonlab.ideals import Ideal
+from liaisonlab.ring import Element, Ring
 
 
 @pytest.fixture(scope="session")
@@ -28,6 +29,31 @@ def Rxy():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240810)
+
+
+@pytest.fixture()
+def colon_products(monkeypatch):
+    """The ring products formed inside `Ideal.colon` (the product test
+    g*h of its skipped generators), as a list of factor pairs; the
+    annihilator runs behind the colon multiply no ring elements."""
+    products, depth = [], []
+    colon, mul = Ideal.colon, Element.__mul__
+
+    def spy_colon(self, other, numerator=None):
+        depth.append(other)
+        try:
+            return colon(self, other, numerator)
+        finally:
+            depth.pop()
+
+    def spy_mul(f, g):
+        if depth:
+            products.append((f, g))
+        return mul(f, g)
+
+    monkeypatch.setattr(Ideal, "colon", spy_colon)
+    monkeypatch.setattr(Element, "__mul__", spy_mul)
+    return products
 
 
 def independent_rows(rows, p):

@@ -338,7 +338,7 @@ _COLON = Ideal.colon
         (resolution, "_kernel_generators", lambda F, gens, kernel: gens, ["betti", "TC"], "resolution-incomplete"),
         (HilbertData, "hp", lambda self, j: self.hf(j) + 1, ["hilbert", "TC"], "regularity-scan-failed"),
         # the colon that builds J drops J's last generator
-        (Ideal, "colon", lambda self, other: Ideal(self.ring, _COLON(self, other).gens[:-1]),
+        (Ideal, "colon", lambda self, other, numerator=None: Ideal(self.ring, _COLON(self, other, numerator).gens[:-1]),
          ["link", "--gor", "C22", "--ideal", "TC"], "link-series-mismatch"),
     ],
     ids=["resolution-past-the-bound", "regularity-scan-too-low", "link-series-mismatch"],

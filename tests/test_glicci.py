@@ -1,10 +1,14 @@
+from types import SimpleNamespace
+
 import pytest
 
 from liaisonlab import glicci
 from liaisonlab.errors import (
     CharacteristicTooSmall,
     GenericityFailure,
+    LinkSeriesMismatch,
     NotStable,
+    StepIdentityFailed,
     WrongCodim,
 )
 from liaisonlab.glicci import (
@@ -140,6 +144,34 @@ def test_gaeta_3x4_generic(R5, rng):
     assert cert.replay()
 
 
+def test_a_gaeta_run_and_its_replay_form_no_colon_product(R5, rng, colon_products):
+    """Every colon of the descent of a generic 3 x 4 matrix and of its
+    replay is a Gorenstein link (Step II's through the complete
+    intersection a + dR) told its known series, so no colon runs the
+    product test g*h."""
+    A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
+    cert = gaeta_run(A, rng)
+    assert len(cert.steps) == 4 and cert.replay()
+    assert colon_products == []
+
+
+@pytest.mark.parametrize("outcome", ["rejected", "missed"])
+def test_a_step_ii_link_that_fails_is_a_step_identity_failure(R4, rng, monkeypatch, outcome):
+    """For c = 1 Step II's (a + dR) : J = I is the step's first direct link;
+    whether `direct_link` rejects it or returns another J, the step fails
+    as before."""
+    x0, x1, x2, x3 = R4.gens()
+
+    def fake(c, I):
+        if outcome == "rejected":
+            raise LinkSeriesMismatch("fake")
+        return SimpleNamespace(J=Ideal(R4, [x0]))
+
+    monkeypatch.setattr(glicci, "direct_link", fake)
+    with pytest.raises(StepIdentityFailed, match=r"^\(a \+ dR\) : J = I failed$"):
+        gaeta_step(PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]]), rng)
+
+
 def test_stable_check_cases(R3):
     y0, y1, y2 = R3.gens()
     assert stable_check(Ideal(R3, [y1 ** 2, y0 * y1, y0 ** 2]))
@@ -260,8 +292,10 @@ def test_certificate_json_roundtrip_replay(R4, rng):
     assert back.replay()
     A = PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]])
     certg = gaeta_run(A, rng)
-    back2 = certificate_from_json(R4, json.loads(json.dumps(certg.to_json())))
-    assert back2.replay()
+    doc = json.loads(json.dumps(certg.to_json()))
+    assert certificate_from_json(R4, doc).replay()
+    doc["steps"][0]["to"] = ["x0", "x2"]
+    assert certificate_from_json(R4, doc).replay() is False
 
 
 def test_gaeta_needs_genericity_retry(R4, rng):
@@ -323,3 +357,17 @@ def test_replay_rejects_tampered_certificates(R3, R4, rng):
     bdl = glicci_descent(Ideal(R3, [y0, y1]).power(2))
     assert [st["kind"] for st in bdl.steps] == ["bdl"] and bdl.replay()
     assert not _tampered(bdl, 0, f=y1).replay()  # j_cm + f * to is not from
+
+
+def test_a_link_step_through_a_non_gorenstein_ideal_replays_false(R4):
+    """(x0, x1)^2 : DBLLINE is the line (x0, x1), a complete intersection,
+    so the colon alone would accept this step.  (x0, x1)^2 is not
+    Gorenstein: `direct_link` rejects the step, and the replay reads False
+    with no exception."""
+    x0, x1, x2, x3 = R4.gens()
+    IX = Ideal(R4, [x0, x1]).power(2)
+    IC1 = Ideal(R4, [x0 ** 2, x0 * x1, x1 ** 2, x0 * x2 ** 2 - x1 * x3 ** 2])
+    line = Ideal(R4, [x0, x1])
+    assert IX.colon(IC1) == line and is_complete_intersection(line)
+    cert = GlicciCertificate(IC1, [{"kind": "link", "c": IX, "from": IC1, "to": line}], line)
+    assert cert.replay() is False

@@ -395,7 +395,11 @@ def test_colon_against_sympy(a, f, g, h, member, multiple):
         K.append(K[0] * RING.poly(h))
     parts = [_sympy_colon_poly(sI, _sympy_expr({e: c for _, e, c in k.terms()})) for k in K]
     expect = reduce(_sympy_intersect, parts)
-    assert _ours(I.colon(Ideal(RING, K))) == _grevlex(expect)
+    colon = I.colon(Ideal(RING, K))
+    assert _ours(colon) == _grevlex(expect)
+    # told its true series, the colon gives the same ideal, certified or not
+    numerator = {} if colon.is_unit else colon.hilbert().numerator
+    assert I.colon(Ideal(RING, K), numerator) == colon
 
 
 def test_colon_by_generators_whose_product_test_fails():
@@ -432,6 +436,35 @@ def test_a_gaeta_link_colon_makes_one_colon_poly_run(R5, rng, monkeypatch):
     J = c.colon(I)
     assert len(runs) == 1
     assert J == Ideal(R5, [a]) + A.submatrix(range(3), range(2)).maximal_minors()
+
+
+def test_a_colon_told_its_series_stops_at_a_first_part_that_has_it(R5, rng, monkeypatch, colon_products):
+    """The Gaeta link colon c : I of the test above, told the series of
+    R/(c : I): its first part has that series, so it is the colon, with
+    one annihilator run and no product g*h formed.  Without the series
+    the same colon runs the product test."""
+    A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
+    I = A.maximal_minors()
+    c = Ideal(R5, [A.submatrix(range(3), cols).det() for cols in ([0, 1, 2], [0, 1, 3])])
+    plain = c.colon(I)
+    assert colon_products
+    del colon_products[:]
+    runs = _count_colon_poly(monkeypatch)
+    assert c.colon(I, plain.hilbert().numerator) == plain
+    assert len(runs) == 1 and colon_products == []
+
+
+def test_a_colon_whose_first_part_misses_its_series_goes_on(monkeypatch, colon_products):
+    """(x0*x1) : (x0, x1) told the series of R/(x0*x1): the first part
+    (x1) has another series, so the product test runs (x1 * x1 is not in
+    (x0*x1)), the second part (x0) is computed, and the colon is their
+    intersection (x0*x1)."""
+    x0, x1, x2 = RING.gens()
+    I = Ideal(RING, [x0 * x1])
+    assert Ideal(RING, [x1]).hilbert().numerator != I.hilbert().numerator
+    runs = _count_colon_poly(monkeypatch)
+    assert I.colon(Ideal(RING, [x0, x1]), I.hilbert().numerator) == I
+    assert runs == [x0, x1] and len(colon_products) == 1
 
 
 def test_a_colon_by_an_ideal_inside_makes_no_colon_poly_run(R4, monkeypatch):

@@ -172,7 +172,9 @@ def test_a_link_whose_series_breaks_the_identity_is_typed(monkeypatch):
     Cohen-Macaulay (the rational quartic): LinkSeriesMismatch, not
     NotUnmixed, since both are unmixed."""
     colon = Ideal.colon
-    monkeypatch.setattr(Ideal, "colon", lambda self, other: Ideal(self.ring, colon(self, other).gens[:-1]))
+    monkeypatch.setattr(
+        Ideal, "colon", lambda self, other, numerator=None: Ideal(self.ring, colon(self, other, numerator).gens[:-1])
+    )
     for curve in ("twisted-cubic", "quartic"):
         with pytest.raises(LinkSeriesMismatch):
             direct_link(*_p3_link(curve))
@@ -183,7 +185,9 @@ def test_a_gorenstein_link_costs_one_colon(monkeypatch):
     or not (the rational quartic)."""
     calls = []
     colon = Ideal.colon
-    monkeypatch.setattr(Ideal, "colon", lambda self, other: calls.append(other) or colon(self, other))
+    monkeypatch.setattr(
+        Ideal, "colon", lambda self, other, numerator=None: calls.append(other) or colon(self, other, numerator)
+    )
     for curve in ("twisted-cubic", "quartic"):
         direct_link(*_p3_link(curve))
         assert len(calls) == 1, curve
