@@ -11,16 +11,13 @@ its sum J + f I), and the end ideal must classify as a complete
 intersection.
 
 A Gaeta step tests that d and d' are regular on R/a by Hilbert series
-(`Ideal.is_nonzerodivisor`) on the ideals a + dR and a + d'R, which it then
-reuses: a + dR for Step II's colon (a + dR) : J = I, and both as the
-Gorenstein links when c = 1.  Its two direct links are verified as
-`liaison.direct_link` says; both link a Cohen-Macaulay ideal.  When c = 1,
-Step II's colon is a direct link too, through the complete intersection
-a + dR; so every colon of the descent of a t x (t + 1) matrix, and of
-its replay, is a Gorenstein link and is given its known series.  The
-descent carries each ideal of minors: the I' = I(A') one step links to is
-the I of the next, built once, as are a + J^(c-1) and a + J^c within a
-step.
+(`Ideal.is_nonzerodivisor`) on a + dR and a + d'R, its Gorenstein links
+when c = 1.  Then Step II's (a + dR) : J = I is the first link
+(a + dR) : I = a + J = J read backwards, as c : (c : I) = I for unmixed I
+(`liaison.direct_link`); for c > 1 it is a plain colon.  Every colon of the descent of a
+t x (t + 1) matrix, and of its replay, is a Gorenstein link given its
+known series.  The I' = I(A') a step links to is the I of the next,
+built once, as are a + J^(c-1) and a + J^c within a step.
 
 Descent order for stable ideals: initial-degree descent with lifting
 variable x_l (basic double links), switching to the next level l+1 when
@@ -176,11 +173,22 @@ def _col_op(A, rng):
     return PolyMatrix(ring, rows)
 
 
+def _gaeta_link(G, I, mid, message):
+    """direct_link(G, I), whose J must be mid, else StepIdentityFailed."""
+    try:
+        rec = direct_link(G, I)
+    except LINK_REJECTIONS as exc:
+        raise StepIdentityFailed(message) from exc
+    if rec.J != mid:
+        raise StepIdentityFailed(message)
+    return rec
+
+
 def _gaeta_attempt(A, I):
     """One Gaeta descent step on a t x (t+c) matrix in the given basis; I = I(A).
-    Step II's (a + dR) : J = I is `direct_link(a + dR, J)` when c = 1,
-    where a + dR is a complete intersection of codim 2 = codim J, and a
-    plain colon for c > 1; either way a miss raises StepIdentityFailed."""
+    Step II's (a + dR) : J = I is a plain colon for c > 1; for c = 1 it is
+    rec1, (a + dR) : I = a + J = J (det B is in J), read backwards, as rec1
+    checks that I is unmixed.  Any miss raises StepIdentityFailed."""
     ring = A.ring
     t = A.nrows
     c = A.ncols - t
@@ -209,12 +217,8 @@ def _gaeta_attempt(A, I):
     if not a.is_nonzerodivisor(dprime, adp):
         raise GenericityFailure("a : d' != a")
 
-    # Step II identities (hard failures once genericity holds)
-    try:
-        back = direct_link(ad, J).J if c == 1 else ad.colon(J)
-    except LINK_REJECTIONS as exc:
-        raise StepIdentityFailed("(a + dR) : J = I failed") from exc
-    if back != I:
+    # Step II identities, hard failures once genericity holds (c = 1: rec1)
+    if c > 1 and ad.colon(J) != I:
         raise StepIdentityFailed("(a + dR) : J = I failed")
     Jc1 = J.power(c - 1)
     G = a + d * Jc1 if c > 1 else ad
@@ -238,15 +242,11 @@ def _gaeta_attempt(A, I):
             raise StepIdentityFailed(
                 f"deg(a + J^{i}) = i*(deg d * deg a - deg I) failed ({got} != {expect})"
             )
-    rec1 = direct_link(G, I)
-    if rec1.J != mid_expected:
-        raise StepIdentityFailed("(a + dJ^(c-1)) : I = a + J^c failed")
+    rec1 = _gaeta_link(G, I, mid_expected, "(a + dJ^(c-1)) : I = a + J^c failed")
     Gp = a + dprime * Jc1 if c > 1 else adp
     if not classify(Gp)["gorenstein"] or Gp.codimension() != c + 1:
         raise StepIdentityFailed("a + d' J^(c-1) is not Gorenstein of codimension c+1")
-    rec2 = direct_link(Gp, Iprime)
-    if rec2.J != mid_expected:
-        raise StepIdentityFailed("(a + d'J^(c-1)) : I' = a + J^c failed")
+    rec2 = _gaeta_link(Gp, Iprime, mid_expected, "(a + d'J^(c-1)) : I' = a + J^c failed")
     return {
         "A_next": Aprime,
         "I": I,

@@ -368,20 +368,24 @@ def deficiency_numerator(ideal_or_module, i):
     return ext_numerator(M, M.ring.nvars - i)
 
 
+def _duality_tables(ideal_or_module, numerators, window):
+    """{i: {j: coefficient of t^(-nvars-j) in the series of numerators[i]}}, j in window (local duality)."""
+    nv = ideal_or_module.ring.nvars
+    if window is None:
+        window = range(-nv - 2, BettiTable.of_ideal(ideal_or_module).regularity + 3)
+    window = list(window)
+    return {i: {j: series_hf(numer, nv, -nv - j) for j in window} for i, numer in numerators.items()}
+
+
 def deficiency_hf(ideal_or_module, i, window):
     """dim_K H^i_m(M)_j for j in window (`deficiency_numerator`)."""
-    numer = deficiency_numerator(ideal_or_module, i)
-    n1 = ideal_or_module.ring.nvars
-    return {j: series_hf(numer, n1, -n1 - j) for j in window}
+    return _duality_tables(ideal_or_module, {i: deficiency_numerator(ideal_or_module, i)}, window)[i]
 
 
 def deficiency_table(ideal, window=None):
     """{i: {j: dim H^i_m(R/I)_j}} for i = 1..dim(R/I)-1 (projective dim X),
     by default on degrees -nvars-2 .. reg I + 2 (the zero ideal included)."""
-    if window is None:
-        window = range(-ideal.ring.nvars - 2, BettiTable.of_ideal(ideal).regularity + 3)
-    window = list(window)
-    return {i: deficiency_hf(ideal, i, window) for i in range(1, ideal.hilbert().dim)}
+    return _duality_tables(ideal, {i: deficiency_numerator(ideal, i) for i in range(1, ideal.hilbert().dim)}, window)
 
 
 def is_acm(ideal):
@@ -466,12 +470,8 @@ def ci_invariant_numerators(ideal):
 
 
 def ci_invariant_tables(ideal, numerators, window=None):
-    """Hilbert tables of the numerators `ci_invariant_numerators` gives, on
-    window (by default degrees -nvars-2 .. reg I + 2)."""
-    nv = ideal.ring.nvars
-    if window is None:
-        window = range(-nv - 2, classify(ideal)["reg"] + 3)
-    return {i: {j: series_hf(numer, nv, -nv - j) for j in window} for i, numer in numerators.items()}
+    """Hilbert tables of the `ci_invariant_numerators` numerators, on window (default as in `deficiency_table`)."""
+    return _duality_tables(ideal, numerators, window)
 
 
 def ci_invariant_hf(ideal, window=None):

@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from liaisonlab import glicci
+from liaisonlab import glicci, resolution
 from liaisonlab.errors import (
     CharacteristicTooSmall,
     GenericityFailure,
@@ -146,9 +146,9 @@ def test_gaeta_3x4_generic(R5, rng):
 
 def test_a_gaeta_run_and_its_replay_form_no_colon_product(R5, rng, colon_products):
     """Every colon of the descent of a generic 3 x 4 matrix and of its
-    replay is a Gorenstein link (Step II's through the complete
-    intersection a + dR) told its known series, so no colon runs the
-    product test g*h."""
+    replay is a Gorenstein link (Step II is the first link read
+    backwards) told its known series, so no colon runs the product test
+    g*h."""
     A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
     cert = gaeta_run(A, rng)
     assert len(cert.steps) == 4 and cert.replay()
@@ -157,9 +157,9 @@ def test_a_gaeta_run_and_its_replay_form_no_colon_product(R5, rng, colon_product
 
 @pytest.mark.parametrize("outcome", ["rejected", "missed"])
 def test_a_step_ii_link_that_fails_is_a_step_identity_failure(R4, rng, monkeypatch, outcome):
-    """For c = 1 Step II's (a + dR) : J = I is the step's first direct link;
-    whether `direct_link` rejects it or returns another J, the step fails
-    as before."""
+    """For c = 1 Step II's (a + dR) : J = I is the step's first link
+    (a + dR) : I = J read backwards; whether `direct_link` rejects that
+    link or returns another J, the step fails on it."""
     x0, x1, x2, x3 = R4.gens()
 
     def fake(c, I):
@@ -168,8 +168,41 @@ def test_a_step_ii_link_that_fails_is_a_step_identity_failure(R4, rng, monkeypat
         return SimpleNamespace(J=Ideal(R4, [x0]))
 
     monkeypatch.setattr(glicci, "direct_link", fake)
-    with pytest.raises(StepIdentityFailed, match=r"^\(a \+ dR\) : J = I failed$"):
+    with pytest.raises(StepIdentityFailed, match=r"^\(a \+ dJ\^\(c-1\)\) : I = a \+ J\^c failed$"):
         gaeta_step(PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]]), rng)
+
+
+@pytest.mark.parametrize("shape", ["scroll", "generic"])
+def test_a_c1_gaeta_step_makes_two_links_and_none_from_j(R4, R5, rng, monkeypatch, shape):
+    """For c = 1 a Gaeta step links I down and I' up, and Step II is the
+    first of these read backwards: two `direct_link` calls, none of them
+    linking J (= a + J, the middle ideal) through a + dR, and no
+    resolution of J unless J is I' (on the scroll J = I' = (x0, x1), the
+    up link's I).  The certificate replays."""
+    if shape == "scroll":
+        x0, x1, x2, x3 = R4.gens()
+        A = PolyMatrix(R4, [[x0, x1, x2], [x1, x2, x3]])
+    else:
+        A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
+    calls, link = [], glicci.direct_link
+    resolved, resolve = [], resolution.resolve
+
+    def spy(c, I):
+        calls.append((c, I))
+        return link(c, I)
+
+    def spy_resolve(M):
+        if M.F0 == A.ring.as_module:
+            resolved.append(Ideal(A.ring, M.relations))
+        return resolve(M)
+
+    monkeypatch.setattr(glicci, "direct_link", spy)
+    monkeypatch.setattr(resolution, "resolve", spy_resolve)
+    st = gaeta_step(A, rng)
+    down, up = st["link_down"].c, st["link_up"].c
+    assert calls == [(down, st["I"]), (up, st["I_next"])]
+    assert st["mid"] not in resolved or st["mid"] == st["I_next"]
+    assert gaeta_run(A, rng).replay()
 
 
 def test_stable_check_cases(R3):
