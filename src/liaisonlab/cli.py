@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import LiaisonError, SessionObjectError, SessionSyntaxError, VariableOutOfRange
+from .errors import LiaisonError, MalformedCertificate, SessionObjectError, SessionSyntaxError, VariableOutOfRange
 from .gorenstein import (
     PointSet,
     aci_gorenstein,
@@ -325,15 +325,31 @@ def _read_points(ring, path, decl_line):
     return PointSet(ring, pts)
 
 
+# the fields each kind of archived certificate step needs
+_STEP_FIELDS = {"direct-link": ("c", "from", "to"), "basic-double-link": ("j", "f", "from", "to")}
+
+
 def certificate_from_json(ring, doc):
-    """Rebuild a certificate from its archived JSON for offline replay."""
+    """Rebuild a certificate from its archived JSON for offline replay.  A
+    certificate without its start, steps or end, and a step of an unknown
+    kind or one missing a field its kind needs, raise MalformedCertificate,
+    which names the step (1-based)."""
 
     def ideal_of(strs):
         return Ideal(ring, [parse_poly(ring, s) for s in strs])
 
+    missing = [f for f in ("start", "steps", "end") if f not in doc]
+    if missing:
+        raise MalformedCertificate(f"certificate: missing {', '.join(missing)}")
     steps = []
-    for st in doc["steps"]:
-        if st["kind"] == "direct-link":
+    for n, st in enumerate(doc["steps"], 1):
+        kind = st.get("kind") if isinstance(st, dict) else None
+        if kind not in _STEP_FIELDS:
+            raise MalformedCertificate(f"certificate step {n}: unknown kind {kind!r}")
+        missing = [f for f in _STEP_FIELDS[kind] if f not in st]
+        if missing:
+            raise MalformedCertificate(f"certificate step {n} ({kind}): missing {', '.join(missing)}")
+        if kind == "direct-link":
             steps.append(
                 {
                     "kind": "link",

@@ -146,13 +146,6 @@ class CohomologyMismatch(LiaisonError):
     code = "cohomology-mismatch"
 
 
-class RegularityScanFailed(LiaisonError):
-    """The Hilbert function and polynomial differ where the regularity scan
-    starts, above the top of the series numerator."""
-
-    code = "regularity-scan-failed"
-
-
 class CharacteristicTooSmall(LiaisonError):
     code = "characteristic-too-small"
 
@@ -167,6 +160,14 @@ class SessionObjectError(LiaisonError):
     another kind: a usage error."""
 
     code = "session-object"
+    exit_code = 2
+
+
+class MalformedCertificate(LiaisonError):
+    """An archived certificate step of an unknown kind, or one missing a
+    field its kind needs: a usage error."""
+
+    code = "malformed-certificate"
     exit_code = 2
 
 

@@ -6,9 +6,10 @@ ideal by pivot recursion (split on a power of the most frequent variable),
 memoized on the canonical form of the monomial generators.  Everything
 downstream is derived from that numerator in integer arithmetic: the
 Hilbert polynomial's binomial-basis coefficients are its forward
-differences at 0..dim-1 (Newton's formula), and the regularity index comes
-from a downward scan that a nonzero polynomial of degree dim-1 bounds
-(Bruns & Herzog, Cohen-Macaulay Rings, Sec. 4.1).
+differences at 0..dim-1 (Newton's formula), and the regularity index is
+read off the top degree of the reduced numerator (Bruns & Herzog,
+Cohen-Macaulay Rings, Sec. 4.1): hf and hp agree above top - dim and
+differ at top - dim.
 
 Dimension has one source: `HilbertData.dim`, the pole order of the series
 at t = 1, is the Krull dimension of R/I (ibid.), and `Ideal.codimension`
@@ -17,7 +18,7 @@ is nvars minus it.
 
 import math
 
-from .errors import NotACurve, RegularityScanFailed, UnitIdeal
+from .errors import NotACurve, UnitIdeal
 
 _memo = {}
 
@@ -144,7 +145,12 @@ class HilbertData:
     `reduced` is the numerator with every factor (1-t) cancelled, `dim`
     = nv minus their number.  `hp_coeffs` are the forward differences of
     hp at 0..dim-1, highest order first; `reg_index` is 1 + the largest j
-    with hf(j) != hp(j).  `h_vector` lays out `reduced`, and
+    with hf(j) != hp(j).  Write `reduced` = sum a_i t^i, of top degree T.
+    For dim > 0, hf(j) - hp(j) = -sum_{i >= j+dim} a_i C(j-i+dim-1, dim-1)
+    (generalized binomials); in dimension 0, hp = 0 and hf(j) = a_j.
+    Either way the difference is 0 for j > T - dim and +-a_T at
+    j = T - dim, so `reg_index` is T - dim + 1 (0 when `reduced` is
+    empty).  `h_vector` lays out `reduced`, and
     `h_vector_is_honest` means "dimension 0": it is False for every
     positive-dimensional quotient, Cohen-Macaulay or not."""
 
@@ -173,7 +179,7 @@ class HilbertData:
         self.reduced = red
         self.degree = sum(red.values())
         self.hp_coeffs = self._hp_coeffs()
-        self.reg_index = self._reg_index()
+        self.reg_index = max(red) - self.dim + 1 if red else 0
         self.h_vector = self._h_vector()
         self.h_vector_is_honest = self.dim == 0
 
@@ -196,21 +202,6 @@ class HilbertData:
             diffs.append(vals[0])
             vals = [b - a for a, b in zip(vals, vals[1:])]
         return diffs[::-1]
-
-    def _reg_index(self):
-        """Scan down from where hf and hp must agree.  Below min(numerator)
-        hf is 0 and a nonzero hp has at most dim - 1 roots, so the scan
-        stops above the floor."""
-        if self.numerator == {}:
-            return 0
-        top = max(self.numerator)
-        j = max(top - self.nv + self.dim + 2, top + 1)
-        if self.hf(j) != self.hp(j):
-            raise RegularityScanFailed(f"regularity scan started too low: hf({j}) != hp({j})")
-        floor = min(self.numerator) - self.dim - 1
-        while j - 1 >= floor and self.hf(j - 1) == self.hp(j - 1):
-            j -= 1
-        return j
 
     def _h_vector(self):
         """`reduced` from degree min(0, lowest); an h-vector when R/I is CM,
@@ -273,13 +264,27 @@ def macaulay_bound(h, j):
     parts = []
     jj = j
     while rem > 0 and jj >= 1:
-        a = jj
-        while math.comb(a + 1, jj) <= rem:
-            a += 1
+        a = _binomial_floor(rem, jj)
         parts.append((a, jj))
         rem -= math.comb(a, jj)
         jj -= 1
     return sum(math.comb(a + 1, k + 1) for a, k in parts)
+
+
+def _binomial_floor(rem, k):
+    """The largest a >= k with C(a, k) <= rem, for rem >= 1: steps that
+    double from k while C stays within rem, then bisection, in exact ints."""
+    lo, step = k, 1
+    while math.comb(lo + step, k) <= rem:
+        lo, step = lo + step, 2 * step
+    hi = lo + step  # C(lo, k) <= rem < C(hi, k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.comb(mid, k) <= rem:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def macaulay_growth_check(seq):

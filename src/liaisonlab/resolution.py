@@ -149,8 +149,8 @@ class PresentedModule:
 
     def __init__(self, F0, relations, numerator=None):
         """numerator: that of HS(F0 / <relations>) when the caller knows
-        it; read off a Groebner basis of the relations when first needed
-        otherwise."""
+        it; otherwise `resolve` reads it off the pair loop that minimises
+        the relations."""
         self.F0 = F0
         self.relations = [r for r in relations if not r.is_zero]
         self._resolution = None
@@ -169,7 +169,7 @@ class PresentedModule:
     @property
     def numerator(self):
         if self._numerator is None:
-            self._numerator = _lead_numerator(self.F0, self.relations)
+            self.resolution  # `resolve` stores the numerator
         return self._numerator
 
 

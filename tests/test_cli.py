@@ -17,7 +17,6 @@ from liaisonlab.errors import (
     SessionSyntaxError,
     VariableOutOfRange,
 )
-from liaisonlab.hilbert import HilbertData
 from liaisonlab.ideals import Ideal
 from liaisonlab.ring import Ring
 
@@ -336,12 +335,11 @@ _COLON = Ideal.colon
     "owner,name,fake,command,error",
     [
         (resolution, "_kernel_generators", lambda F, gens, kernel: gens, ["betti", "TC"], "resolution-incomplete"),
-        (HilbertData, "hp", lambda self, j: self.hf(j) + 1, ["hilbert", "TC"], "regularity-scan-failed"),
         # the colon that builds J drops J's last generator
         (Ideal, "colon", lambda self, other, numerator=None: Ideal(self.ring, _COLON(self, other, numerator).gens[:-1]),
          ["link", "--gor", "C22", "--ideal", "TC"], "link-series-mismatch"),
     ],
-    ids=["resolution-past-the-bound", "regularity-scan-too-low", "link-series-mismatch"],
+    ids=["resolution-past-the-bound", "link-series-mismatch"],
 )
 def test_internal_failures_exit_1_with_a_report(owner, name, fake, command, error, tmp_path, monkeypatch):
     """A failed identity of the algebra is a typed error: the CLI exits 1
@@ -551,6 +549,7 @@ def test_usage_errors_exit_2_and_every_other_error_1():
         errors.NotHomogeneous,
         errors.DegenerateMatrix,
         errors.DegreeOverflow,
+        errors.MalformedCertificate,
     }
     types = [t for t in vars(errors).values() if isinstance(t, type) and issubclass(t, errors.LiaisonError)]
     assert {t for t in types if t.exit_code == 2} == usage

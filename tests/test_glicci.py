@@ -7,6 +7,7 @@ from liaisonlab.errors import (
     CharacteristicTooSmall,
     GenericityFailure,
     LinkSeriesMismatch,
+    MalformedCertificate,
     NotStable,
     StepIdentityFailed,
     WrongCodim,
@@ -390,6 +391,34 @@ def test_replay_rejects_tampered_certificates(R3, R4, rng):
     bdl = glicci_descent(Ideal(R3, [y0, y1]).power(2))
     assert [st["kind"] for st in bdl.steps] == ["bdl"] and bdl.replay()
     assert not _tampered(bdl, 0, f=y1).replay()  # j_cm + f * to is not from
+
+
+_GOOD_STEP = {"kind": "direct-link", "c": ["x0"], "from": ["x0"], "to": ["x0"]}
+
+
+@pytest.mark.parametrize(
+    "doc,named",
+    [
+        ({"start": ["x0"], "end": ["x0"], "steps": [_GOOD_STEP, {**_GOOD_STEP, "kind": "direct-lnk"}]},
+         "certificate step 2: unknown kind 'direct-lnk'"),
+        ({"start": ["x0"], "end": ["x0"], "steps": [_GOOD_STEP, {k: v for k, v in _GOOD_STEP.items() if k != "c"}]},
+         "certificate step 2 (direct-link): missing c"),
+        ({"start": ["x0"], "end": ["x0"], "steps": [{"kind": "basic-double-link", "f": "x2", "from": ["x0"], "to": ["x0"]}]},
+         "certificate step 1 (basic-double-link): missing j"),
+        ({"start": ["x0"], "end": ["x0"], "steps": [_GOOD_STEP, ["x0"]]}, "certificate step 2: unknown kind None"),
+        ({"end": ["x0"], "steps": []}, "certificate: missing start"),
+    ],
+    ids=["misspelt-kind", "link-without-c", "bdl-without-j", "step-not-an-object", "no-start"],
+)
+def test_a_malformed_certificate_is_a_usage_error(R4, doc, named):
+    """A certificate without its start, steps or end, or a step of an
+    unknown kind or missing a field of its kind, is a typed error with exit
+    code 2 that names the step, not a KeyError."""
+    from liaisonlab.cli import certificate_from_json
+
+    with pytest.raises(MalformedCertificate) as exc:
+        certificate_from_json(R4, doc)
+    assert str(exc.value) == named and exc.value.exit_code == 2
 
 
 def test_a_link_step_through_a_non_gorenstein_ideal_replays_false(R4):

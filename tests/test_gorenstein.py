@@ -26,6 +26,7 @@ from liaisonlab.gorenstein import (
     sum_of_linked,
     wlp_check,
 )
+from liaisonlab.groebner import normal_form
 from liaisonlab.ideals import Ideal
 from liaisonlab.resolution import classify, self_duality_check
 from liaisonlab.ring import MAX_PRIME, Ring
@@ -433,6 +434,59 @@ def test_wlp_fails_on_the_monomial_ideal_with_h_vector_13663(R3):
             image = {tuple(a + b for a, b in zip(m, u)): L[k] for k, u in enumerate(units)}
             rows.append([image.get(e, 0) for e in cubics])
         assert len(independent_rows(rows, p)) < 6
+
+
+def _wlp_by_ranks(I, rng):
+    """Reference WLP: for each of the three forms L that `wlp_check` draws,
+    the matrix of multiplication by L from the degree-t standard monomials
+    to the normal forms in degree t + 1, ranked by `independent_rows`, must
+    have rank min(h_t, h_(t+1)) in every degree."""
+    ring = I.ring
+    lt = I.lt_exps()
+    top = max(I.hilbert().reduced)
+    std = [
+        [m for m in ring.monomials(t) if not any(all(a <= b for a, b in zip(g, m)) for g in lt)]
+        for t in range(top + 1)
+    ]
+    units = [tuple(int(i == k) for i in range(ring.nvars)) for k in range(ring.nvars)]
+    for _ in range(3):
+        L = ring.poly({u: int(rng.integers(1, ring.p)) for u in units})
+        for t in range(top):
+            index = {(0, m): i for i, m in enumerate(std[t + 1])}
+            rows = [normal_form(L.mono_mul(m), I.gb).coordinates(index) for m in std[t]]
+            if len(independent_rows(rows, ring.p)) != min(len(std[t]), len(std[t + 1])):
+                break
+        else:
+            return True
+    return False
+
+
+@st.composite
+def artinian_monomial_ideals(draw):
+    """Pure powers of x0, x1, x2 plus up to three more monomials, over
+    GF(2), GF(3) or GF(32003)."""
+    p = draw(st.sampled_from([2, 3, 32003]))
+    powers = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 3)] * 3).filter(any), max_size=3))
+    return p, [tuple(a if i == k else 0 for i in range(3)) for k, a in enumerate(powers)] + extra
+
+
+@given(artinian_monomial_ideals(), st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_wlp_check_against_the_rank_loop(case, seed):
+    """The series identity of `wlp_check` and the dense rank loop give the
+    same answer for the same seeded forms."""
+    p, exps = case
+    R = Ring(3, p)
+    I = Ideal(R, [R.poly({e: 1}) for e in exps])
+    assert wlp_check(I, rng=np.random.default_rng(seed)) == _wlp_by_ranks(I, np.random.default_rng(seed))
+
+
+def test_wlp_check_against_the_rank_loop_on_13663(R3):
+    y0, y1, y2 = R3.gens()
+    I = Ideal(R3, [y0 ** 3, y1 ** 3, y2 ** 3, y0 * y1 * y2])
+    for seed in range(4):
+        assert wlp_check(I, rng=np.random.default_rng(seed)) is _wlp_by_ranks(I, np.random.default_rng(seed)) is False
 
 
 def test_wlp_gorenstein_factory_output(R3, rng):

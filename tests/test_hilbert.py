@@ -1,3 +1,5 @@
+import math
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -5,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liaisonlab.errors import NotACurve, RegularityScanFailed, UnitIdeal
+from liaisonlab.errors import NotACurve, UnitIdeal
 from liaisonlab.hilbert import (
     HilbertData,
     degree_and_genus,
@@ -121,6 +123,37 @@ def test_macaulay_bound_values():
     assert macaulay_bound(5, 3) == 6  # 5 = C(4,3)+C(2,2) -> C(5,4)+C(3,3)
 
 
+def _macaulay_bound_by_counting(h, j):
+    """Reference: each a_k of the Macaulay representation found by counting
+    up from k."""
+    rem, parts = h, []
+    for k in range(j, 0, -1):
+        if rem == 0:
+            break
+        a = k
+        while math.comb(a + 1, k) <= rem:
+            a += 1
+        parts.append((a, k))
+        rem -= math.comb(a, k)
+    return sum(math.comb(a + 1, k + 1) for a, k in parts)
+
+
+def test_macaulay_bound_against_counting_up():
+    for h in range(200):
+        for j in range(1, 9):
+            assert macaulay_bound(h, j) == _macaulay_bound_by_counting(h, j), (h, j)
+
+
+def test_macaulay_bound_of_a_huge_value_is_quick():
+    """h = 10^12 in degree 1 is C(10^12, 1), and C(10^9, 2) in degree 2 is
+    its own Macaulay representation; counting up to either would take
+    about 10^12 or 10^9 steps."""
+    start = time.perf_counter()
+    assert macaulay_bound(10**12, 1) == math.comb(10**12 + 1, 2)
+    assert macaulay_bound(math.comb(10**9, 2), 2) == math.comb(10**9 + 1, 3)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_macaulay_growth_cases():
     r = macaulay_growth_check([1, 3, 1, 2])
     assert not r["valid"] and r["first_violation"] == 2
@@ -218,11 +251,3 @@ def test_hilbert_data_against_interpolation(case):
     window = range(lo - d.dim - 2, hi + nv + 2)
     assert d.reg_index == 1 + max(j for j in window if d.hf(j) != p.subs(J, j))
     assert d.h_vector_is_honest == (d.dim == 0)
-
-
-def test_a_regularity_scan_that_starts_too_low_is_a_typed_error(monkeypatch):
-    """hf and hp agree above the numerator's top degree; where they do not,
-    the scan raises RegularityScanFailed, an `errors.py` type."""
-    monkeypatch.setattr(HilbertData, "hp", lambda self, j: self.hf(j) + 1)
-    with pytest.raises(RegularityScanFailed):
-        HilbertData({0: 1, 2: -1}, 3)
