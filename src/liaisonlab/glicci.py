@@ -17,7 +17,12 @@ when c = 1.  Then Step II's (a + dR) : J = I is the first link
 (`liaison.direct_link`); for c > 1 it is a plain colon.  Every colon of the descent of a
 t x (t + 1) matrix, and of its replay, is a Gorenstein link given its
 known series.  The I' = I(A') a step links to is the I of the next,
-built once, as are a + J^(c-1) and a + J^c within a step.
+built once, as are a + J^(c-1) and a + J^c within a step.  For c = 1 the
+middle ideal a + J is J = I(A_1) itself (det B, expanded along its last
+column, lies in J), stored with its matrix A_1.  So every ideal a c = 1
+descent and its replay classify is a complete intersection or carries
+its matrix, and its Betti table comes from the Koszul or Eagon-Northcott
+complex with no resolution (`resolution.BettiTable.of_ideal`).
 
 Descent order for stable ideals: initial-degree descent with lifting
 variable x_l (basic double links), switching to the next level l+1 when
@@ -224,8 +229,9 @@ def _gaeta_attempt(A, I):
     G = a + d * Jc1 if c > 1 else ad
     if not classify(G)["gorenstein"] or G.codimension() != c + 1:
         raise StepIdentityFailed("a + d J^(c-1) is not Gorenstein of codimension c+1")
-    # a + J^(c-1) (when c > 1) and a + J^c, which both degree identities read
-    mid_expected = a + J.power(c)
+    # a + J^(c-1) (when c > 1) and a + J^c, which both degree identities
+    # read; for c = 1, a + J = J, which carries A_1 for its Betti table
+    mid_expected = a + J.power(c) if c > 1 else J
     mids = {c - 1: a + Jc1, c: mid_expected} if c > 1 else {c: mid_expected}
     dega = a.hilbert().degree
     degmid_c1 = mids[c - 1].hilbert().degree if c > 1 else 0

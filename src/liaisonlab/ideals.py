@@ -39,9 +39,12 @@ class Ideal:
 
     Equality is equality of reduced bases; all generators must be
     homogeneous (the grading is load-bearing everywhere downstream).
+    matrix: the `PolyMatrix` whose maximal minors the generators are, set
+    by `PolyMatrix.maximal_minors` and None otherwise; the Betti table of
+    such an ideal can come from the Eagon-Northcott complex.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_hilbert", "_quotient")
+    __slots__ = ("ring", "gens", "matrix", "_gb", "_hilbert", "_quotient")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -52,6 +55,7 @@ class Ideal:
             if not g.is_homogeneous:
                 raise NotHomogeneous(f"generator {g} is not homogeneous")
         self.gens = gens
+        self.matrix = None
         self._gb = None
         self._hilbert = None
         self._quotient = None
@@ -329,8 +333,12 @@ class PolyMatrix:
         return out
 
     def maximal_minors(self):
+        """The ideal of the nonzero maximal minors, which remembers this
+        matrix (`Ideal.matrix`)."""
         t = min(self.nrows, self.ncols)
-        return Ideal(self.ring, [m for m in self.minors(t) if not m.is_zero])
+        I = Ideal(self.ring, [m for m in self.minors(t) if not m.is_zero])
+        I.matrix = self
+        return I
 
     def __repr__(self):
         body = "; ".join(", ".join(str(f) for f in r) for r in self.rows)

@@ -141,9 +141,10 @@ def _link_numerator(c, I):
     cc = classify(c)
     g, T = cc["codim"], cc["betti"].tail_twist()
     M, nv = quotient_module(I), I.ring.nvars
-    # (-1)^g E_g = N_I(1/t) - sum over i > g of (-1)^i E_i
+    # (-1)^g E_g = N_I(1/t) - sum over i > g of (-1)^i E_i; Ext^i vanishes
+    # above pd R/I, which a structure theorem may give with no resolution
     ext = {-k: v for k, v in I.hilbert().numerator.items()}
-    for i in range(g + 1, M.resolution.length + 1):
+    for i in range(g + 1, classify(I)["pd"] + 1):
         E = ext_numerator(M, i)
         if HilbertData(E, nv).dim == nv - i:  # {} reads as dimension nv, and i > g >= 1
             raise NotUnmixed(f"Ext^{i}(R/I, R) has codimension {i}: I has an associated prime of codimension {i} > {g}")

@@ -2,6 +2,21 @@
 classification, E-type truncations, Ext series and deficiency-module
 Hilbert functions via local duality.
 
+A Betti table, and with it pd and every invariant `classify` reports, is
+read off a structure theorem when the ideal's codimension shows that one
+applies, and off a resolution otherwise (`BettiTable.of_ideal`):
+- Koszul: homogeneous f_1..f_r generating an ideal of codimension r form
+  a regular sequence, and the Koszul complex on them is the minimal
+  resolution (Bruns & Herzog, *Cohen-Macaulay Rings*, Sec. 1.6);
+- Eagon-Northcott: the maximal minors of a t x (t + c) matrix with
+  entries in the maximal ideal, when all C(t + c, t) of them are nonzero
+  and their ideal has codimension c + 1, are resolved minimally by the
+  Eagon-Northcott complex (Eisenbud, *Commutative Algebra*, App. A2.6),
+  whose twists follow from the row and column degrees.
+The maps of a resolution are only ever built by `resolve`: Ext, canonical
+modules, E-type truncations, `ideal_module` and the mapping cones of
+`liaison` read them.
+
 Resolutions are built stage by stage: minimal generator selection by
 graded Nakayama (`groebner.minimal_generators`, one run of the Buchberger
 pair loop taking the generators degree by degree and dropping those that
@@ -39,6 +54,8 @@ transposed columns.
 """
 
 import math
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 from .errors import CohomologyMismatch, NotCM, ResolutionIncomplete, UnitIdeal, WrongCodim
 from .groebner import buchberger, generators_and_leads, minimal_generators, syzygies_of
@@ -201,12 +218,15 @@ class BettiTable:
 
     @classmethod
     def of_ideal(cls, ideal):
-        res = minimal_free_resolution(ideal)
-        entries = {}
-        for k in range(1, res.length + 1):
-            for a in res.twists(k):
-                entries[(k - 1, a)] = entries.get((k - 1, a), 0) + 1
-        return cls(entries, ideal.ring.nvars, ideal.codimension())
+        """The table of the Koszul or Eagon-Northcott complex when its
+        codimension test passes (`structure_twists`), else of `resolve`."""
+        codim = ideal.codimension()
+        twists = structure_twists(ideal, codim)
+        if twists is None:
+            res = minimal_free_resolution(ideal)
+            twists = [res.twists(k) for k in range(1, res.length + 1)]
+        entries = Counter((k, a) for k, tw in enumerate(twists) for a in tw)
+        return cls(dict(entries), ideal.ring.nvars, codim)
 
     @property
     def pd(self):
@@ -254,6 +274,41 @@ class BettiTable:
 
     def __repr__(self):
         return f"Betti({self.entries})"
+
+
+def structure_twists(ideal, codim):
+    """Twists of F_1, F_2, ... in the minimal resolution of R/I, read off the
+    Koszul or the Eagon-Northcott complex when the codimension shows that
+    one of them resolves R/I (see the module docstring); None otherwise.
+
+    Koszul: F_k has one generator per k-subset of the generators, at the
+    sum of their degrees.  Eagon-Northcott, for a t x (t + c) matrix with
+    row twists u and column twists v (deg A[i][j] = v_j - u_i):
+    F_{k+1} = wedge^{t+k} F (x) D_k(G^*) (x) wedge^t G^*, k = 0..c, with one
+    generator per (t + k)-subset S of the columns and k-multiset a of the
+    rows, at sum_S v - sum_a u - sum u.  A matrix with more rows than
+    columns is read transposed, with rows and columns swapped and twists
+    negated."""
+    gens = ideal.gens
+    if len(gens) == codim:
+        degrees = [g.degree for g in gens]
+        return [[sum(s) for s in combinations(degrees, k)] for k in range(1, codim + 1)]
+    A = ideal.matrix
+    if A is None:
+        return None
+    rows, cols = A.row_degs, A.col_degs
+    if len(rows) > len(cols):
+        rows, cols = [-v for v in cols], [-u for u in rows]
+    t, c = len(rows), len(cols) - len(rows)
+    if len(gens) != math.comb(t + c, t) or codim != c + 1:
+        return None
+    if any(f.degree < 1 for row in A.rows for f in row if not f.is_zero):
+        return None  # a unit entry: the complex is not minimal
+    top = sum(rows)
+    return [
+        [sum(S) - sum(a) - top for S in combinations(cols, t + k) for a in combinations_with_replacement(rows, k)]
+        for k in range(c + 1)
+    ]
 
 
 def classify(ideal):
@@ -372,9 +427,20 @@ def _duality_tables(ideal_or_module, numerators, window):
     """{i: {j: coefficient of t^(-nvars-j) in the series of numerators[i]}}, j in window (local duality)."""
     nv = ideal_or_module.ring.nvars
     if window is None:
-        window = range(-nv - 2, BettiTable.of_ideal(ideal_or_module).regularity + 3)
+        window = range(-nv - 2, _regularity(ideal_or_module) + 4)
     window = list(window)
     return {i: {j: series_hf(numer, nv, -nv - j) for j in window} for i, numer in numerators.items()}
+
+
+def _regularity(ideal_or_module):
+    """reg M of a presented module M, the largest a - k over the twists a
+    of its resolution's F_k; for an ideal I, reg I - 1 off its Betti table,
+    which is reg R/I unless I is zero.  Default tables of M run over
+    -nvars-2 .. reg M + 3, so those of I end at reg I + 2."""
+    if isinstance(ideal_or_module, PresentedModule):
+        res = ideal_or_module.resolution
+        return max((a - k for k in range(res.length + 1) for a in res.twists(k)), default=0)
+    return BettiTable.of_ideal(ideal_or_module).regularity - 1
 
 
 def deficiency_hf(ideal_or_module, i, window):

@@ -156,6 +156,28 @@ def test_a_gaeta_run_and_its_replay_form_no_colon_product(R5, rng, colon_product
     assert colon_products == []
 
 
+def test_a_generic_gaeta_run_and_its_replay_resolve_nothing(R5, rng, monkeypatch):
+    """Every ideal the descent of a generic 3 x 4 matrix of linear forms and
+    its replay classify is a complete intersection, or carries its matrix
+    and has the expected codimension: a + dR and a + d'R, I, I', and the
+    middle ideal J = I(A_1).  So every Betti table comes from the Koszul or
+    the Eagon-Northcott complex, and `resolve` is never called."""
+    calls, resolve = [], resolution.resolve
+
+    def spy(M):
+        calls.append(M)
+        return resolve(M)
+
+    monkeypatch.setattr(resolution, "resolve", spy)
+    A = PolyMatrix(R5, [[R5.random_poly(1, rng) for _ in range(4)] for _ in range(3)])
+    cert = gaeta_run(A, rng)
+    assert len(cert.steps) == 4 and cert.replay()
+    assert calls == []
+    # the middle ideal of each step is J = I(A_1), a t x (t - 1) matrix
+    middles = [step["to"] for step in cert.steps[::2]]
+    assert [(J.matrix.nrows, J.matrix.ncols) for J in middles] == [(3, 2), (2, 1)]
+
+
 @pytest.mark.parametrize("outcome", ["rejected", "missed"])
 def test_a_step_ii_link_that_fails_is_a_step_identity_failure(R4, rng, monkeypatch, outcome):
     """For c = 1 Step II's (a + dR) : J = I is the step's first link

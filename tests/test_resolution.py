@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +31,7 @@ from liaisonlab.resolution import (
     minimal_generators,
     quotient_module,
     self_duality_check,
+    structure_twists,
     submodule_numerator,
     tensor_presentation,
 )
@@ -182,6 +184,24 @@ def test_deficiency_line_conic(R4):
     lc = Ideal(R4, [x2, x3]).intersect(Ideal(R4, [x0, x1 ** 2 - x2 * x3]))
     tab = deficiency_table(lc, range(-4, 7))
     assert {j: v for j, v in tab[1].items() if v} == {0: 1, 1: 1}
+
+
+def test_a_module_gets_the_default_window_of_its_regularity(R4):
+    """With no window, the tables of a presented module M run over
+    -nvars-2 .. reg M + 3, reg M read off its resolution.  For R/I that is
+    the window of I itself, which ends at reg I + 2.  The canonical module
+    of the twisted cubic is resolved by R(-1)^2 <- R(-2)^3 <- R(-4), so its
+    regularity is 2."""
+    x0, x1, x2, x3 = R4.gens()
+    sk = Ideal(R4, [x0, x1]).intersect(Ideal(R4, [x2, x3]))
+    assert deficiency_hf(quotient_module(sk), 1, None) == deficiency_hf(sk, 1, None)
+    assert list(deficiency_hf(sk, 1, None)) == list(range(-6, 5))  # reg sk = 2
+    TC = Ideal(R4, [x0 * x2 - x1 ** 2, x0 * x3 - x1 * x2, x1 * x3 - x2 ** 2])
+    K = canonical_module(TC)
+    assert [K.resolution.twists(k) for k in range(K.resolution.length + 1)] == [(1, 1), (2, 2, 2), (4,)]
+    table = deficiency_hf(K, 2, None)
+    assert list(table) == list(range(-6, 6))
+    assert table == deficiency_hf(K, 2, range(-6, 6))
 
 
 def test_acm_iff_zero_deficiency(R4):
@@ -736,3 +756,136 @@ def test_the_coordinate_points_of_p4_under_a_dense_g():
     assert moved != coordinate
     assert _invariants(moved) == _invariants(coordinate)
     assert BettiTable.of_ideal(moved).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
+
+
+# -- oracle: Koszul and Eagon-Northcott tables against `resolve` ---------------
+#
+# Four variables and t(t + c) <= 6 entries: random matrices in five
+# variables reach the generic-coordinates cost cliff of `resolve`.
+
+R4_ORACLE = Ring(4, 32003)
+
+
+def _resolved_twists(I):
+    """The twists of F_1, F_2, ... in `resolve`'s resolution of R/I, sorted."""
+    res = minimal_free_resolution(I)
+    return [sorted(res.twists(k)) for k in range(1, res.length + 1)]
+
+
+def _check_parity(I):
+    """The theorem's twists, when its codimension test passes, are those of
+    `resolve`, stage for stage; `BettiTable.of_ideal` gives `resolve`'s
+    table either way.  Returns whether a theorem applied."""
+    resolved = _resolved_twists(I)
+    twists = structure_twists(I, I.codimension())
+    if twists is not None:
+        assert [sorted(tw) for tw in twists] == resolved
+    assert BettiTable.of_ideal(I).entries == Counter((k, a) for k, tw in enumerate(resolved) for a in tw)
+    return twists is not None
+
+
+@st.composite
+def _forms(draw, ring, degree):
+    """A form of the given degree with 1-3 terms (a nonzero constant for 0)."""
+    support = draw(st.lists(st.sampled_from(ring.monomials(degree)), min_size=1, max_size=3, unique=True))
+    return ring.poly({e: draw(st.integers(1, ring.p - 1)) for e in support})
+
+
+@st.composite
+def complete_intersection_candidates(draw, ring=R4_ORACLE):
+    """1-4 forms of degree 1-3, most of them a regular sequence."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    return Ideal(ring, [draw(_forms(ring, d)) for d in degrees])
+
+
+@st.composite
+def matrix_minor_ideals(draw, ring=R4_ORACLE):
+    """The maximal minors of a t x (t + c) matrix, t(t + c) <= 6, or of its
+    transpose, with row twists u_i in {0, 1} and column twists v_j in
+    {2, 3}, or in {1, 2, 3} in a quarter of the draws: entry (i, j) is a
+    form of degree v_j - u_i, a constant when that is 0."""
+    t, n = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 2), (2, 3), (2, 3), (2, 3)]))
+    u = draw(st.lists(st.integers(0, 1), min_size=t, max_size=t))
+    v = draw(st.lists(st.integers(draw(st.sampled_from([1, 2, 2, 2])), 3), min_size=n, max_size=n))
+    rows = [[draw(_forms(ring, vj - ui)) for vj in v] for ui in u]
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    I = PolyMatrix(ring, rows).maximal_minors()
+    assume(not I.is_unit)
+    return I
+
+
+def _oracle_matrix(entries, transpose=False):
+    """The maximal minors of the matrix entries(x), x the variables of
+    GF(32003)[x0..x3] and an int a constant, or of its transpose."""
+    rows = [[R4_ORACLE.constant(f) if isinstance(f, int) else f for f in row] for row in entries(R4_ORACLE.gens())]
+    if transpose:
+        rows = [list(col) for col in zip(*rows)]
+    return PolyMatrix(R4_ORACLE, rows).maximal_minors()
+
+
+def SCROLL(x):
+    return [[x[0], x[1], x[2]], [x[1], x[2], x[3]]]
+
+
+def MIXED(x):
+    """u = (0, 1), v = (2, 2, 3): row degrees (2, 2, 3) and (1, 1, 2)."""
+    return [[x[0] ** 2, x[1] ** 2 + x[2] * x[3], x[3] ** 3], [x[1], x[2], x[0] ** 2 + x[3] ** 2]]
+
+
+@given(complete_intersection_candidates())
+@settings(max_examples=40, deadline=None)
+@example(Ideal(R4_ORACLE, [R4_ORACLE.var(0) ** 2, R4_ORACLE.var(1) ** 3, R4_ORACLE.var(2) * R4_ORACLE.var(3)]))
+def test_koszul_tables_match_the_resolution(I):
+    """Forms whose ideal has codimension equal to their number are a regular
+    sequence: the Koszul table is `resolve`'s, and other ideals fall back."""
+    assert _check_parity(I) == (len(I.gens) == I.codimension())
+
+
+@given(matrix_minor_ideals())
+@settings(max_examples=60, deadline=None)
+@example(_oracle_matrix(SCROLL))
+@example(_oracle_matrix(SCROLL, transpose=True))
+@example(_oracle_matrix(MIXED))
+@example(_oracle_matrix(MIXED, transpose=True))
+def test_eagon_northcott_tables_match_the_resolution(I):
+    """Maximal minors of random matrices with mixed degrees, in both
+    orientations: when all C(t + c, t) minors are nonzero, every entry lies
+    in the maximal ideal and the codimension is c + 1, the Eagon-Northcott
+    table is `resolve`'s; otherwise the table still is."""
+    _check_parity(I)
+
+
+def test_the_theorems_apply_to_the_scroll_and_the_mixed_matrix_both_ways():
+    for entries in (SCROLL, MIXED):
+        for transpose in (False, True):
+            assert _check_parity(_oracle_matrix(entries, transpose))
+    assert structure_twists(_oracle_matrix(MIXED), 2) == [[3, 4, 4], [6, 5]]
+
+
+@pytest.mark.parametrize(
+    "case, entries",
+    [
+        # minors x0^2, x0*x2, -x0*x1 share x0: codimension 1 < c + 1 = 2
+        ("codimension below c + 1", lambda x: [[x[0], 0, x[1]], [0, x[0], x[2]]]),
+        # the minors generate a complete intersection of two of them
+        ("a nonzero constant entry", lambda x: [[1, x[0], x[1]], [x[2], x[3] ** 2, x[2] ** 2]]),
+        # 3 of C(4, 1) minors, which generate no complete intersection
+        ("an all-zero column", lambda x: [[x[0] ** 2, x[0] * x[1], x[1] ** 2, 0]]),
+        ("a repeated generator", lambda x: [[x[0], x[1], x[0]]]),
+    ],
+)
+def test_a_matrix_that_fails_the_test_falls_back_to_the_resolution(case, entries):
+    I = _oracle_matrix(entries)
+    assert not _check_parity(I)
+    if case == "a nonzero constant entry":
+        # only the entry degrees catch it: 3 minors, codimension 2
+        assert len(I.gens) == 3 and I.codimension() == 2
+        assert BettiTable.of_ideal(I).entries == {(0, 2): 2, (1, 4): 1}
+
+
+def test_a_repeated_generator_is_no_regular_sequence(R4):
+    x0, x1 = R4.var(0), R4.var(1)
+    I = Ideal(R4, [x0 ** 2, x1, x0 ** 2])
+    assert structure_twists(I, I.codimension()) is None
+    assert BettiTable.of_ideal(I).entries == {(0, 1): 1, (0, 2): 1, (1, 3): 1}
