@@ -7,7 +7,14 @@ Session files:
     matrix M = [[x0,x1,x2],[x1,x2,x3]]
     points P = file(points.txt)
 
-Expressions evaluate to ring elements with the ring's own arithmetic.
+Parsing a session reads every line and raises each syntax error, with its
+line and column, and each unknown variable, but builds no object.  An
+object is built when a command first reads it (`Session.get`) and kept for
+later reads: expressions parse to trees, which evaluate to ring elements
+with the ring's own arithmetic, and a points file is opened then.  So a
+line no command reads can fail only by its syntax; its other errors (not
+homogeneous, a degenerate matrix, a degree overflow, a points file that is
+missing or malformed) surface when a command reads it.
 `COMMANDS` maps each command to its argparse arguments and its handler: the
 argument parser is built from it and `run` dispatches through it.
 
@@ -16,7 +23,8 @@ included): identical (input, seed) pairs produce identical bytes.
 Exit codes: 0 success, 1 mathematical failure, 2 usage error.  A typed
 error writes a report and exits with its type's `exit_code` (errors.py); a
 report whose check failed (ok, agree or replay_ok false) exits 1; arguments
-argparse rejects and files that cannot be read exit 2 with no report.
+argparse rejects, and a session file or a points file a command reads that
+cannot be read, exit 2 with no report.
 """
 
 import argparse
@@ -102,9 +110,11 @@ def _tokenize(text, line_no=1):
 class PolyParser:
     """Recursive-descent parser for `^ * + -` polynomial expressions.
 
-    Expressions evaluate to ring elements with the ring's own arithmetic,
-    whose products and powers raise DegreeOverflow past the degree bound,
-    even when the top terms would cancel."""
+    It turns the tokens into a tree of tuples: ("int", c), ("var", i),
+    ("neg", a), ("+", a, b), ("-", a, b), ("*", a, b) and ("^", a, k).
+    Building the tree is the syntax check, and an unknown variable is
+    reported here, since the ring's names are known; `_evaluate` turns a
+    tree into a ring element."""
 
     def __init__(self, ring, toks, pos=0):
         self.ring = ring
@@ -127,36 +137,34 @@ class PolyParser:
             self.take()
         acc = self.parse_term()
         if t.kind == "-":
-            acc = -acc
+            acc = ("neg", acc)
         while self.peek().kind in "+-":
-            if self.take().kind == "+":
-                acc = acc + self.parse_term()
-            else:
-                acc = acc - self.parse_term()
+            op = self.take().kind
+            acc = (op, acc, self.parse_term())
         return acc
 
     def parse_term(self):
         acc = self.parse_factor()
         while self.peek().kind == "*":
             self.take()
-            acc = acc * self.parse_factor()
+            acc = ("*", acc, self.parse_factor())
         return acc
 
     def parse_factor(self):
         base = self.parse_atom()
         if self.peek().kind == "^":
             self.take()
-            base = base ** self.take("int").value
+            base = ("^", base, self.take("int").value)
         return base
 
     def parse_atom(self):
         t = self.peek()
         if t.kind == "int":
             self.take()
-            return self.ring.constant(t.value)
+            return ("int", t.value)
         if t.kind == "name":
             self.take()
-            return self._variable(t)
+            return ("var", self._variable(t))
         if t.kind == "(":
             self.take()
             inner = self.parse_expr()
@@ -167,17 +175,39 @@ class PolyParser:
     def _variable(self, tok):
         name = tok.value
         if name in self.ring.names:
-            return self.ring.var(self.ring.names.index(name))
+            return self.ring.names.index(name)
         if name.startswith("x") and name[1:].isdigit():
             raise VariableOutOfRange(f"{name} outside the declared ring")
         raise SessionSyntaxError(f"unknown variable {name!r}", tok.line, tok.col)
 
 
+def _evaluate(ring, tree):
+    """The ring element a `PolyParser` tree stands for, by the ring's own
+    arithmetic, whose products and powers raise DegreeOverflow past the
+    degree bound, even when the top terms would cancel."""
+    op = tree[0]
+    if op == "var":
+        return ring.var(tree[1])
+    if op == "int":
+        return ring.constant(tree[1])
+    if op == "neg":
+        return -_evaluate(ring, tree[1])
+    a = _evaluate(ring, tree[1])
+    if op == "^":
+        return a ** tree[2]
+    b = _evaluate(ring, tree[2])
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    return a * b
+
+
 def parse_poly(ring, text, line_no=1):
     p = PolyParser(ring, _tokenize(text, line_no))
-    out = p.parse_expr()
+    tree = p.parse_expr()
     _expect_end(p)
-    return out
+    return _evaluate(ring, tree)
 
 
 def _expect_end(parser):
@@ -187,16 +217,17 @@ def _expect_end(parser):
 
 
 def _parse_row(parser):
-    """Comma-separated polynomials."""
-    polys = [parser.parse_expr()]
+    """Trees of comma-separated polynomials."""
+    trees = [parser.parse_expr()]
     while parser.peek().kind == ",":
         parser.take()
-        polys.append(parser.parse_expr())
-    return polys
+        trees.append(parser.parse_expr())
+    return trees
 
 
 def _parse_matrix(parser):
-    """[[f, ...], [g, ...], ...] read from the parser's tokens."""
+    """The rows, as lists of trees, of [[f, ...], [g, ...], ...] read from
+    the parser's tokens."""
     parser.take("[")
     rows = []
     while not rows or parser.peek().kind == ",":
@@ -207,29 +238,49 @@ def _parse_matrix(parser):
         parser.take("]")
     parser.take("]")
     _expect_end(parser)
-    return PolyMatrix(parser.ring, rows)
+    return rows
+
+
+def _build_ideal(ring, trees):
+    return Ideal(ring, [_evaluate(ring, t) for t in trees])
+
+
+def _build_matrix(ring, rows):
+    return PolyMatrix(ring, [[_evaluate(ring, t) for t in row] for row in rows])
 
 
 class Session:
-    """Parsed session: one ring plus named ideals, matrices and point sets."""
+    """Parsed session: one ring plus named ideals, matrices and point sets.
+
+    objects maps each name to (kind, build), build a function of no
+    arguments that makes the object.  `get` calls it when the object is
+    first read and keeps what it returns, so later reads share the object
+    and its cached basis, series and resolution."""
 
     def __init__(self):
         self.ring = None
         self.objects = {}
+        self._built = {}
 
     def get(self, name, kinds=None):
         if name not in self.objects:
             raise SessionObjectError(f"unknown object {name!r}")
-        kind, obj = self.objects[name]
+        kind, build = self.objects[name]
+        # built before the kind is checked, so that a malformed object
+        # reports what is wrong with it whatever kind the command wanted
+        if name not in self._built:
+            self._built[name] = build()
         if kinds and kind not in kinds:
             raise SessionObjectError(f"object {name!r} has kind {kind}, expected {kinds}")
-        return obj
+        return self._built[name]
 
     def poly(self, text):
         return parse_poly(self.ring, text)
 
 
 def parse_session(text, base_dir="."):
+    """The session `text` declares, every line read and syntax-checked; no
+    object is built until `Session.get` first reads it."""
     sess = Session()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -255,26 +306,38 @@ def parse_session(text, base_dir="."):
                 if not (body.startswith("file(") and body.endswith(")")):
                     raise SessionSyntaxError("points need file(...)", line_no, 1)
                 path = os.path.join(base_dir, body[5:-1].strip())
-                obj = _read_points(sess.ring, path, line_no)
+                build = functools.partial(_read_points, sess.ring, path, line_no)
             else:
                 # blank out everything before the body, so that each token
                 # carries its column in the line
                 start = len(raw) - len(raw.lstrip()) + len(line) - len(body)
                 parser = PolyParser(sess.ring, _tokenize(" " * start + body, line_no))
                 if head == "matrix":
-                    obj = _parse_matrix(parser)
+                    build = functools.partial(_build_matrix, sess.ring, _parse_matrix(parser))
                 else:
-                    gens = _parse_row(parser) if parser.peek().kind != "end" else []
+                    trees = _parse_row(parser) if parser.peek().kind != "end" else []
                     _expect_end(parser)
-                    obj = Ideal(sess.ring, gens)
-            sess.objects[name] = (head, obj)
+                    build = functools.partial(_build_ideal, sess.ring, trees)
+            sess.objects[name] = (head, build)
         else:
             raise SessionSyntaxError(f"unknown statement {head!r}", line_no, 1)
     return sess
 
 
+_RING_FIELDS = ("p", "vars", "order")
+
+
 def _parse_ring_decl(rest, line_no):
-    fields = dict(part.split("=", 1) for part in rest.split() if "=" in part)
+    fields = {}
+    for word in rest.split():
+        key, eq, value = word.partition("=")
+        if not eq:
+            raise SessionSyntaxError(f"{word!r} is not a field=value pair", line_no, 1)
+        if key not in _RING_FIELDS:
+            raise SessionSyntaxError(f"unknown ring field {key!r}", line_no, 1)
+        if key in fields:
+            raise SessionSyntaxError(f"ring field {key!r} given twice", line_no, 1)
+        fields[key] = value
     if "p" not in fields or "vars" not in fields:
         raise SessionSyntaxError("ring needs p=... vars=...", line_no, 1)
     try:

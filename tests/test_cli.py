@@ -17,7 +17,7 @@ from liaisonlab.errors import (
     SessionSyntaxError,
     VariableOutOfRange,
 )
-from liaisonlab.ideals import Ideal
+from liaisonlab.ideals import Ideal, PolyMatrix
 from liaisonlab.ring import Ring
 
 HERE = Path(__file__).parent
@@ -108,6 +108,8 @@ def test_parse_errors(R4):
     assert exc.value.column > 0
     with pytest.raises(VariableOutOfRange):
         parse_poly(R4, "x7 + x0")
+    with pytest.raises(VariableOutOfRange):  # raised by parsing, though no object is read
+        parse_session("ring p=32003 vars=x0..x3\nideal A = x0 + x7")
     with pytest.raises(PrimeCheckFailed):
         parse_session("ring p=32004 vars=x0..x3")
     with pytest.raises(SessionSyntaxError):
@@ -219,24 +221,27 @@ def test_malformed_input_exits_2(session, points, error, tmp_path):
 R3_DECL = "ring p=32003 vars=x0..x2\n"
 
 
-@pytest.mark.parametrize(
-    "session,line,column,message",
-    [
-        (R3_DECL + "ring p=7 vars=x0..x2\n", 2, 1, "only one ring per session"),
-        (R3_DECL + "ideal I-1 = x0\n", 2, 1, "bad object name"),
-        (R3_DECL + "points P = pts.txt\n", 2, 1, "points need file(...)"),
-        (R3_DECL + "module M = x0\n", 2, 1, "unknown statement 'module'"),
-        ("ring p=32003\nideal I = x0\n", 1, 1, "ring needs p=... vars=..."),
-        ("ring p=32003 vars=x0-x2\nideal I = x0\n", 1, 1, "vars must look like x0..xN"),
-        ("ring p=32003 vars=x1..x2\nideal I = x1\n", 1, 1, "variables start at x0"),
-        ("ring p=32003 vars=x0..x2 order=lexx\nideal I = x0\n", 1, 1, "unknown order 'lexx'"),
-        (R3_DECL + "ideal I = x0+$x1\n", 2, 14, "unexpected character '$'"),
-        (R3_DECL + "ideal I = x0+y0\n", 2, 14, "unknown variable 'y0'"),
-    ],
-    ids=["second-ring", "bad-object-name", "points-without-file", "unknown-statement",
-         "ring-without-vars", "vars-not-a-range", "vars-not-from-x0", "unknown-order",
-         "bad-character-in-body", "unknown-variable"],
-)
+# each syntax error a session can hold: (session, line, column, message)
+SESSION_ERRORS = {
+    "second-ring": (R3_DECL + "ring p=7 vars=x0..x2\n", 2, 1, "only one ring per session"),
+    "bad-object-name": (R3_DECL + "ideal I-1 = x0\n", 2, 1, "bad object name"),
+    "points-without-file": (R3_DECL + "points P = pts.txt\n", 2, 1, "points need file(...)"),
+    "unknown-statement": (R3_DECL + "module M = x0\n", 2, 1, "unknown statement 'module'"),
+    "ring-without-vars": ("ring p=32003\nideal I = x0\n", 1, 1, "ring needs p=... vars=..."),
+    "vars-not-a-range": ("ring p=32003 vars=x0-x2\nideal I = x0\n", 1, 1, "vars must look like x0..xN"),
+    "vars-not-from-x0": ("ring p=32003 vars=x1..x2\nideal I = x1\n", 1, 1, "variables start at x0"),
+    "unknown-order": ("ring p=32003 vars=x0..x2 order=lexx\nideal I = x0\n", 1, 1, "unknown order 'lexx'"),
+    "unknown-ring-field": ("ring p=32003 vars=x0..x2 ordr=lex\nideal I = x0\n", 1, 1, "unknown ring field 'ordr'"),
+    "repeated-ring-field": ("ring p=7 p=32003 vars=x0..x2\nideal I = x0\n", 1, 1, "ring field 'p' given twice"),
+    "ring-word-without-value": (
+        "ring p=32003 vars=x0..x2 lex\nideal I = x0\n", 1, 1, "'lex' is not a field=value pair"
+    ),
+    "bad-character-in-body": (R3_DECL + "ideal I = x0+$x1\n", 2, 14, "unexpected character '$'"),
+    "unknown-variable": (R3_DECL + "ideal I = x0+y0\n", 2, 14, "unknown variable 'y0'"),
+}
+
+
+@pytest.mark.parametrize("session,line,column,message", SESSION_ERRORS.values(), ids=list(SESSION_ERRORS))
 def test_session_errors_exit_2_at_their_line(session, line, column, message, tmp_path):
     (tmp_path / "s.txt").write_text(session)
     out = tmp_path / "report.json"
@@ -244,6 +249,63 @@ def test_session_errors_exit_2_at_their_line(session, line, column, message, tmp
     doc = json.loads(out.read_bytes())
     assert doc["error"] == "syntax-error"
     assert doc["message"] == f"line {line}, column {column}: {message}"
+
+
+@pytest.mark.parametrize("session,line,column,message", SESSION_ERRORS.values(), ids=list(SESSION_ERRORS))
+def test_session_errors_surface_before_any_object_is_read(session, line, column, message):
+    """Parsing alone raises each syntax error, though it builds no object."""
+    with pytest.raises(SessionSyntaxError) as exc:
+        parse_session(session)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+# a malformed object that `gb I` never reads, and the error code of reading
+# it (None: a file that cannot be read, which exits 2 with no report)
+UNREAD_OBJECTS = {
+    "not-homogeneous": ("ideal BAD = x0+x1^2", "not-homogeneous"),
+    "degenerate-matrix": ("matrix BAD = [[x0, x1^2+x0]]", "degenerate-matrix"),
+    "degree-overflow": ("ideal BAD = x0^9223372036854775807*x0", "degree-overflow"),
+    "points-file-missing": ("points BAD = file(missing.txt)", None),
+}
+
+
+@pytest.mark.parametrize("bad,error", UNREAD_OBJECTS.values(), ids=list(UNREAD_OBJECTS))
+def test_an_object_is_built_when_a_command_first_reads_it(bad, error, tmp_path):
+    """An unread object fails only by its syntax: `gb I` answers as if the
+    malformed line were not there.  Read, the object raises its own error,
+    whatever kind the command wanted."""
+    (tmp_path / "good.txt").write_text(R3_DECL + "ideal I = x0, x1\n")
+    (tmp_path / "bad.txt").write_text(R3_DECL + bad + "\nideal I = x0, x1\n")
+    good = _run_capture(["--session", str(tmp_path / "good.txt"), "gb", "I"], tmp_path)
+    assert good[0] == 0
+    assert _run_capture(["--session", str(tmp_path / "bad.txt"), "gb", "I"], tmp_path) == good
+    out = tmp_path / "bad-report.json"
+    assert main(["--out", str(out), "--session", str(tmp_path / "bad.txt"), "gb", "BAD"]) == 2
+    if error is None:
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_bytes())["error"] == error
+
+
+def test_a_command_builds_only_the_objects_it_reads(tmp_path, monkeypatch):
+    """`betti TC` on the 16 objects of p3.txt builds one ideal, and a
+    second read of an object returns the object built by the first."""
+    built = []
+
+    def spy(cls):
+        def build(*args):
+            built.append(cls(*args))
+            return built[-1]
+
+        return build
+
+    monkeypatch.setattr(cli, "Ideal", spy(Ideal))
+    monkeypatch.setattr(cli, "PolyMatrix", spy(PolyMatrix))
+    code, blob = _run_capture(dict(GOLDEN_CASES)["betti_tc"], tmp_path)
+    assert (code, blob) == (0, (GOLDEN / "betti_tc.json").read_bytes())
+    assert len(built) == 1
+    sess = parse_session((SESSIONS / "p3.txt").read_text(), base_dir=str(SESSIONS))
+    assert sess.get("TC", ("ideal",)) is sess.get("TC", ("ideal",))
 
 
 @pytest.mark.parametrize("command", ["cb-check", "dgo"])
@@ -266,7 +328,8 @@ def test_points_file_with_no_points_exits_2(command, points, tmp_path):
 def test_unreadable_input_exits_2(case, tmp_path, capsys, monkeypatch):
     """Input that cannot be read is a usage error, not a mathematical one.
     The unreadable session is simulated, since a superuser reads any file
-    whatever its mode."""
+    whatever its mode.  A points file is opened when a command first reads
+    its object, so that case reads P."""
     session = tmp_path / "s.txt"
     session.write_text("ring p=32003 vars=x0..x2\nideal I = x0\npoints P = file(pts)\n")
     (tmp_path / "pts").mkdir()
@@ -280,8 +343,9 @@ def test_unreadable_input_exits_2(case, tmp_path, capsys, monkeypatch):
             raise PermissionError(13, "Permission denied", str(path))
 
         monkeypatch.setattr(cli, "open", denied, raising=False)
+    command = ["cb-check", "P"] if case == "points-file-is-a-directory" else ["gb", "I"]
     out = tmp_path / "report.json"
-    assert main(["--out", str(out), "--session", str(session), "gb", "I"]) == 2
+    assert main(["--out", str(out), "--session", str(session), *command]) == 2
     assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
 
